@@ -43,7 +43,10 @@ class NotSquare(SpectraError):
 
 
 class InternalExactnessViolation(SpectraError):
-    """An exact integer division inside a trusted algorithm left a remainder.
+    """A trusted exact algorithm failed its own check.
+
+    Either an exact integer division left a remainder, or a characteristic
+    polynomial disagreed with its determinant certificate.
 
     This indicates a bug (or a corrupted input), never a legitimate outcome.
     """
@@ -70,4 +73,9 @@ class PartNotComplete(SpectraError):
 
 
 class BitGrowthExceeded(SpectraError):
-    """An intermediate integer outgrew the configured bit-size safety cap."""
+    """An integer outgrew a bit budget.
+
+    Either a ``char_poly`` output coefficient or a Bareiss pivot exceeded the
+    ``PGSPECTRA_MAX_BITS`` cap, or a characteristic-polynomial coefficient
+    bound exceeded the largest prime ``char_poly`` can work modulo.
+    """

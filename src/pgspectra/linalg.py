@@ -1,10 +1,10 @@
 """Exact integer matrices, polynomials, and characteristic polynomials.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
-point is involved anywhere.  Characteristic polynomials come from the
-Faddeev-LeVerrier recurrence (one matrix product per coefficient, with every
-internal division checked for exactness) and determinants from fraction-free
-Bareiss elimination.
+point is involved anywhere.  Characteristic polynomials come from Hessenberg
+reduction modulo a Gershgorin-bounded prime (Cohen, *A Course in Computational
+Algebraic Number Theory*, Alg. 2.2.9), certified by a Bareiss determinant;
+determinants come from fraction-free Bareiss elimination.
 
 Polynomials are dense coefficient tuples in ascending order, so
 ``(c0, c1, c2)`` is ``c0 + c1*x + c2*x**2``.
@@ -29,9 +29,10 @@ from .errors import (
 )
 
 #: Environment variable holding the optional bit-size safety cap.  When set to
-#: a positive integer, any intermediate value whose bit length exceeds the cap
-#: aborts the computation with :class:`BitGrowthExceeded`; values are never
-#: silently truncated.
+#: a positive integer, any ``char_poly`` output coefficient or Bareiss pivot
+#: (the last pivot, which is the determinant, and the pivots of ``char_poly``'s
+#: certificate included) longer than the cap aborts the computation with
+#: :class:`BitGrowthExceeded`; values are never silently truncated.
 MAX_BITS_ENV = "PGSPECTRA_MAX_BITS"
 
 
@@ -52,7 +53,7 @@ def _check_growth(cap: int, values: Iterable[int], context: str) -> None:
     for v in values:
         if v.bit_length() > cap:
             raise BitGrowthExceeded(
-                f"{context}: intermediate value needs {v.bit_length()} bits, "
+                f"{context}: value needs {v.bit_length()} bits, "
                 f"cap is {cap} ({MAX_BITS_ENV})"
             )
 
@@ -459,13 +460,61 @@ def poly_from_json(text: str) -> IntPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def char_poly(m: IntMatrix) -> IntPolynomial:
-    """Characteristic polynomial ``det(xI - m)`` by Faddeev-LeVerrier.
+#: Exponents e of the Mersenne primes 2**e - 1 that ``char_poly`` may work
+#: modulo; it takes the smallest one above twice its coefficient bound.
+MERSENNE_EXPONENTS = (61, 89, 127, 521, 607, 1279, 2203, 3217, 4253, 9689, 19937, 44497)
 
-    The recurrence is ``M_1 = I``; ``c_k = -trace(A @ M_k) / k``;
-    ``M_{k+1} = A @ M_k + c_k I``.  Every division by ``k`` must be exact for
-    an integer matrix; a nonzero remainder raises
-    :class:`InternalExactnessViolation`.
+
+def _hessenberg_char_poly(rows: list[list[int]], p: int) -> list[int]:
+    """Ascending coefficients mod prime ``p`` of ``det(xI - A)`` (Cohen, Alg. 2.2.9)."""
+    n = len(rows)
+    h = [[v % p for v in row] for row in rows]
+    # Similarity transforms to upper Hessenberg form: zero column k below row k+1.
+    for k in range(n - 2):
+        piv = next((i for i in range(k + 1, n) if h[i][k]), None)
+        if piv is None:
+            continue
+        h[piv], h[k + 1] = h[k + 1], h[piv]
+        for row in h:
+            row[piv], row[k + 1] = row[k + 1], row[piv]
+        src = h[k + 1]
+        inv = pow(src[k], -1, p)
+        us = [h[i][k] * inv % p for i in range(k + 2, n)]
+        for i, u in enumerate(us, k + 2):
+            if u:
+                h[i][k:] = [(a - u * b) % p for a, b in zip(h[i][k:], src[k:])]
+        # The inverse of all those row operations is one column update.
+        for row in h:
+            row[k + 1] = (row[k + 1] + sum(map(mul, us, row[k + 2 :]))) % p
+    # polys[c] is the characteristic polynomial of the leading c x c block.
+    polys = [[1]]
+    for c in range(n):
+        acc = [0, *polys[c]]
+        for j, v in enumerate(polys[c]):
+            acc[j] -= h[c][c] * v
+        run = 1  # product of the subdiagonal entries h[i+1][i] .. h[c][c-1]
+        for i in range(c - 1, -1, -1):
+            run = run * h[i + 1][i] % p
+            if not run:
+                break
+            coef = run * h[i][c] % p
+            for j, v in enumerate(polys[i]):
+                acc[j] -= coef * v
+        polys.append([v % p for v in acc])
+    return polys[n]
+
+
+def char_poly(m: IntMatrix) -> IntPolynomial:
+    """Characteristic polynomial ``det(xI - m)``, exactly, in O(n^3) operations.
+
+    With ``R`` the largest absolute row sum, Gershgorin bounds every
+    coefficient by ``(R + 1)**n``.  The coefficients are computed by
+    Hessenberg reduction modulo a Mersenne prime ``P > 2 * (R + 1)**n`` (Cohen,
+    *A Course in Computational Algebraic Number Theory*, Alg. 2.2.9) and
+    lifted into ``(-P/2, P/2]``.  The result is certified against the Bareiss
+    determinant of ``(R + 1)I - m``; a mismatch raises
+    :class:`InternalExactnessViolation`.  A bound beyond the largest tabled
+    prime raises :class:`BitGrowthExceeded`.
     """
     if m.rows != m.cols:
         raise NotSquare(f"characteristic polynomial needs a square matrix, got {m.rows}x{m.cols}")
@@ -473,27 +522,21 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     if n == 0:
         return IntPolynomial((1,))
     cap = _bit_cap()
-    a_rows = [list(m.row(i)) for i in range(n)]
-    # c[k] is the coefficient of x**(n - k); c[0] = 1 since det(xI - A) is monic.
-    cs = [1]
-    work = [[1 if i == j else 0 for j in range(n)] for i in range(n)]  # M_1
-    rng = range(n)
-    for k in range(1, n + 1):
-        cols = list(zip(*work))
-        prod = [[sum(map(mul, a_rows[i], cols[j])) for j in rng] for i in rng]
-        t = sum(prod[i][i] for i in rng)
-        if t % k != 0:
-            raise InternalExactnessViolation(
-                f"Faddeev-LeVerrier trace {t} not divisible by step {k}"
-            )
-        ck = -(t // k)
-        cs.append(ck)
-        _check_growth(cap, (ck,), "char_poly")
-        if k < n:
-            for i in rng:
-                prod[i][i] += ck
-            work = prod
-    return IntPolynomial(tuple(reversed(cs)))
+    rows = [list(m.row(i)) for i in range(n)]
+    x0 = max(sum(map(abs, row)) for row in rows) + 1
+    bound = 2 * x0**n
+    p = next((2**e - 1 for e in MERSENNE_EXPONENTS if 2**e - 1 > bound), None)
+    if p is None:
+        raise BitGrowthExceeded(
+            f"char_poly: coefficient bound needs {bound.bit_length()} bits, "
+            f"the largest tabled prime has {MERSENNE_EXPONENTS[-1]}"
+        )
+    coeffs = [c - p if c > p // 2 else c for c in _hessenberg_char_poly(rows, p)]
+    _check_growth(cap, coeffs, "char_poly")
+    poly = IntPolynomial(tuple(coeffs))
+    if determinant(x0 * identity(n) - m) != poly(x0):
+        raise InternalExactnessViolation(f"char_poly: det({x0}I - A) != poly({x0})")
+    return poly
 
 
 def determinant(m: IntMatrix) -> int:
@@ -532,4 +575,6 @@ def determinant(m: IntMatrix) -> int:
             row_i[k] = 0
         _check_growth(cap, (pivot,), "determinant")
         prev = pivot
+    # The last pivot is the determinant itself.
+    _check_growth(cap, (a[n - 1][n - 1],), "determinant")
     return sign * a[n - 1][n - 1]

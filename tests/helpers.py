@@ -1,8 +1,9 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here deliberately avoids the production code paths it checks:
-polynomials are plain coefficient lists, the characteristic polynomial is a
-permutation-sum expansion, distances come from Floyd-Warshall, and the
+polynomials are plain coefficient lists, characteristic polynomials come
+from a permutation-sum expansion (small matrices) or the Faddeev-LeVerrier
+recurrence (larger ones), distances come from Floyd-Warshall, and the
 enhanced-adjacency oracle scans all witness elements directly from the
 Cayley table.
 """
@@ -10,6 +11,7 @@ Cayley table.
 from __future__ import annotations
 
 import itertools
+from operator import mul
 
 from pgspectra import FiniteGroup, Graph, IntMatrix
 
@@ -51,6 +53,31 @@ def char_poly_oracle(m: IntMatrix) -> tuple[int, ...]:
     while len(total) > 1 and total[-1] == 0:
         total.pop()
     return tuple(total)
+
+
+def char_poly_faddeev_oracle(m: IntMatrix) -> tuple[int, ...]:
+    """Coefficients (ascending) of det(xI - M) by Faddeev-LeVerrier.
+
+    ``M_1 = I``, ``c_k = -trace(A M_k) / k``, ``M_{k+1} = A M_k + c_k I``:
+    one dense integer matrix product per coefficient, O(n^4) in all, with no
+    modular arithmetic, so it stays independent of the production route and
+    reaches sizes the Leibniz oracle cannot.
+    """
+    n = m.rows
+    assert m.cols == n
+    a = [list(m.row(i)) for i in range(n)]
+    cs = [1]  # cs[k] multiplies x**(n - k)
+    work = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*work))
+        prod = [[sum(map(mul, row, col)) for col in cols] for row in a]
+        t = sum(prod[i][i] for i in range(n))
+        assert t % k == 0, f"Faddeev-LeVerrier trace {t} not divisible by step {k}"
+        cs.append(-(t // k))
+        for i in range(n):
+            prod[i][i] += cs[-1]
+        work = prod
+    return tuple(reversed(cs))
 
 
 def determinant_oracle(m: IntMatrix) -> int:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from pgspectra import IntPolynomial, VerificationReport, make_case
-from pgspectra import cli
+from pgspectra import cli, linalg
 
 
 def run_ok(capsys, argv):
@@ -173,6 +173,26 @@ def test_spectrum_respects_bit_cap(monkeypatch, capsys):
         ],
     )
     assert "error[BitGrowthExceeded]" in err
+
+
+def test_spectrum_reports_failed_char_poly_certificate(monkeypatch, capsys):
+    kernel = linalg._hessenberg_char_poly
+
+    def corrupted(rows, p):
+        coeffs = kernel(rows, p)
+        coeffs[0] = (coeffs[0] + 1) % p
+        return coeffs
+
+    monkeypatch.setattr(linalg, "_hessenberg_char_poly", corrupted)
+    err = run_err(
+        capsys,
+        [
+            "spectrum",
+            "--family", "dihedral", "--n", "6",
+            "--graph", "enhanced", "--matrix", "distance",
+        ],
+    )
+    assert "error[InternalExactnessViolation]" in err
 
 
 # ---------------------------------------------------------------------------

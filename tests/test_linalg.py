@@ -2,19 +2,22 @@ from __future__ import annotations
 
 import json
 import random
+from math import comb
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import char_poly_oracle, determinant_oracle
+from helpers import char_poly_faddeev_oracle, char_poly_oracle, determinant_oracle
 from pgspectra import (
     FactoredPoly,
     IntMatrix,
     IntPolynomial,
+    adjacency_matrix,
     block,
     char_poly,
     determinant,
+    distance_matrix,
     expand,
     identity,
     kron,
@@ -27,9 +30,12 @@ from pgspectra.errors import (
     BitGrowthExceeded,
     DimensionMismatch,
     InexactDivision,
+    InternalExactnessViolation,
     NotSquare,
 )
+from pgspectra import linalg
 from pgspectra.linalg import MAX_BITS_ENV, poly_from_json, poly_to_json
+from pgspectra.theorems import GRAPH_BUILDERS, THEOREMS, enumerate_cases
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +280,93 @@ def test_char_poly_shape_invariants(m: IntMatrix):
     assert p(0) == (-1) ** m.rows * determinant(m)
 
 
+@given(square_matrices())
+def test_char_poly_matches_faddeev_oracle(m: IntMatrix):
+    assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
+
+
+# Which entries may be nonzero, for the Hessenberg route: "sparse" leaves zero
+# subdiagonal entries with nonzero ones below (pivot search) and all-zero
+# columns (skip); "block-triangular" has zero subdiagonals that survive the
+# reduction.
+SHAPES = {
+    "mixed-sign": lambda rng, i, j: True,
+    "sparse": lambda rng, i, j: rng.random() < 0.15,
+    "block-triangular": lambda rng, i, j: i // 4 <= j // 4,
+    "nilpotent": lambda rng, i, j: i < j,
+    "hessenberg": lambda rng, i, j: i <= j + 1,
+}
+
+
+def _shaped_matrix(rng: random.Random, shape: str, n: int) -> IntMatrix:
+    if shape == "permutation":
+        perm = list(range(n))
+        rng.shuffle(perm)
+        return IntMatrix(n, n, tuple(int(j == perm[i]) for i in range(n) for j in range(n)))
+    keep = SHAPES[shape]
+    flat = (rng.randint(-9, 9) if keep(rng, i, j) else 0 for i in range(n) for j in range(n))
+    return IntMatrix(n, n, tuple(flat))
+
+
+@pytest.mark.parametrize("shape", [*SHAPES, "permutation"])
+def test_char_poly_matches_faddeev_oracle_on_shaped_matrices(shape: str):
+    rng = random.Random(20261017)
+    for n in (8, 19, 30):
+        m = _shaped_matrix(rng, shape, n)
+        assert char_poly(m).coeffs == char_poly_faddeev_oracle(m), (shape, n)
+
+
+def test_char_poly_matches_faddeev_oracle_on_catalog_matrices():
+    seen = set()
+    for case in enumerate_cases(32):
+        group = THEOREMS[case.theorem_id].build_group(case.params_dict())
+        key = (tuple(map(tuple, group.table)), case.graph_kind)
+        if key in seen:
+            continue
+        seen.add(key)
+        graph = GRAPH_BUILDERS[case.graph_kind](group)
+        for m in (distance_matrix(graph), adjacency_matrix(graph)):
+            assert char_poly(m).coeffs == char_poly_faddeev_oracle(m), case.describe()
+
+
+@pytest.mark.parametrize(
+    "n, r",
+    [
+        (8, 9),
+        (30, 9),
+        (20, 1000),
+        # 2 * (r + 1) sits just below the 61-bit prime P, so c_0 = r and -r
+        # land next to the two ends of the lift range (-P/2, P/2].
+        (1, 2**60 - 2),
+    ],
+)
+def test_char_poly_where_the_gershgorin_bound_is_attained(n: int, r: int):
+    scalar = -r * identity(n)  # (x + r)^n, so |c_k| = C(n, k) r^(n-k) exactly
+    assert char_poly(scalar).coeffs == tuple(comb(n, k) * r ** (n - k) for k in range(n + 1))
+    for m in (scalar, r * identity(n), r * ones(n, n)):
+        assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
+
+
+def test_char_poly_certificate_catches_a_corrupted_kernel(monkeypatch):
+    kernel = linalg._hessenberg_char_poly
+
+    def corrupted(rows, p):
+        coeffs = kernel(rows, p)
+        coeffs[1] = (coeffs[1] + 1) % p
+        return coeffs
+
+    monkeypatch.setattr(linalg, "_hessenberg_char_poly", corrupted)
+    with pytest.raises(InternalExactnessViolation):
+        char_poly(IntMatrix.from_rows([[2, 1], [1, 2]]))
+
+
+def test_char_poly_bound_beyond_the_prime_table(monkeypatch):
+    monkeypatch.setattr(linalg, "MERSENNE_EXPONENTS", (61,))
+    assert char_poly(IntMatrix.from_rows([[2, 1], [1, 2]])).coeffs == (3, -4, 1)
+    with pytest.raises(BitGrowthExceeded, match="tabled prime"):
+        char_poly(9 * identity(20))  # bound 2 * 10**20 > 2**61 - 1
+
+
 # ---------------------------------------------------------------------------
 # determinant
 # ---------------------------------------------------------------------------
@@ -366,3 +459,19 @@ def test_bit_cap_rejects_garbage(monkeypatch):
     monkeypatch.setenv(MAX_BITS_ENV, "many")
     with pytest.raises(BitGrowthExceeded):
         char_poly(identity(2))
+
+
+def test_bit_cap_covers_char_poly_certificate(monkeypatch):
+    # x^2 - 1 fits in one bit, but det(2I - m) = 3 and its first pivot 2 need two.
+    m = IntMatrix.from_rows([[0, 1], [1, 0]])
+    monkeypatch.setenv(MAX_BITS_ENV, "1")
+    with pytest.raises(BitGrowthExceeded, match="determinant"):
+        char_poly(m)
+    monkeypatch.setenv(MAX_BITS_ENV, "2")
+    assert char_poly(m).coeffs == (-1, 0, 1)
+
+
+def test_bit_cap_covers_last_bareiss_pivot(monkeypatch):
+    monkeypatch.setenv(MAX_BITS_ENV, "8")
+    with pytest.raises(BitGrowthExceeded):
+        determinant(IntMatrix.from_rows([[1, 0], [0, 300]]))
