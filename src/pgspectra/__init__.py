@@ -74,7 +74,6 @@ from .linalg import (
     kron,
     ones,
     poly_exact_div,
-    poly_mul,
     x_plus,
     zeros,
 )

@@ -12,28 +12,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 from .errors import SpectraError
-from .graphs import (
-    adjacency_matrix,
-    diameter,
-    distance_matrix,
-    enhanced_power_graph,
-    power_graph,
-    proper_power_graph,
-    to_dot,
-)
+from .graphs import Graph, adjacency_matrix, diameter, distance_matrix, to_dot
 from .groups import (
+    FAMILY_PARAMS,
     FiniteGroup,
     GroupFamilySpec,
+    family_spec,
     group_to_json_obj,
     make_group,
     order_census,
 )
-from .linalg import char_poly
+from .linalg import IntMatrix, char_poly
 from .theorems import (
     DEFAULT_MAX_ORDER,
+    GRAPH_BUILDERS,
     THEOREMS,
     THEOREM_IDS,
     TheoremCase,
@@ -41,21 +37,12 @@ from .theorems import (
     closed_form_for,
     enumerate_cases,
     make_case,
+    parallel_map,
     verify,
-    verify_sweep,
 )
 
-_FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
-    "cyclic": ("n",),
-    "elementary-abelian": ("p", "n"),
-    "dihedral": ("n",),
-    "dicyclic": ("n",),
-    "gpq": ("p", "q"),
-    "elab-product": ("p", "n", "q", "m"),
-    "elab-cyclic": ("p", "n", "m"),
-}
 
-_GRAPH_KINDS = ("power", "enhanced", "proper-power")
+_PARAMS = ("n", "p", "q", "m")  # the --n --p --q --m flags of every family
 
 
 class _UsageError(Exception):
@@ -78,53 +65,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_family(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--family", required=True, choices=sorted(_FAMILY_PARAMS))
-        p.add_argument("--n", type=int)
-        p.add_argument("--p", type=int)
-        p.add_argument("--q", type=int)
-        p.add_argument("--m", type=int)
+        p.add_argument("--family", required=True, choices=sorted(FAMILY_PARAMS))
+        add_params(p)
 
-    def add_output(p: argparse.ArgumentParser, formats: Sequence[str], default: str) -> None:
-        p.add_argument("--format", choices=list(formats), default=default)
+    def add_params(p: argparse.ArgumentParser) -> None:
+        for name in _PARAMS:
+            p.add_argument(f"--{name}", type=int)
+
+    def add_output(p: argparse.ArgumentParser, formats: Sequence[str]) -> None:
+        p.add_argument("--format", choices=list(formats), default=formats[0])
         p.add_argument("--output", help="write to this path instead of stdout")
+
+    def add_artifact_output(p: argparse.ArgumentParser, artifact: str) -> None:
+        add_output(p, [fmt for what, fmt in _RENDERERS if what == artifact])
 
     p_group = sub.add_parser("group", help="construct a group and print it")
     add_family(p_group)
-    add_output(p_group, ("json", "text"), "json")
+    add_artifact_output(p_group, "group")
 
     p_graph = sub.add_parser("graph", help="construct a graph of a group")
     add_family(p_graph)
-    p_graph.add_argument("--graph", required=True, choices=_GRAPH_KINDS)
-    add_output(p_graph, ("dot", "csv", "json", "text"), "dot")
+    p_graph.add_argument("--graph", required=True, choices=tuple(GRAPH_BUILDERS))
+    add_artifact_output(p_graph, "graph")
 
     p_spec = sub.add_parser("spectrum", help="exact characteristic polynomial")
     add_family(p_spec)
-    p_spec.add_argument("--graph", required=True, choices=_GRAPH_KINDS)
+    p_spec.add_argument("--graph", required=True, choices=tuple(GRAPH_BUILDERS))
     p_spec.add_argument("--matrix", required=True, choices=("adjacency", "distance"))
-    add_output(p_spec, ("json", "text"), "json")
+    add_artifact_output(p_spec, "spectrum")
 
     p_verify = sub.add_parser("verify", help="check closed forms against brute force")
     p_verify.add_argument("--theorem", choices=list(THEOREM_IDS))
     p_verify.add_argument("--all", action="store_true")
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--p", type=int)
-    p_verify.add_argument("--q", type=int)
-    p_verify.add_argument("--m", type=int)
+    add_params(p_verify)
     p_verify.add_argument("--n-range", dest="n_range", help="inclusive range a:b")
     p_verify.add_argument("--max-order", dest="max_order", type=int, default=DEFAULT_MAX_ORDER)
     p_verify.add_argument("--jobs", type=int, default=1)
-    add_output(p_verify, ("jsonl", "text"), "jsonl")
+    add_output(p_verify, ("jsonl", "text"))
 
     p_export = sub.add_parser("export", help="write an artifact to a file")
     add_family(p_export)
-    p_export.add_argument(
-        "--what",
-        required=True,
-        choices=("group", "graph", "adjacency", "distance", "spectrum"),
-    )
-    p_export.add_argument("--graph", dest="graph", choices=_GRAPH_KINDS)
+    p_export.add_argument("--what", required=True, choices=tuple(_EXPORT_FORMATS))
+    p_export.add_argument("--graph", dest="graph", choices=tuple(GRAPH_BUILDERS))
     p_export.add_argument("--matrix", choices=("adjacency", "distance"))
-    p_export.add_argument("--format", choices=("json", "csv", "dot", "text"))
+    p_export.add_argument("--format", choices=sorted(set(chain(*_EXPORT_FORMATS.values()))))
     p_export.add_argument("--output", required=True)
     return parser
 
@@ -134,14 +118,14 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _explicit_params(args: argparse.Namespace) -> dict[str, int]:
+    return {k: getattr(args, k) for k in _PARAMS if getattr(args, k) is not None}
+
+
 def _family_spec(args: argparse.Namespace) -> GroupFamilySpec:
     family = args.family
-    wanted = _FAMILY_PARAMS[family]
-    values = {}
-    for name in ("n", "p", "q", "m"):
-        v = getattr(args, name, None)
-        if v is not None:
-            values[name] = v
+    wanted = FAMILY_PARAMS[family]
+    values = _explicit_params(args)
     missing = [w for w in wanted if w not in values]
     extra = [k for k in values if k not in wanted]
     if missing or extra:
@@ -150,35 +134,7 @@ def _family_spec(args: argparse.Namespace) -> GroupFamilySpec:
             + (f"; missing {missing}" if missing else "")
             + (f"; unexpected {extra}" if extra else "")
         )
-    if family == "elab-product":
-        return GroupFamilySpec(
-            "direct-product",
-            (),
-            (
-                GroupFamilySpec("elementary-abelian", (values["p"], values["n"])),
-                GroupFamilySpec("elementary-abelian", (values["q"], values["m"])),
-            ),
-        )
-    if family == "elab-cyclic":
-        return GroupFamilySpec(
-            "direct-product",
-            (),
-            (
-                GroupFamilySpec("elementary-abelian", (values["p"], values["n"])),
-                GroupFamilySpec("cyclic", (values["m"],)),
-            ),
-        )
-    return GroupFamilySpec(family, tuple(values[w] for w in wanted))
-
-
-def _build_graph(group: FiniteGroup, kind: str):
-    if kind == "power":
-        return power_graph(group), list(group.labels)
-    if kind == "enhanced":
-        return enhanced_power_graph(group), list(group.labels)
-    return proper_power_graph(group), [
-        lab for v, lab in enumerate(group.labels) if v != group.identity
-    ]
+    return family_spec(family, values)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -205,81 +161,119 @@ def _parse_range(text: str) -> range:
 
 
 # ---------------------------------------------------------------------------
+# Artifacts and their renderers
+# ---------------------------------------------------------------------------
+
+
+def _group(args: argparse.Namespace) -> FiniteGroup:
+    return make_group(_family_spec(args))
+
+
+def _graph(args: argparse.Namespace) -> tuple[FiniteGroup, Graph, list[str]]:
+    """The group, its ``--graph`` graph and the graph's vertex labels."""
+    group = _group(args)
+    labels = list(group.labels)
+    if args.graph == "proper-power":
+        del labels[group.identity]
+    return group, GRAPH_BUILDERS[args.graph](group), labels
+
+
+def _matrix(graph: Graph, kind: str) -> IntMatrix:
+    return distance_matrix(graph) if kind == "distance" else adjacency_matrix(graph)
+
+
+def _group_text(args: argparse.Namespace) -> str:
+    group = _group(args)
+    census = ", ".join(f"{k}x{v}" for k, v in order_census(group).items())
+    return f"group: {group.spec.describe()} (order {group.order})\nelement orders: {census}"
+
+
+def _graph_json(args: argparse.Namespace) -> str:
+    _, graph, _labels = _graph(args)
+    return json.dumps({"vertex_count": graph.vertex_count, "edges": [list(e) for e in graph.edges()]})
+
+
+def _graph_text(args: argparse.Namespace) -> str:
+    group, graph, _labels = _graph(args)
+    return (
+        f"{args.graph} graph of {group.spec.describe()}:\n"
+        f"  {graph.vertex_count} vertices, {graph.edge_count} edges, diameter {diameter(graph)}"
+    )
+
+
+def _matrix_renderer(kind: str, fmt: str) -> Callable[[argparse.Namespace], str]:
+    def render(args: argparse.Namespace) -> str:
+        _, graph, labels = _graph(args)
+        matrix = _matrix(graph, kind)
+        return matrix.to_csv(labels) if fmt == "csv" else json.dumps(matrix.to_json_obj())
+
+    return render
+
+
+def _spectrum_json(args: argparse.Namespace) -> str:
+    return json.dumps(char_poly(_matrix(_graph(args)[1], args.matrix)).to_json_obj())
+
+
+def _spectrum_text(args: argparse.Namespace) -> str:
+    group, graph, _labels = _graph(args)
+    matrix = _matrix(graph, args.matrix)
+    lines = [
+        f"{args.graph} graph of {group.spec.describe()}, {args.matrix} matrix "
+        f"({matrix.rows}x{matrix.cols})",
+        f"char poly: {char_poly(matrix).pretty()}",
+    ]
+    closed = closed_form_for(group.spec, args.graph, args.matrix)
+    if closed is not None:
+        lines.append(f"closed form: {closed.pretty()}")
+    return "\n".join(lines)
+
+
+# (artifact, format) -> renderer.  Each artifact's first format is the
+# default of the command named after it.
+_RENDERERS: dict[tuple[str, str], Callable[[argparse.Namespace], str]] = {
+    ("group", "json"): lambda args: json.dumps(group_to_json_obj(_group(args))),
+    ("group", "text"): _group_text,
+    ("graph", "dot"): lambda args: to_dot(*_graph(args)[1:]),
+    ("graph", "csv"): _matrix_renderer("adjacency", "csv"),
+    ("graph", "json"): _graph_json,
+    ("graph", "text"): _graph_text,
+    ("adjacency", "csv"): _matrix_renderer("adjacency", "csv"),
+    ("adjacency", "json"): _matrix_renderer("adjacency", "json"),
+    ("distance", "csv"): _matrix_renderer("distance", "csv"),
+    ("distance", "json"): _matrix_renderer("distance", "json"),
+    ("spectrum", "json"): _spectrum_json,
+    ("spectrum", "text"): _spectrum_text,
+}
+
+# export --what -> the formats it writes; the first is the default.
+_EXPORT_FORMATS: dict[str, tuple[str, ...]] = {
+    "group": ("json",),
+    "graph": ("dot", "json"),
+    "adjacency": ("csv", "json"),
+    "distance": ("csv", "json"),
+    "spectrum": ("json",),
+}
+
+
+# ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_group(args: argparse.Namespace) -> int:
-    group = make_group(_family_spec(args))
-    if args.format == "json":
-        _emit(json.dumps(group_to_json_obj(group)), args.output)
-    else:
-        census = order_census(group)
-        lines = [
-            f"group: {group.spec.describe() if group.spec else 'ad-hoc'} (order {group.order})",
-            "element orders: " + ", ".join(f"{k}x{v}" for k, v in census.items()),
-        ]
-        _emit("\n".join(lines), args.output)
-    return 0
-
-
-def _cmd_graph(args: argparse.Namespace) -> int:
-    group = make_group(_family_spec(args))
-    graph, labels = _build_graph(group, args.graph)
-    if args.format == "dot":
-        _emit(to_dot(graph, labels), args.output)
-    elif args.format == "csv":
-        _emit(adjacency_matrix(graph).to_csv(labels), args.output)
-    elif args.format == "json":
-        obj = {"vertex_count": graph.vertex_count, "edges": [list(e) for e in graph.edges()]}
-        _emit(json.dumps(obj), args.output)
-    else:
-        lines = [
-            f"{args.graph} graph of {group.spec.describe() if group.spec else 'ad-hoc'}:",
-            f"  {graph.vertex_count} vertices, {graph.edge_count} edges, "
-            f"diameter {diameter(graph)}",
-        ]
-        _emit("\n".join(lines), args.output)
-    return 0
-
-
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    spec = _family_spec(args)
-    group = make_group(spec)
-    graph, _labels = _build_graph(group, args.graph)
-    matrix = distance_matrix(graph) if args.matrix == "distance" else adjacency_matrix(graph)
-    poly = char_poly(matrix)
-    if args.format == "json":
-        _emit(json.dumps(poly.to_json_obj()), args.output)
-        return 0
-    lines = [
-        f"{args.graph} graph of {spec.describe()}, {args.matrix} matrix "
-        f"({matrix.rows}x{matrix.cols})",
-        f"char poly: {poly.pretty()}",
-    ]
-    if args.graph in ("power", "enhanced"):
-        closed = closed_form_for(spec, args.graph, args.matrix)
-        if closed is not None:
-            lines.append(f"closed form: {closed.pretty()}")
-    _emit("\n".join(lines), args.output)
+def _cmd_render(args: argparse.Namespace) -> int:
+    _emit(_RENDERERS[(args.command, args.format)](args), args.output)
     return 0
 
 
 def _verify_cases(args: argparse.Namespace) -> list[TheoremCase]:
     if args.all:
-        if args.theorem or args.n_range or any(
-            getattr(args, k) is not None for k in ("n", "p", "q", "m")
-        ):
+        if args.theorem or args.n_range or _explicit_params(args):
             raise _UsageError("--all cannot be combined with --theorem or parameters")
         return enumerate_cases(args.max_order)
     if not args.theorem:
         raise _UsageError("verify needs --theorem ID or --all")
     thm = THEOREMS[args.theorem]
-    explicit = {
-        k: getattr(args, k)
-        for k in ("n", "p", "q", "m")
-        if getattr(args, k) is not None
-    }
+    explicit = _explicit_params(args)
     if args.n_range:
         if thm.param_names != ("n",):
             raise _UsageError(
@@ -298,14 +292,7 @@ def _verify_cases(args: argparse.Namespace) -> list[TheoremCase]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
-    cases = _verify_cases(args)
-    if args.jobs == 1 or len(cases) <= 1:
-        reports = [verify(c) for c in cases]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            reports = list(pool.map(verify, cases))
+    reports = parallel_map(verify, _verify_cases(args), args.jobs)
     if args.format == "jsonl":
         text = "\n".join(json.dumps(r.to_json_obj()) for r in reports)
     else:
@@ -327,53 +314,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    spec = _family_spec(args)
-    group = make_group(spec)
     what = args.what
-    if what == "group":
-        fmt = args.format or "json"
-        if fmt != "json":
-            raise _UsageError("group export supports --format json")
-        _emit(json.dumps(group_to_json_obj(group)), args.output)
-        return 0
-    if args.graph is None:
+    if what != "group" and args.graph is None:
         raise _UsageError(f"export --what {what} needs --graph")
-    graph, labels = _build_graph(group, args.graph)
-    if what == "graph":
-        fmt = args.format or "dot"
-        if fmt == "dot":
-            _emit(to_dot(graph, labels), args.output)
-        elif fmt == "json":
-            obj = {"vertex_count": graph.vertex_count, "edges": [list(e) for e in graph.edges()]}
-            _emit(json.dumps(obj), args.output)
-        else:
-            raise _UsageError("graph export supports --format dot or json")
-        return 0
-    if what in ("adjacency", "distance"):
-        fmt = args.format or "csv"
-        matrix = adjacency_matrix(graph) if what == "adjacency" else distance_matrix(graph)
-        if fmt == "csv":
-            _emit(matrix.to_csv(labels), args.output)
-        elif fmt == "json":
-            _emit(json.dumps(matrix.to_json_obj()), args.output)
-        else:
-            raise _UsageError("matrix export supports --format csv or json")
-        return 0
-    # what == "spectrum"
-    if args.matrix is None:
+    if what == "spectrum" and args.matrix is None:
         raise _UsageError("export --what spectrum needs --matrix")
-    matrix = distance_matrix(graph) if args.matrix == "distance" else adjacency_matrix(graph)
-    fmt = args.format or "json"
-    if fmt != "json":
-        raise _UsageError("spectrum export supports --format json")
-    _emit(json.dumps(char_poly(matrix).to_json_obj()), args.output)
+    formats = _EXPORT_FORMATS[what]
+    fmt = args.format or formats[0]
+    if fmt not in formats:
+        raise _UsageError(f"{what} export supports --format {' or '.join(formats)}")
+    _emit(_RENDERERS[(what, fmt)](args), args.output)
     return 0
 
 
 _COMMANDS = {
-    "group": _cmd_group,
-    "graph": _cmd_graph,
-    "spectrum": _cmd_spectrum,
+    "group": _cmd_render,
+    "graph": _cmd_render,
+    "spectrum": _cmd_render,
     "verify": _cmd_verify,
     "export": _cmd_export,
 }

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Mapping, Sequence
 
 from .errors import InvalidFamilyParameters
 
@@ -131,13 +132,8 @@ def _finish(
     spec: GroupFamilySpec | None,
 ) -> FiniteGroup:
     tbl = tuple(tuple(row) for row in table)
-    inverse = []
-    for a in range(order):
-        try:
-            inverse.append(tbl[a].index(0))
-        except ValueError:  # pragma: no cover - guarded by construction
-            raise InvalidFamilyParameters(f"element {a} has no inverse") from None
-    return FiniteGroup(order, tbl, 0, tuple(inverse), tuple(labels), spec)
+    inverse = tuple(row.index(0) for row in tbl)  # every row is a permutation
+    return FiniteGroup(order, tbl, 0, inverse, tuple(labels), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +286,52 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return _finish(order, table, labels, spec)
 
 
-_FAMILIES = {
-    "cyclic": (make_cyclic, 1),
-    "elementary-abelian": (make_elementary_abelian, 2),
-    "dihedral": (make_dihedral, 1),
-    "dicyclic": (make_dicyclic, 1),
-    "gpq": (make_gpq, 2),
+# The family catalog.  Each command-line family name maps to its factors: a
+# base family and the parameter names it takes.  Two factors make a direct
+# product.  A family's parameter names, in command-line order, are its
+# factors' names in turn.
+FAMILIES: dict[str, tuple[tuple[str, tuple[str, ...]], ...]] = {
+    "cyclic": (("cyclic", ("n",)),),
+    "elementary-abelian": (("elementary-abelian", ("p", "n")),),
+    "dihedral": (("dihedral", ("n",)),),
+    "dicyclic": (("dicyclic", ("n",)),),
+    "gpq": (("gpq", ("p", "q")),),
+    "elab-product": (("elementary-abelian", ("p", "n")), ("elementary-abelian", ("q", "m"))),
+    "elab-cyclic": (("elementary-abelian", ("p", "n")), ("cyclic", ("m",))),
 }
+
+FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
+    name: tuple(k for _base, keys in factors for k in keys) for name, factors in FAMILIES.items()
+}
+
+_CONSTRUCTORS = {
+    "cyclic": make_cyclic,
+    "elementary-abelian": make_elementary_abelian,
+    "dihedral": make_dihedral,
+    "dicyclic": make_dicyclic,
+    "gpq": make_gpq,
+}
+
+
+def family_spec(name: str, params: Mapping[str, int]) -> GroupFamilySpec:
+    """The spec of catalog family ``name`` with the given named parameters."""
+    factors = tuple(
+        GroupFamilySpec(base, tuple(params[k] for k in keys)) for base, keys in FAMILIES[name]
+    )
+    return factors[0] if len(factors) == 1 else GroupFamilySpec("direct-product", (), factors)
+
+
+def family_of(spec: GroupFamilySpec) -> tuple[str, dict[str, int]] | None:
+    """The catalog family name and named parameters of ``spec``.
+
+    The inverse of :func:`family_spec`; None when ``spec`` is not in the
+    catalog (say a product of two cyclic groups).
+    """
+    factors = (spec.factors or ()) if spec.family == "direct-product" else (spec,)
+    for name, shape in FAMILIES.items():
+        if [(f.family, len(f.params)) for f in factors] == [(b, len(k)) for b, k in shape]:
+            return name, dict(zip(FAMILY_PARAMS[name], (v for f in factors for v in f.params)))
+    return None
 
 
 def make_group(spec: GroupFamilySpec) -> FiniteGroup:
@@ -306,9 +341,10 @@ def make_group(spec: GroupFamilySpec) -> FiniteGroup:
             raise InvalidFamilyParameters("direct-product spec needs two factor specs")
         return direct_product(make_group(spec.factors[0]), make_group(spec.factors[1]))
     try:
-        ctor, arity = _FAMILIES[spec.family]
+        ctor = _CONSTRUCTORS[spec.family]
     except KeyError:
         raise InvalidFamilyParameters(f"unknown family {spec.family!r}") from None
+    arity = len(FAMILY_PARAMS[spec.family])
     if len(spec.params) != arity:
         raise InvalidFamilyParameters(
             f"family {spec.family!r} takes {arity} parameter(s), got {list(spec.params)}"
@@ -392,5 +428,18 @@ def group_from_json(text: str) -> FiniteGroup:
         raise InvalidFamilyParameters("table shape disagrees with declared order")
     if int(obj["identity"]) != 0:
         raise InvalidFamilyParameters("serialized groups must use element 0 as identity")
+    # A Latin square whose row 0 and column 0 are the identity map: right
+    # multiplication by any x is then a permutation sending 0 to x, so every
+    # power loop returns to the identity within ``order`` steps.
+    identity_map = list(range(order))
+    elements = set(identity_map)
+    if (
+        table[:1] != [identity_map]
+        or [row[0] for row in table] != identity_map
+        or any(set(line) != elements for line in chain(table, zip(*table)))
+    ):
+        raise InvalidFamilyParameters(
+            "table is not a Latin square with element 0 as its identity row and column"
+        )
     labels = [str(s) for s in obj.get("labels") or (str(i) for i in range(order))]
     return _finish(order, table, labels, None)

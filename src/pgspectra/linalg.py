@@ -351,10 +351,6 @@ def x_plus(c: int) -> IntPolynomial:
     return IntPolynomial((c, 1))
 
 
-def poly_mul(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    return a * b
-
-
 def poly_exact_div(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     """Quotient of an exact division over the integers.
 

@@ -21,7 +21,13 @@ from .errors import (
     NotEquitable,
 )
 from .graphs import Graph, diameter
-from .groups import FiniteGroup, GroupFamilySpec, cyclic_subgroups, make_group
+from .groups import (
+    FiniteGroup,
+    GroupFamilySpec,
+    cyclic_subgroups,
+    family_of,
+    make_elementary_abelian,
+)
 from .linalg import IntMatrix
 
 #: Names accepted by :func:`family_partition`.
@@ -104,12 +110,10 @@ def _cell_counts(graph: Graph, idx: list[int], v: int, ncells: int) -> tuple[int
 
 def is_equitable(graph: Graph, p: Partition) -> bool:
     """True when all vertices of a cell agree on per-cell neighbor counts."""
-    idx = p.cell_index(graph.vertex_count)
-    for cell in p.cells:
-        first = _cell_counts(graph, idx, cell[0], p.cell_count)
-        for v in cell[1:]:
-            if _cell_counts(graph, idx, v, p.cell_count) != first:
-                return False
+    try:
+        quotient_matrix(graph, p)
+    except NotEquitable:
+        return False
     return True
 
 
@@ -236,9 +240,10 @@ def family_partition(g: FiniteGroup, which: str) -> Partition:
             f"unknown partition {which!r}; expected one of {FAMILY_PARTITIONS}"
         )
     spec = _spec_of(g)
+    family, d = family_of(spec) or (None, {})
     if which == "gpq-sylow":
-        _require(spec.family == "gpq", f"gpq-sylow needs a gpq group, got {spec.describe()}")
-        p, q = spec.params
+        _require(family == "gpq", f"gpq-sylow needs a gpq group, got {spec.describe()}")
+        p, q = d["p"], d["q"]
         q_sylow = _prime_subgroups(g, q)
         p_sylows = _prime_subgroups(g, p)
         _require(len(q_sylow) == 1, "expected a unique subgroup of order q")
@@ -250,31 +255,25 @@ def family_partition(g: FiniteGroup, which: str) -> Partition:
         return Partition(tuple(cells))
 
     if which == "dihedral":
-        _require(spec.family == "dihedral", f"needs a dihedral group, got {spec.describe()}")
-        (n,) = spec.params
+        _require(family == "dihedral", f"needs a dihedral group, got {spec.describe()}")
+        n = d["n"]
         cells = [(0,), tuple(range(1, n))]
         cells.extend((n + i,) for i in range(n))
         return Partition(tuple(cells))
 
     if which == "dicyclic":
-        _require(spec.family == "dicyclic", f"needs a dicyclic group, got {spec.describe()}")
-        (n,) = spec.params
+        _require(family == "dicyclic", f"needs a dicyclic group, got {spec.describe()}")
+        n = d["n"]
         cells = [(0, n), tuple(i for i in range(1, 2 * n) if i != n)]
         cells.extend(((2 * n + i, 3 * n + i)) for i in range(n))
         return Partition(tuple(cells))
 
     if which in ("elab-product-coarse", "elab-product-fine"):
         _require(
-            spec.family == "direct-product" and spec.factors is not None,
+            family == "elab-product",
             f"needs a direct product of elementary abelian groups, got {spec.describe()}",
         )
-        left, right = spec.factors
-        _require(
-            left.family == "elementary-abelian" and right.family == "elementary-abelian",
-            "both factors must be elementary abelian",
-        )
-        p, n_exp = left.params
-        q, m_exp = right.params
+        p, n_exp, q, m_exp = d["p"], d["n"], d["q"], d["m"]
         _require(p != q, "the two factor primes must differ")
         pn = p**n_exp
         qm = q**m_exp
@@ -283,8 +282,8 @@ def family_partition(g: FiniteGroup, which: str) -> Partition:
             v3 = tuple(a * qm + b for a in range(1, pn) for b in range(1, qm))
             v4 = tuple(range(1, qm))
             return Partition(((0,), v2, v3, v4))
-        a_subs = _prime_subgroups(make_group(left), p)
-        b_subs = _prime_subgroups(make_group(right), q)
+        a_subs = _prime_subgroups(make_elementary_abelian(p, n_exp), p)
+        b_subs = _prime_subgroups(make_elementary_abelian(q, m_exp), q)
         cells = [(0,)]
         for asub in a_subs:
             cells.append(tuple(a * qm for a in asub if a != 0))
@@ -304,20 +303,13 @@ def family_partition(g: FiniteGroup, which: str) -> Partition:
         return Partition(tuple(cells))
 
     # which == "elab-times-cyclic": El(p^n) x Z_m, including the bare m = 1 case
-    if spec.family == "elementary-abelian":
-        base_spec, m = spec, 1
-    else:
-        _require(
-            spec.family == "direct-product" and spec.factors is not None,
-            f"needs El(p^n) x Z_m or El(p^n), got {spec.describe()}",
-        )
-        left, right = spec.factors
-        _require(left.family == "elementary-abelian", "left factor must be elementary abelian")
-        _require(right.family == "cyclic", "right factor must be cyclic")
-        base_spec, m = left, right.params[0]
-    p, _n = base_spec.params
+    _require(
+        family in ("elementary-abelian", "elab-cyclic"),
+        f"needs El(p^n) x Z_m or El(p^n), got {spec.describe()}",
+    )
+    p, m = d["p"], d.get("m", 1)
     _require(m % p != 0, "the cyclic order must be coprime to the prime p")
-    base = make_group(base_spec)
+    base = make_elementary_abelian(p, d["n"])
     a_subs = _prime_subgroups(base, p)
     cells = [tuple(range(m))]
     for asub in a_subs:

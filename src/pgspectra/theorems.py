@@ -9,6 +9,7 @@ reports whether the two routes agree exactly.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -37,15 +38,14 @@ from .graphs import (
     proper_power_graph,
 )
 from .groups import (
+    FAMILY_PARAMS,
     FiniteGroup,
     GroupFamilySpec,
-    direct_product,
+    family_of,
+    family_spec,
     is_prime,
     make_cyclic,
-    make_dicyclic,
-    make_dihedral,
-    make_elementary_abelian,
-    make_gpq,
+    make_group,
     totient_and_divisors,
 )
 from .linalg import (
@@ -68,6 +68,7 @@ DEFAULT_MAX_ORDER = 64
 GRAPH_BUILDERS: dict[str, Callable[[FiniteGroup], Graph]] = {
     "power": power_graph,
     "enhanced": enhanced_power_graph,
+    "proper-power": proper_power_graph,
 }
 
 
@@ -314,13 +315,17 @@ def cf_elab_product(
 # ---------------------------------------------------------------------------
 
 
-def cf_elab_times_cyclic_distance(p: int, n: int, m: int) -> FactoredPoly:
-    """Distance characteristic polynomial of the enhanced power graph of
-    El(p^n) x Z_m with gcd(m, p) = 1 and n >= 2."""
+def _check_elab_cyclic(p: int, n: int, m: int) -> None:
     _require(is_prime(p), f"p must be prime, got {p}")
     _require(n >= 2, f"need n >= 2, got {n}")
     _require(m >= 1, f"need m >= 1, got {m}")
     _require(m % p != 0, f"need gcd(m, p) = 1, got m={m}, p={p}")
+
+
+def cf_elab_times_cyclic_distance(p: int, n: int, m: int) -> FactoredPoly:
+    """Distance characteristic polynomial of the enhanced power graph of
+    El(p^n) x Z_m with gcd(m, p) = 1 and n >= 2."""
+    _check_elab_cyclic(p, n, m)
     pn = p**n
     alpha = (pn - 1) // (p - 1)
     quad = IntPolynomial(
@@ -391,33 +396,29 @@ def _star(k: int) -> Graph:
     return Graph.from_edges(k + 1, [(0, i + 1) for i in range(k)])
 
 
+# Family -> the family partition whose cells are the complete parts of a
+# star join (the identity's cell at the centre).
+_EPG_STAR_PARTITIONS = {
+    "gpq": "gpq-sylow",
+    "dihedral": "dihedral",
+    "dicyclic": "dicyclic",
+    "elementary-abelian": "elab-times-cyclic",
+    "elab-cyclic": "elab-times-cyclic",
+}
+
+
 def epg_join_form(g: FiniteGroup) -> tuple[JoinSpec, Partition]:
     """Join decomposition of the enhanced power graph, plus the partition
     whose flattened cells give the natural block-to-vertex bijection."""
     if g.spec is None:
         raise FamilyMismatch("group carries no family information")
-    fam = g.spec.family
-    if fam == "gpq":
-        part = family_partition(g, "gpq-sylow")
-        outer = _star(len(part.cells) - 1)
-    elif fam == "dihedral":
-        part = family_partition(g, "dihedral")
-        outer = _star(len(part.cells) - 1)
-    elif fam == "dicyclic":
-        part = family_partition(g, "dicyclic")
-        outer = _star(len(part.cells) - 1)
-    elif fam == "elementary-abelian" or (
-        fam == "direct-product"
-        and g.spec.factors is not None
-        and g.spec.factors[0].family == "elementary-abelian"
-        and g.spec.factors[1].family == "cyclic"
-    ):
-        part = family_partition(g, "elab-times-cyclic")
-        outer = _star(len(part.cells) - 1)
-    elif fam == "direct-product":
+    family, _params = family_of(g.spec) or (None, None)
+    if family == "elab-product":
         return _elab_product_join_form(g, enhanced=True)
-    else:
+    if family not in _EPG_STAR_PARTITIONS:
         raise FamilyMismatch(f"no join decomposition catalogued for {g.spec.describe()}")
+    part = family_partition(g, _EPG_STAR_PARTITIONS[family])
+    outer = _star(len(part.cells) - 1)
     parts = tuple(complete_graph(len(cell)) for cell in part.cells)
     return JoinSpec(outer, parts), part
 
@@ -428,13 +429,10 @@ def pg_join_form(g: FiniteGroup) -> tuple[JoinSpec, Partition]:
 
 
 def _elab_product_join_form(g: FiniteGroup, enhanced: bool) -> tuple[JoinSpec, Partition]:
-    if g.spec is None or g.spec.family != "direct-product" or g.spec.factors is None:
+    family, d = (family_of(g.spec) if g.spec is not None else None) or (None, None)
+    if family != "elab-product":
         raise FamilyMismatch("need a direct product of two elementary abelian groups")
-    left, right = g.spec.factors
-    if left.family != "elementary-abelian" or right.family != "elementary-abelian":
-        raise FamilyMismatch("need a direct product of two elementary abelian groups")
-    p, n = left.params
-    q, m = right.params
+    p, n, q, m = d["p"], d["n"], d["q"], d["m"]
     alpha = (p**n - 1) // (p - 1)
     beta = (q**m - 1) // (q - 1)
     template = figure1_gamma_prime(alpha, beta) if enhanced else figure1_gamma(alpha, beta)
@@ -535,15 +533,33 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class _Theorem:
+    """One catalogued theorem about a family of the ``groups.FAMILIES`` table.
+
+    ``lookup_kinds`` are the graph kinds for which :func:`closed_form_for`
+    answers with this theorem: by default its own kind, more when two graphs
+    coincide on the family, none when ``closed_form`` is not a closed form.
+    """
+
     theorem_id: str
+    family: str
     graph_kind: str
     matrix_kind: str
-    param_names: tuple[str, ...]
     check: Callable[[dict[str, int]], None]
-    build_group: Callable[[dict[str, int]], FiniteGroup]
     closed_form: Callable[[dict[str, int]], FactoredPoly | None]
     cases: Callable[[int], list[dict[str, int]]]
     note_for: Callable[[dict[str, int]], str] | None = None
+    lookup_kinds: tuple[str, ...] | None = None
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return FAMILY_PARAMS[self.family]
+
+    def build_group(self, params: dict[str, int]) -> FiniteGroup:
+        return make_group(family_spec(self.family, params))
+
+    def answers(self, graph_kind: str) -> bool:
+        kinds = (self.graph_kind,) if self.lookup_kinds is None else self.lookup_kinds
+        return graph_kind in kinds
 
 
 def _primes_upto(k: int) -> list[int]:
@@ -609,11 +625,8 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
 
 
-def _check_elab_cyclic(d: dict[str, int]) -> None:
-    _require(is_prime(d["p"]), f"p must be prime, got {d['p']}")
-    _require(d["n"] >= 2, f"need n >= 2, got {d['n']}")
-    _require(d["m"] >= 1, f"need m >= 1, got {d['m']}")
-    _require(d["m"] % d["p"] != 0, f"need gcd(m, p) = 1, got m={d['m']}, p={d['p']}")
+def _check_n(d: dict[str, int]) -> None:
+    _require(d["n"] >= 3, "need n >= 3")
 
 
 def _dicyclic_pg_note(params: dict[str, int]) -> str:
@@ -632,21 +645,14 @@ _ELAB_NOTE = (
 )
 
 
-def _product_group(d: dict[str, int]) -> FiniteGroup:
-    return direct_product(
-        make_elementary_abelian(d["p"], d["n"]), make_elementary_abelian(d["q"], d["m"])
-    )
-
-
 def _product_theorem(graph_kind: str, matrix_kind: str) -> _Theorem:
     short = {"power": "pg", "enhanced": "epg"}[graph_kind]
     return _Theorem(
         theorem_id=f"{short}-elab-product-{matrix_kind}",
+        family="elab-product",
         graph_kind=graph_kind,
         matrix_kind=matrix_kind,
-        param_names=("p", "n", "q", "m"),
         check=lambda d: _check_product(d["p"], d["n"], d["q"], d["m"]),
-        build_group=_product_group,
         closed_form=lambda d: cf_elab_product(
             d["p"], d["n"], d["q"], d["m"], graph_kind, matrix_kind
         ),
@@ -657,51 +663,48 @@ def _product_theorem(graph_kind: str, matrix_kind: str) -> _Theorem:
 _THEOREM_LIST = (
     _Theorem(
         "epg-gpq-distance",
+        "gpq",
         "enhanced",
         "distance",
-        ("p", "q"),
         check=lambda d: _check_gpq(d["p"], d["q"]),
-        build_group=lambda d: make_gpq(d["p"], d["q"]),
         closed_form=lambda d: cf_epg_gpq_distance(d["p"], d["q"]),
         cases=_gpq_cases,
+        lookup_kinds=("enhanced", "power"),  # the two graphs coincide
     ),
     _Theorem(
         "epg-dihedral-distance",
+        "dihedral",
         "enhanced",
         "distance",
-        ("n",),
-        check=lambda d: _require(d["n"] >= 3, "need n >= 3"),
-        build_group=lambda d: make_dihedral(d["n"]),
+        check=_check_n,
         closed_form=lambda d: cf_epg_dihedral_distance(d["n"]),
         cases=lambda mo: _n_cases(mo, 2),
     ),
     _Theorem(
         "pg-dihedral-distance",
+        "dihedral",
         "power",
         "distance",
-        ("n",),
-        check=lambda d: _require(d["n"] >= 3, "need n >= 3"),
-        build_group=lambda d: make_dihedral(d["n"]),
+        check=_check_n,
         closed_form=lambda d: _pg_dihedral_closed_form(d["n"]),
         cases=lambda mo: _n_cases(mo, 2),
+        lookup_kinds=(),  # a brute-force recursion over Z_n, not a closed form
     ),
     _Theorem(
         "epg-dicyclic-distance",
+        "dicyclic",
         "enhanced",
         "distance",
-        ("n",),
-        check=lambda d: _require(d["n"] >= 3, "need n >= 3"),
-        build_group=lambda d: make_dicyclic(d["n"]),
+        check=_check_n,
         closed_form=lambda d: cf_epg_dicyclic_distance(d["n"]),
         cases=lambda mo: _n_cases(mo, 4),
     ),
     _Theorem(
         "pg-dicyclic-distance",
+        "dicyclic",
         "power",
         "distance",
-        ("n",),
-        check=lambda d: _require(d["n"] >= 3, "need n >= 3"),
-        build_group=lambda d: make_dicyclic(d["n"]),
+        check=_check_n,
         closed_form=lambda d: cf_epg_dicyclic_distance(d["n"])
         if _is_power_of_two(d["n"])
         else None,
@@ -714,26 +717,23 @@ _THEOREM_LIST = (
     _product_theorem("enhanced", "distance"),
     _Theorem(
         "epg-elab-cyclic-distance",
+        "elab-cyclic",
         "enhanced",
         "distance",
-        ("p", "n", "m"),
-        check=_check_elab_cyclic,
-        build_group=lambda d: direct_product(
-            make_elementary_abelian(d["p"], d["n"]), make_cyclic(d["m"])
-        ),
+        check=lambda d: _check_elab_cyclic(d["p"], d["n"], d["m"]),
         closed_form=lambda d: cf_elab_times_cyclic_distance(d["p"], d["n"], d["m"]),
         cases=_elab_cyclic_cases,
     ),
     _Theorem(
         "epg-elab-distance",
+        "elementary-abelian",
         "enhanced",
         "distance",
-        ("p", "n"),
         check=lambda d: _require(is_prime(d["p"]) and d["n"] >= 1, "need prime p and n >= 1"),
-        build_group=lambda d: make_elementary_abelian(d["p"], d["n"]),
         closed_form=lambda d: cf_elab_distance(d["p"], d["n"]),
         cases=_elab_cases,
         note_for=lambda d: _ELAB_NOTE,
+        lookup_kinds=("enhanced", "power"),  # the two graphs coincide
     ),
 )
 
@@ -749,14 +749,18 @@ def _pg_dihedral_closed_form(n: int) -> FactoredPoly:
     return FactoredPoly.of((cf_pg_dihedral_distance_rhs(n, pz, pzstar), 1))
 
 
-def make_case(theorem_id: str, **params: int) -> TheoremCase:
-    """Build a case for a catalogued theorem, checking parameter names."""
+def _theorem(theorem_id: str) -> _Theorem:
     try:
-        thm = THEOREMS[theorem_id]
+        return THEOREMS[theorem_id]
     except KeyError:
         raise HypothesisViolated(
             f"unknown theorem id {theorem_id!r}; known ids: {', '.join(THEOREM_IDS)}"
         ) from None
+
+
+def make_case(theorem_id: str, **params: int) -> TheoremCase:
+    """Build a case for a catalogued theorem, checking parameter names."""
+    thm = _theorem(theorem_id)
     if set(params) != set(thm.param_names):
         raise HypothesisViolated(
             f"{theorem_id} takes parameters {thm.param_names}, got {tuple(sorted(params))}"
@@ -814,13 +818,7 @@ def enumerate_cases(
     ids = THEOREM_IDS if theorem_ids is None else tuple(theorem_ids)
     out = []
     for tid in ids:
-        try:
-            thm = THEOREMS[tid]
-        except KeyError:
-            raise HypothesisViolated(
-                f"unknown theorem id {tid!r}; known ids: {', '.join(THEOREM_IDS)}"
-            ) from None
-        for params in thm.cases(max_order):
+        for params in _theorem(tid).cases(max_order):
             out.append(make_case(tid, **params))
     return out
 
@@ -835,11 +833,20 @@ def verify_sweep(
     ``jobs > 1`` runs cases in worker processes; results are collected in
     submission order, so scheduling never changes the output.
     """
-    cases = enumerate_cases(max_order, theorem_ids)
-    if jobs <= 1:
-        return [verify(c) for c in cases]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(verify, cases))
+    return parallel_map(verify, enumerate_cases(max_order, theorem_ids), jobs)
+
+
+def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
+    """``[fn(x) for x in items]``, over at most ``jobs`` worker processes.
+
+    The worker count is clamped to the number of items and of CPUs; with
+    one worker everything runs in this process.  Results keep item order.
+    """
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def closed_form_for(
@@ -849,34 +856,11 @@ def closed_form_for(
 
     Returns None when the catalog makes no claim for the combination.
     """
-    try:
-        if spec.family == "gpq" and matrix_kind == "distance":
-            # power and enhanced power graphs coincide for these groups
-            return cf_epg_gpq_distance(*spec.params)
-        if spec.family == "dihedral" and (graph_kind, matrix_kind) == ("enhanced", "distance"):
-            return cf_epg_dihedral_distance(spec.params[0])
-        if spec.family == "dicyclic" and matrix_kind == "distance":
-            n = spec.params[0]
-            if graph_kind == "enhanced" or _is_power_of_two(n):
-                return cf_epg_dicyclic_distance(n)
-        if spec.family == "elementary-abelian" and matrix_kind == "distance":
-            return cf_elab_distance(*spec.params)
-        if spec.family == "direct-product" and spec.factors is not None:
-            left, right = spec.factors
-            if (
-                left.family == "elementary-abelian"
-                and right.family == "elementary-abelian"
-            ):
-                p, n = left.params
-                q, m = right.params
-                return cf_elab_product(p, n, q, m, graph_kind, matrix_kind)
-            if (
-                left.family == "elementary-abelian"
-                and right.family == "cyclic"
-                and (graph_kind, matrix_kind) == ("enhanced", "distance")
-            ):
-                p, n = left.params
-                return cf_elab_times_cyclic_distance(p, n, right.params[0])
-    except HypothesisViolated:
-        return None
+    family, params = family_of(spec) or (None, None)
+    for thm in _THEOREM_LIST:
+        if (thm.family, thm.matrix_kind) == (family, matrix_kind) and thm.answers(graph_kind):
+            try:
+                return thm.closed_form(params)
+            except HypothesisViolated:
+                return None
     return None

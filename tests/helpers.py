@@ -152,3 +152,31 @@ def floyd_warshall(graph: Graph) -> list[list[int]]:
                     di[j] = alt
     assert all(d < inf for row in dist for d in row), "graph is disconnected"
     return dist
+
+
+def record_worker_pools(monkeypatch, cpus: int | None) -> list[int]:
+    """Make ``parallel_map`` see ``cpus`` CPUs and run its pools in-process.
+
+    Returns the list that collects each pool's ``max_workers``, so a test can
+    check the worker count without starting a worker process.
+    """
+    from pgspectra import theorems
+
+    created: list[int] = []
+
+    class RecordingPool:
+        def __init__(self, max_workers: int) -> None:
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> bool:
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(theorems.os, "cpu_count", lambda: cpus)
+    return created

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
+from helpers import record_worker_pools
 
 from pgspectra import IntPolynomial, VerificationReport, make_case
 from pgspectra import cli, linalg
+from pgspectra.groups import FAMILIES
+from pgspectra.theorems import GRAPH_BUILDERS
 
 
 def run_ok(capsys, argv):
@@ -439,3 +443,39 @@ def test_export_format_restrictions(tmp_path, capsys):
         ],
     )
     assert "json" in err
+
+
+# ---------------------------------------------------------------------------
+# single tables
+# ---------------------------------------------------------------------------
+
+
+def test_family_and_graph_choices_come_from_the_single_tables():
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    seen = set()
+    for command, parser in sub.choices.items():
+        for action in parser._actions:
+            if "--family" in action.option_strings:
+                assert sorted(action.choices) == sorted(FAMILIES)
+                seen.add((command, "--family"))
+            if "--graph" in action.option_strings:
+                assert list(action.choices) == list(GRAPH_BUILDERS)
+                seen.add((command, "--graph"))
+    assert seen == {
+        (command, option)
+        for command in ("group", "graph", "spectrum", "export")
+        for option in ("--family", "--graph")
+        if (command, option) != ("group", "--graph")
+    }
+
+
+def test_verify_jobs_clamped_to_cases_and_cpus(monkeypatch, capsys):
+    created = record_worker_pools(monkeypatch, cpus=3)
+    argv = ["verify", "--theorem", "epg-gpq-distance", "--max-order", "22", "--jobs", "64"]
+    assert len(run_ok(capsys, argv).strip().splitlines()) == 5
+    assert created == [3]
+    argv = ["verify", "--theorem", "epg-gpq-distance", "--p", "2", "--q", "3", "--jobs", "64"]
+    run_ok(capsys, argv)
+    assert created == [3]  # a single case runs in-process

@@ -23,7 +23,15 @@ from pgspectra import (
     totient_and_divisors,
 )
 from pgspectra.errors import InvalidFamilyParameters
-from pgspectra.groups import check_associative, is_prime, prime_power_base
+from pgspectra.groups import (
+    FAMILIES,
+    FAMILY_PARAMS,
+    check_associative,
+    family_of,
+    family_spec,
+    is_prime,
+    prime_power_base,
+)
 
 
 def groups_under_test() -> list[FiniteGroup]:
@@ -293,3 +301,70 @@ def test_group_json_rejects_nonzero_identity():
     obj["identity"] = 1
     with pytest.raises(InvalidFamilyParameters):
         group_from_json(json.dumps(obj))
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1, 2], [1, 2, 0], [2, 1, 0]],  # not a Latin square; power loops never closed
+        [[0, 1], [1, 5]],  # entry out of range
+        [[1, 0], [0, 1]],  # row 0 is not the identity map
+        [[0, 1, 2], [2, 0, 1], [1, 2, 0]],  # column 0 is not the identity map
+        [],  # order 0
+    ],
+)
+def test_group_json_rejects_non_group_tables(table):
+    obj = {"order": len(table), "identity": 0, "table": table}
+    with pytest.raises(InvalidFamilyParameters):
+        group_from_json(json.dumps(obj))
+
+
+# ---------------------------------------------------------------------------
+# family table
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, params, build",
+    [
+        ("cyclic", {"n": 6}, lambda: make_cyclic(6)),
+        ("elementary-abelian", {"p": 3, "n": 2}, lambda: make_elementary_abelian(3, 2)),
+        ("dihedral", {"n": 5}, lambda: make_dihedral(5)),
+        ("dicyclic", {"n": 3}, lambda: make_dicyclic(3)),
+        ("gpq", {"p": 2, "q": 5}, lambda: make_gpq(2, 5)),
+        (
+            "elab-product",
+            {"p": 2, "n": 1, "q": 3, "m": 2},
+            lambda: direct_product(make_elementary_abelian(2, 1), make_elementary_abelian(3, 2)),
+        ),
+        (
+            "elab-cyclic",
+            {"p": 2, "n": 2, "m": 3},
+            lambda: direct_product(make_elementary_abelian(2, 2), make_cyclic(3)),
+        ),
+    ],
+)
+def test_family_table_round_trip(name, params, build):
+    assert set(FAMILIES) == set(FAMILY_PARAMS)
+    spec = family_spec(name, params)
+    expected = build()
+    group = make_group(spec)
+    assert (group.table, group.labels, group.spec) == (expected.table, expected.labels, spec)
+    back = family_of(spec)
+    assert back == (name, params)
+    assert tuple(back[1]) == FAMILY_PARAMS[name]  # parameters keep command-line order
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupFamilySpec(
+            "direct-product", (), (GroupFamilySpec("cyclic", (2,)), GroupFamilySpec("cyclic", (3,)))
+        ),
+        GroupFamilySpec("direct-product", ()),
+        GroupFamilySpec("gpq", (3,)),
+        GroupFamilySpec("quaternion", (8,)),
+    ],
+)
+def test_family_of_outside_the_catalog(spec):
+    assert family_of(spec) is None

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import pytest
+from helpers import record_worker_pools
 
 from pgspectra import (
     FactoredPoly,
@@ -55,8 +56,10 @@ from pgspectra.errors import (
     HypothesisViolated,
     PartNotComplete,
 )
+from pgspectra import GroupFamilySpec, make_group
 from pgspectra.graphs import Graph
-from pgspectra.theorems import closed_form_for
+from pgspectra.groups import FAMILIES
+from pgspectra.theorems import GRAPH_BUILDERS, THEOREMS, closed_form_for, parallel_map
 
 
 def brute_distance_poly(graph) -> IntPolynomial:
@@ -402,6 +405,16 @@ def test_join_form_needs_a_catalogued_family():
         epg_join_form(make_cyclic(6))
 
 
+def test_join_forms_reject_products_outside_the_catalog():
+    from pgspectra import pg_join_form
+
+    for group in (direct_product(make_cyclic(2), make_cyclic(3)), make_gpq(2, 3)):
+        with pytest.raises(FamilyMismatch):
+            pg_join_form(group)
+    with pytest.raises(FamilyMismatch):
+        epg_join_form(direct_product(make_cyclic(2), make_cyclic(3)))
+
+
 @pytest.mark.parametrize("n", [2, 6, 8, 12, 30])
 def test_proper_power_graph_divisor_join(n: int):
     graph = proper_power_graph(make_cyclic(n))
@@ -591,3 +604,127 @@ def test_closed_form_lookup():
     assert closed_form_for(dic, "power", "distance") is not None
     assert closed_form_for(GroupFamilySpec("dicyclic", (3,)), "power", "distance") is None
     assert closed_form_for(GroupFamilySpec("cyclic", (6,)), "power", "distance") is None
+
+
+def _el(p: int, n: int) -> GroupFamilySpec:
+    return GroupFamilySpec("elementary-abelian", (p, n))
+
+
+def _z(n: int) -> GroupFamilySpec:
+    return GroupFamilySpec("cyclic", (n,))
+
+
+def _times(a: GroupFamilySpec, b: GroupFamilySpec) -> GroupFamilySpec:
+    return GroupFamilySpec("direct-product", (), (a, b))
+
+
+_ELAB_PRODUCT_CLAIMS = {
+    (graph, matrix): f"{short}-elab-product-{matrix}"
+    for graph, short in (("power", "pg"), ("enhanced", "epg"))
+    for matrix in ("adjacency", "distance")
+}
+
+# label -> (spec, its parameters, {(graph kind, matrix kind): theorem id}).
+# Every other combination of {power, enhanced, proper-power} x {adjacency,
+# distance} has no closed form; in particular no proper-power one.
+CLOSED_FORM_CONTRACT = {
+    "gpq(3,7)": (
+        GroupFamilySpec("gpq", (3, 7)),
+        {"p": 3, "q": 7},
+        {("power", "distance"): "epg-gpq-distance", ("enhanced", "distance"): "epg-gpq-distance"},
+    ),
+    "D_12": (
+        GroupFamilySpec("dihedral", (6,)),
+        {"n": 6},
+        {("enhanced", "distance"): "epg-dihedral-distance"},
+    ),
+    "D_16": (
+        GroupFamilySpec("dihedral", (8,)),
+        {"n": 8},
+        {("enhanced", "distance"): "epg-dihedral-distance"},
+    ),
+    "Dic_16": (
+        GroupFamilySpec("dicyclic", (4,)),
+        {"n": 4},
+        {
+            ("power", "distance"): "pg-dicyclic-distance",
+            ("enhanced", "distance"): "epg-dicyclic-distance",
+        },
+    ),
+    "Dic_12": (
+        GroupFamilySpec("dicyclic", (3,)),
+        {"n": 3},
+        {("enhanced", "distance"): "epg-dicyclic-distance"},
+    ),
+    "El(3^2)": (
+        _el(3, 2),
+        {"p": 3, "n": 2},
+        {("power", "distance"): "epg-elab-distance", ("enhanced", "distance"): "epg-elab-distance"},
+    ),
+    "Z_6": (_z(6), None, {}),
+    "El(2)xEl(3^2)": (
+        _times(_el(2, 1), _el(3, 2)),
+        {"p": 2, "n": 1, "q": 3, "m": 2},
+        _ELAB_PRODUCT_CLAIMS,
+    ),
+    "El(2^2)xEl(2)": (_times(_el(2, 2), _el(2, 1)), None, {}),
+    "El(2^2)xZ_3": (
+        _times(_el(2, 2), _z(3)),
+        {"p": 2, "n": 2, "m": 3},
+        {("enhanced", "distance"): "epg-elab-cyclic-distance"},
+    ),
+    "El(2^2)xZ_6": (_times(_el(2, 2), _z(6)), None, {}),
+    "El(2)xZ_3": (_times(_el(2, 1), _z(3)), None, {}),
+    "Z_2xZ_3": (_times(_z(2), _z(3)), None, {}),
+}
+
+
+@pytest.mark.parametrize("matrix_kind", ["adjacency", "distance"])
+@pytest.mark.parametrize("graph_kind", ["power", "enhanced", "proper-power"])
+@pytest.mark.parametrize("label", list(CLOSED_FORM_CONTRACT))
+def test_closed_form_for_contract(label, graph_kind, matrix_kind):
+    spec, params, claims = CLOSED_FORM_CONTRACT[label]
+    closed = closed_form_for(spec, graph_kind, matrix_kind)
+    theorem_id = claims.get((graph_kind, matrix_kind))
+    if theorem_id is None:
+        assert closed is None
+        return
+    assert closed == THEOREMS[theorem_id].closed_form(params)
+    graph = GRAPH_BUILDERS[graph_kind](make_group(spec))
+    matrix = distance_matrix(graph) if matrix_kind == "distance" else adjacency_matrix(graph)
+    assert closed.expand() == char_poly(matrix)
+
+
+def test_closed_form_lookup_is_unambiguous():
+    for graph_kind in GRAPH_BUILDERS:
+        for matrix_kind in ("adjacency", "distance"):
+            for family in FAMILIES:
+                answering = [
+                    t.theorem_id
+                    for t in THEOREMS.values()
+                    if (t.family, t.matrix_kind) == (family, matrix_kind) and t.answers(graph_kind)
+                ]
+                assert len(answering) <= 1, answering
+
+
+# ---------------------------------------------------------------------------
+# the one parallel map
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "jobs, n_items, cpus, workers",
+    [
+        (8, 5, 3, 3),  # clamped to the CPUs
+        (8, 2, 4, 2),  # clamped to the items
+        (2, 5, 4, 2),
+        (1, 5, 4, None),  # one worker runs in-process
+        (4, 1, 4, None),
+        (4, 5, None, None),  # unknown CPU count counts as one
+        (4, 0, 4, None),
+    ],
+)
+def test_parallel_map_clamps_workers(monkeypatch, jobs, n_items, cpus, workers):
+    created = record_worker_pools(monkeypatch, cpus)
+    assert parallel_map(str, range(n_items), jobs) == [str(i) for i in range(n_items)]
+    assert created == ([] if workers is None else [workers])
