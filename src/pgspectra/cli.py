@@ -272,21 +272,23 @@ def _verify_cases(args: argparse.Namespace) -> list[TheoremCase]:
         return enumerate_cases(args.max_order)
     if not args.theorem:
         raise _UsageError("verify needs --theorem ID or --all")
-    thm = THEOREMS[args.theorem]
     explicit = _explicit_params(args)
     if args.n_range:
-        if thm.param_names != ("n",):
+        if THEOREMS[args.theorem].param_names != ("n",):
             raise _UsageError(
                 f"--n-range only applies to single-parameter theorems, not {args.theorem}"
             )
         if explicit:
             raise _UsageError("--n-range cannot be combined with explicit parameters")
-        return [make_case(args.theorem, n=n) for n in _parse_range(args.n_range)]
-    if explicit:
-        case = make_case(args.theorem, **explicit)
+        param_sets = [{"n": n} for n in _parse_range(args.n_range)]
+    elif explicit:
+        param_sets = [explicit]
+    else:
+        return enumerate_cases(args.max_order, [args.theorem])
+    cases = [make_case(args.theorem, **params) for params in param_sets]
+    for case in cases:
         check_case(case)  # invalid hypotheses are an argument error here
-        return [case]
-    return enumerate_cases(args.max_order, [args.theorem])
+    return cases
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:

@@ -69,7 +69,7 @@ class HypothesisViolated(SpectraError):
 
 
 class PartNotComplete(SpectraError):
-    """A join-based closed form requires every part to be a complete graph."""
+    """A join-based closed form requires every part to be complete or edgeless."""
 
 
 class BitGrowthExceeded(SpectraError):

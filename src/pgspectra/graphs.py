@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedGraph, SizeMismatch
 from .groups import FiniteGroup, cyclic_subgroup, cyclic_subgroups
@@ -192,29 +192,28 @@ def verify_join_form(graph: Graph, spec: JoinSpec, bijection: Sequence[int]) -> 
 # ---------------------------------------------------------------------------
 
 
-def _bfs_row(graph: Graph, source: int) -> list[int]:
-    dist = [-1] * graph.vertex_count
-    dist[source] = 0
-    queue = deque((source,))
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for w in graph.neighbors[u]:
-            if dist[w] < 0:
-                dist[w] = du + 1
-                queue.append(w)
-    return dist
+def _distance_rows(graph: Graph) -> Iterator[list[int]]:
+    """BFS distance rows from each source in turn; raises on disconnected input."""
+    n, neighbors = graph.vertex_count, graph.neighbors
+    for source in range(n):
+        dist = [-1] * n
+        dist[source] = 0
+        queue = deque((source,))
+        while queue:
+            u = queue.popleft()
+            du = dist[u]
+            for w in neighbors[u]:
+                if dist[w] < 0:
+                    dist[w] = du + 1
+                    queue.append(w)
+        if min(dist) < 0:
+            raise DisconnectedGraph(f"vertex {dist.index(-1)} unreachable from {source}")
+        yield dist
 
 
 def distance_matrix(graph: Graph) -> IntMatrix:
     """All-pairs shortest-path matrix; raises on disconnected input."""
-    rows = []
-    for s in range(graph.vertex_count):
-        dist = _bfs_row(graph, s)
-        if min(dist) < 0:
-            missing = dist.index(-1)
-            raise DisconnectedGraph(f"vertex {missing} unreachable from {s}")
-        rows.append(dist)
+    rows = list(_distance_rows(graph))
     if not rows:
         return IntMatrix(0, 0, ())
     return IntMatrix.from_rows(rows)
@@ -223,14 +222,7 @@ def distance_matrix(graph: Graph) -> IntMatrix:
 def diameter(graph: Graph) -> int:
     if graph.vertex_count == 0:
         raise DisconnectedGraph("diameter of the empty graph is undefined")
-    best = 0
-    for s in range(graph.vertex_count):
-        dist = _bfs_row(graph, s)
-        worst = max(dist)
-        if min(dist) < 0:
-            raise DisconnectedGraph(f"vertex {dist.index(-1)} unreachable from {s}")
-        best = max(best, worst)
-    return best
+    return max(max(row) for row in _distance_rows(graph))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ reports whether the two routes agree exactly.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -16,11 +17,11 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import (
-    DiameterExceedsTwo,
-    DimensionMismatch,
+    DisconnectedGraph,
     FamilyMismatch,
     HypothesisViolated,
     PartNotComplete,
+    SizeMismatch,
     SpectraError,
 )
 from .graphs import (
@@ -29,7 +30,6 @@ from .graphs import (
     adjacency_matrix,
     complete_graph,
     cone,
-    diameter,
     distance_matrix,
     enhanced_power_graph,
     figure1_gamma,
@@ -362,28 +362,40 @@ def cf_elab_distance(p: int, n: int) -> FactoredPoly:
 # ---------------------------------------------------------------------------
 
 
-def cf_join_distance(spec: JoinSpec, td: IntMatrix) -> IntPolynomial:
-    """Distance characteristic polynomial of a join of complete parts.
+def cf_join_distance(spec: JoinSpec) -> IntPolynomial:
+    """Distance characteristic polynomial of a blow-up, from the spec alone.
 
-    ``td`` is the distance quotient over the part cells (one row per part);
-    the result is ``char_poly(td)`` times ``(x+1)**(n_i - 1)`` per part.
-    Requires every part complete and the outer graph connected with diameter
-    at most two (so the joined graph has diameter at most two as well).
+    Every part must be complete (lambda = 1) or edgeless (lambda = 2) and
+    the outer graph connected.  Two vertices of part i are then at distance
+    lambda_i, and vertices of parts i != j at the outer distance d(i, j), so
+    the parts are an equitable partition of the distance matrix with quotient
+
+        TD[i][j] = n_j * d(i, j),      TD[i][i] = lambda_i * (n_i - 1),
+
+    and the result is ``char_poly(TD)`` times ``(x + lambda_i)**(n_i - 1)``
+    per part (Cardoso, de Freitas, Martins, Robbiano, Discrete Math. 313,
+    2013).  Nothing is computed from the joined graph itself.
     """
+    sizes = [part.vertex_count for part in spec.parts]
+    lams = []
     for i, part in enumerate(spec.parts):
-        if not part.is_complete():
-            raise PartNotComplete(f"part {i} is not a complete graph")
-    if spec.outer.vertex_count > 1:
-        d = diameter(spec.outer)
-        if d > 2:
-            raise DiameterExceedsTwo(f"outer graph has diameter {d}")
-    if (td.rows, td.cols) != (len(spec.parts), len(spec.parts)):
-        raise DimensionMismatch(
-            f"quotient is {td.rows}x{td.cols}, expected {len(spec.parts)} parts square"
-        )
-    out = char_poly(td)
-    for part in spec.parts:
-        out = out * x_plus(1) ** (part.vertex_count - 1)
+        if part.vertex_count == 0:
+            raise SizeMismatch(f"part {i} has no vertices")
+        if part.is_complete():
+            lams.append(1)
+        elif part.edge_count == 0:
+            lams.append(2)
+        else:
+            raise PartNotComplete(f"part {i} is neither complete nor edgeless")
+    if lams == [2]:
+        raise DisconnectedGraph("an edgeless part with no neighbouring part is disconnected")
+    outer = distance_matrix(spec.outer).to_rows()
+    td = [[n_j * d for n_j, d in zip(sizes, row)] for row in outer]
+    for i, lam in enumerate(lams):
+        td[i][i] = lam * (sizes[i] - 1)
+    out = char_poly(IntMatrix.from_rows(td))
+    for n_i, lam in zip(sizes, lams):
+        out = out * x_plus(lam) ** (n_i - 1)
     return out
 
 
@@ -418,9 +430,7 @@ def epg_join_form(g: FiniteGroup) -> tuple[JoinSpec, Partition]:
     if family not in _EPG_STAR_PARTITIONS:
         raise FamilyMismatch(f"no join decomposition catalogued for {g.spec.describe()}")
     part = family_partition(g, _EPG_STAR_PARTITIONS[family])
-    outer = _star(len(part.cells) - 1)
-    parts = tuple(complete_graph(len(cell)) for cell in part.cells)
-    return JoinSpec(outer, parts), part
+    return _complete_blow_up(_star(len(part.cells) - 1), part)
 
 
 def pg_join_form(g: FiniteGroup) -> tuple[JoinSpec, Partition]:
@@ -436,22 +446,25 @@ def _elab_product_join_form(g: FiniteGroup, enhanced: bool) -> tuple[JoinSpec, P
     alpha = (p**n - 1) // (p - 1)
     beta = (q**m - 1) // (q - 1)
     template = figure1_gamma_prime(alpha, beta) if enhanced else figure1_gamma(alpha, beta)
-    outer = cone(template)
-    part = family_partition(g, "elab-product-fine")
-    parts = tuple(complete_graph(len(cell)) for cell in part.cells)
-    return JoinSpec(outer, parts), part
+    return _complete_blow_up(cone(template), family_partition(g, "elab-product-fine"))
 
 
-def proper_power_zn_join_form(n: int) -> tuple[JoinSpec, tuple[int, ...]]:
+def _complete_blow_up(outer: Graph, part: Partition) -> tuple[JoinSpec, Partition]:
+    """Outer vertex i blown up to a complete part the size of cell i."""
+    return JoinSpec(outer, tuple(complete_graph(len(cell)) for cell in part.cells)), part
+
+
+def proper_power_zn_join_form(n: int) -> tuple[JoinSpec, Partition]:
     """Divisor-pattern join decomposition of the proper power graph of Z_n.
 
     Parts are the generators (a complete part of size phi(n)) followed by one
     complete part per proper nontrivial divisor d, ascending, holding the
     phi(d) elements of order d.  The outer graph is a cone over the divisor
-    divisibility graph.  Returns the spec and the block-to-vertex bijection.
+    divisibility graph.  Returns the spec and the partition whose flattened
+    cells give the block-to-vertex bijection (vertex v - 1 is element v).
     """
     _require(n >= 2, f"proper power graph of Z_n needs n >= 2, got {n}")
-    phi_n, divs = totient_and_divisors(n)
+    _phi, divs = totient_and_divisors(n)
     delta = Graph.from_edges(
         len(divs),
         [
@@ -461,21 +474,9 @@ def proper_power_zn_join_form(n: int) -> tuple[JoinSpec, tuple[int, ...]]:
             if divs[j] % divs[i] == 0
         ],
     )
-    outer = cone(delta)
-    sizes = [phi_n] + [totient_and_divisors(d)[0] for d in divs]
-    parts = tuple(complete_graph(s) for s in sizes)
-
-    def order_of(v: int) -> int:
-        a, b = v, n
-        while b:
-            a, b = b, a % b
-        return n // a
-
-    cells = [[v - 1 for v in range(1, n) if order_of(v) == n]]
-    for d in divs:
-        cells.append([v - 1 for v in range(1, n) if order_of(v) == d])
-    bijection = tuple(v for cell in cells for v in cell)
-    return JoinSpec(outer, parts), bijection
+    orders = [n // math.gcd(v, n) for v in range(1, n)]
+    part = Partition.of([[u for u, o in enumerate(orders) if o == d] for d in (n, *divs)])
+    return _complete_blow_up(cone(delta), part)
 
 
 # ---------------------------------------------------------------------------

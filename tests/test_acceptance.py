@@ -301,7 +301,6 @@ def test_criterion_10_quotient_divides_distance_polynomial(criterion):
 
 def test_criterion_11_join_forms(criterion):
     with criterion(11) as notes:
-        checked = 0
         groups = [
             make_gpq(2, 5),
             make_gpq(3, 7),
@@ -312,22 +311,16 @@ def test_criterion_11_join_forms(criterion):
             direct_product(make_elementary_abelian(2, 2), make_cyclic(3)),
             direct_product(make_elementary_abelian(3, 2), make_cyclic(2)),
         ]
-        for g in groups:
-            spec, part = epg_join_form(g)
-            assert verify_join_form(enhanced_power_graph(g), spec, part.flatten()), g.spec
-            checked += 1
         el49 = product_group(2, 2, 3, 2)
-        spec, part = epg_join_form(el49)
-        assert verify_join_form(enhanced_power_graph(el49), spec, part.flatten())
-        spec, part = pg_join_form(el49)
-        assert verify_join_form(power_graph(el49), spec, part.flatten())
-        checked += 2
+        forms = [(epg_join_form(g), enhanced_power_graph(g)) for g in groups]
+        forms.append((epg_join_form(el49), enhanced_power_graph(el49)))
+        forms.append((pg_join_form(el49), power_graph(el49)))
         for n in (6, 8, 12, 30):
-            spec, bijection = proper_power_zn_join_form(n)
-            graph = proper_power_graph(make_cyclic(n))
-            assert verify_join_form(graph, spec, bijection), n
-            checked += 1
-        notes.append(f"{checked} join decompositions")
+            forms.append((proper_power_zn_join_form(n), proper_power_graph(make_cyclic(n))))
+        for (spec, part), graph in forms:
+            assert verify_join_form(graph, spec, part.flatten()), spec
+            assert cf_join_distance(spec) == distance_poly(graph), spec
+        notes.append(f"{len(forms)} join decompositions, each predicting its distance polynomial")
 
 
 def test_criterion_12_oracle_suite(criterion):

@@ -290,6 +290,14 @@ def test_verify_rejects_invalid_hypotheses_as_usage(capsys):
     assert "error[HypothesisViolated]" in err
 
 
+def test_verify_range_checks_hypotheses_like_explicit_params(capsys):
+    argv = ["verify", "--theorem", "epg-dihedral-distance", "--format", "text"]
+    err = run_err(capsys, argv + ["--n-range", "1:4"])
+    assert "error[HypothesisViolated]" in err
+    out = run_ok(capsys, argv + ["--n-range", "3:5"])
+    assert out.strip().splitlines()[-1] == "3 case(s): 0 falsified, 0 informational"
+
+
 # ---------------------------------------------------------------------------
 # argument validation
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from helpers import record_worker_pools
 
 from pgspectra import (
     FactoredPoly,
-    IntMatrix,
     IntPolynomial,
     JoinSpec,
     THEOREM_IDS,
@@ -50,11 +51,11 @@ from pgspectra import (
     x_plus,
 )
 from pgspectra.errors import (
-    DiameterExceedsTwo,
-    DimensionMismatch,
+    DisconnectedGraph,
     FamilyMismatch,
     HypothesisViolated,
     PartNotComplete,
+    SizeMismatch,
 )
 from pgspectra import GroupFamilySpec, make_group
 from pgspectra.graphs import Graph
@@ -334,33 +335,57 @@ def test_join_distance_small_example():
         Graph.from_edges(3, [(0, 1), (0, 2)]),
         (complete_graph(1),) * 3,
     )
-    td = distance_quotient_matrix(graph_join(spec), _identity_partition(3))
-    assert cf_join_distance(spec, td) == brute_distance_poly(graph_join(spec))
+    assert cf_join_distance(spec) == brute_distance_poly(graph_join(spec))
 
 
-def _identity_partition(k):
-    from pgspectra import Partition
+@st.composite
+def join_specs(draw) -> JoinSpec:
+    """A connected outer graph on at most six vertices (a random spanning
+    tree plus random extra edges) with complete or edgeless parts of 1-4
+    vertices."""
+    k = draw(st.integers(2, 6))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, k)]
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges += [e for e, keep in zip(pairs, mask) if keep]
+    parts = tuple(
+        draw(st.sampled_from((complete_graph, empty_graph)))(draw(st.integers(1, 4)))
+        for _ in range(k)
+    )
+    return JoinSpec(Graph.from_edges(k, edges), parts)
 
-    return Partition.of([[i] for i in range(k)])
+
+@settings(max_examples=60, deadline=None)
+@given(join_specs())
+def test_join_distance_matches_brute_force(spec):
+    assert cf_join_distance(spec) == brute_distance_poly(graph_join(spec))
+
+
+def test_join_distance_needs_no_diameter_two():
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    spec = JoinSpec(path, (complete_graph(2), empty_graph(3), complete_graph(1), empty_graph(2)))
+    assert cf_join_distance(spec) == brute_distance_poly(graph_join(spec))
 
 
 def test_join_distance_requires_complete_parts():
-    spec = JoinSpec(complete_graph(2), (complete_graph(1), empty_graph(2)))
+    path = Graph.from_edges(3, [(0, 1), (1, 2)])
+    spec = JoinSpec(complete_graph(2), (complete_graph(1), path))
     with pytest.raises(PartNotComplete):
-        cf_join_distance(spec, IntMatrix.from_rows([[0, 2], [1, 1]]))
+        cf_join_distance(spec)
 
 
-def test_join_distance_requires_small_outer_diameter():
-    outer = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    spec = JoinSpec(outer, (complete_graph(1),) * 4)
-    with pytest.raises(DiameterExceedsTwo):
-        cf_join_distance(spec, IntMatrix.from_rows([[0]] ))
+def test_join_distance_rejects_an_empty_part():
+    spec = JoinSpec(complete_graph(2), (complete_graph(1), complete_graph(0)))
+    with pytest.raises(SizeMismatch):
+        cf_join_distance(spec)
 
 
-def test_join_distance_checks_quotient_shape():
-    spec = JoinSpec(complete_graph(2), (complete_graph(1), complete_graph(1)))
-    with pytest.raises(DimensionMismatch):
-        cf_join_distance(spec, IntMatrix.from_rows([[0]]))
+def test_join_distance_rejects_a_disconnected_outer_graph():
+    spec = JoinSpec(empty_graph(2), (complete_graph(1), complete_graph(2)))
+    with pytest.raises(DisconnectedGraph):
+        cf_join_distance(spec)
+    with pytest.raises(DisconnectedGraph):  # one edgeless part, nothing to join it
+        cf_join_distance(JoinSpec(complete_graph(1), (empty_graph(2),)))
 
 
 @pytest.mark.parametrize(
@@ -379,8 +404,7 @@ def test_enhanced_join_forms_verify_and_predict_the_spectrum(group):
     graph = enhanced_power_graph(group)
     spec, part = epg_join_form(group)
     assert verify_join_form(graph, spec, part.flatten())
-    td = distance_quotient_matrix(graph, part)
-    assert cf_join_distance(spec, td) == brute_distance_poly(graph)
+    assert cf_join_distance(spec) == brute_distance_poly(graph)
 
 
 def test_power_join_form_of_the_product_family():
@@ -390,8 +414,7 @@ def test_power_join_form_of_the_product_family():
     assert not verify_join_form(graph, spec, part.flatten())
     spec, part = pg_join_form_checked(group)
     assert verify_join_form(graph, spec, part.flatten())
-    td = distance_quotient_matrix(graph, part)
-    assert cf_join_distance(spec, td) == brute_distance_poly(graph)
+    assert cf_join_distance(spec) == brute_distance_poly(graph)
 
 
 def pg_join_form_checked(group):
@@ -418,44 +441,14 @@ def test_join_forms_reject_products_outside_the_catalog():
 @pytest.mark.parametrize("n", [2, 6, 8, 12, 30])
 def test_proper_power_graph_divisor_join(n: int):
     graph = proper_power_graph(make_cyclic(n))
-    spec, bijection = proper_power_zn_join_form(n)
-    assert verify_join_form(graph, spec, bijection)
+    spec, part = proper_power_zn_join_form(n)
+    assert verify_join_form(graph, spec, part.flatten())
 
 
 def test_proper_power_graph_divisor_join_predicts_the_spectrum():
-    for n in (6, 12):
-        graph = proper_power_graph(make_cyclic(n))
-        spec, bijection = proper_power_zn_join_form(n)
-        cells = []
-        offset = 0
-        for part in spec.parts:
-            cells.append(sorted(bijection[offset + i] for i in range(part.vertex_count)))
-            offset += part.vertex_count
-        from pgspectra import Partition
-
-        td = distance_quotient_matrix(graph, Partition.of(sorted(cells)))
-        # reorder rows/cols of the quotient to the part order used by the spec
-        # by recomputing it against the bijection's own cell layout
-        td = _quotient_in_part_order(graph, cells)
-        assert cf_join_distance(spec, td) == brute_distance_poly(graph)
-
-
-def _quotient_in_part_order(graph, cells):
-    from pgspectra import distance_quotient_from_matrix
-
-    dm = distance_matrix(graph)
-    k = len(cells)
-    idx = {}
-    for ci, cell in enumerate(cells):
-        for v in cell:
-            idx[v] = ci
-    rows = []
-    for cell in cells:
-        sums = [0] * k
-        for w in range(dm.cols):
-            sums[idx[w]] += dm[cell[0], w]
-        rows.append(sums)
-    return IntMatrix.from_rows(rows)
+    for n in (2, 6, 8, 12, 30):
+        spec, _part = proper_power_zn_join_form(n)
+        assert cf_join_distance(spec) == brute_distance_poly(proper_power_graph(make_cyclic(n)))
 
 
 # ---------------------------------------------------------------------------
