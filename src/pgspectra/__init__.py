@@ -59,6 +59,7 @@ from .groups import (
     make_elementary_abelian,
     make_gpq,
     make_group,
+    maximal_cyclic_subgroups,
     order_census,
     totient_and_divisors,
 )
@@ -86,6 +87,7 @@ from .partitions import (
     family_partition,
     is_equitable,
     quotient_matrix,
+    star_partition,
 )
 from .theorems import (
     THEOREM_IDS,

@@ -280,14 +280,15 @@ def _verify_cases(args: argparse.Namespace) -> list[TheoremCase]:
             )
         if explicit:
             raise _UsageError("--n-range cannot be combined with explicit parameters")
-        param_sets = [{"n": n} for n in _parse_range(args.n_range)]
+        param_sets = ({"n": n} for n in _parse_range(args.n_range))
     elif explicit:
         param_sets = [explicit]
     else:
         return enumerate_cases(args.max_order, [args.theorem])
-    cases = [make_case(args.theorem, **params) for params in param_sets]
-    for case in cases:
-        check_case(case)  # invalid hypotheses are an argument error here
+    cases = []
+    for params in param_sets:  # stops at the first bad case of a range of any length
+        cases.append(make_case(args.theorem, **params))
+        check_case(cases[-1])  # invalid hypotheses or orders are argument errors here
     return cases
 
 

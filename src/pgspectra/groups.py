@@ -8,6 +8,8 @@ nonabelian group of order ``p*q``, and direct products of any two of these.
 from __future__ import annotations
 
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Mapping, Sequence
@@ -55,15 +57,9 @@ def totient_and_divisors(n: int) -> tuple[int, tuple[int, ...]]:
     """
     if n < 1:
         raise InvalidFamilyParameters(f"totient needs n >= 1, got {n}")
-    phi = sum(1 for k in range(1, n + 1) if _gcd(k, n) == 1)
+    phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
     divisors = tuple(d for d in range(2, n) if n % d == 0)
     return phi, divisors
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +132,32 @@ def _finish(
     return FiniteGroup(order, tbl, 0, inverse, tuple(labels), spec)
 
 
+# The largest order built or loaded: four times the benchmark's largest (512).
+# A cyclic table of this order peaks near 200 MB.
+MAX_ORDER = 2048
+
+
+def _check_order(order: int, what: str) -> None:
+    if order > MAX_ORDER:
+        raise InvalidFamilyParameters(f"{what} has order above MAX_ORDER = {MAX_ORDER}")
+
+
+def _bounded_order(spec: GroupFamilySpec) -> int:
+    """The order ``spec`` names, or some number above MAX_ORDER; never a huge power."""
+    if spec.family == "direct-product":
+        return math.prod(map(_bounded_order, spec.factors or ()))
+    sizes = [max(v, 0) for v in spec.params]  # the constructors reject bad values
+    if spec.family == "elementary-abelian" and len(sizes) == 2:
+        return min(sizes[0], MAX_ORDER + 1) ** min(sizes[1], MAX_ORDER.bit_length())
+    return {"dihedral": 2, "dicyclic": 4}.get(spec.family, 1) * math.prod(sizes)
+
+
+def admit(spec: GroupFamilySpec) -> GroupFamilySpec:
+    """``spec``, once its group's order is at most MAX_ORDER; builds and tests nothing."""
+    _check_order(_bounded_order(spec), spec.describe())
+    return spec
+
+
 # ---------------------------------------------------------------------------
 # Family constructors
 # ---------------------------------------------------------------------------
@@ -143,11 +165,12 @@ def _finish(
 
 def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order ``n`` on ``{0..n-1}`` under addition mod n."""
+    spec = admit(GroupFamilySpec("cyclic", (n,)))
     if n < 1:
         raise InvalidFamilyParameters(f"cyclic group needs order >= 1, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = [str(i) for i in range(n)]
-    return _finish(n, table, labels, GroupFamilySpec("cyclic", (n,)))
+    return _finish(n, table, labels, spec)
 
 
 def make_elementary_abelian(p: int, n: int) -> FiniteGroup:
@@ -156,6 +179,7 @@ def make_elementary_abelian(p: int, n: int) -> FiniteGroup:
     Element ``i`` is the base-``p`` digit vector of ``i``; addition is
     digitwise mod ``p``.
     """
+    spec = admit(GroupFamilySpec("elementary-abelian", (p, n)))
     if not is_prime(p):
         raise InvalidFamilyParameters(f"elementary abelian group needs a prime p, got {p}")
     if n < 1:
@@ -180,7 +204,7 @@ def make_elementary_abelian(p: int, n: int) -> FiniteGroup:
             row.append(acc)
         table.append(row)
     labels = ["(" + ",".join(str(d) for d in v) + ")" for v in digits]
-    return _finish(order, table, labels, GroupFamilySpec("elementary-abelian", (p, n)))
+    return _finish(order, table, labels, spec)
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -189,6 +213,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     Element ``i < n`` is the rotation ``a**i``; element ``n + i`` is the
     reflection ``a**i * b``.
     """
+    spec = admit(GroupFamilySpec("dihedral", (n,)))
     if n < 3:
         raise InvalidFamilyParameters(f"dihedral group needs n >= 3, got {n}")
     order = 2 * n
@@ -205,7 +230,7 @@ def make_dihedral(n: int) -> FiniteGroup:
         labels.append("e" if i == 0 else ("a" if i == 1 else f"a{i}"))
     for i in range(n):
         labels.append("b" if i == 0 else ("ab" if i == 1 else f"a{i}b"))
-    return _finish(order, table, labels, GroupFamilySpec("dihedral", (n,)))
+    return _finish(order, table, labels, spec)
 
 
 def make_dicyclic(n: int) -> FiniteGroup:
@@ -215,6 +240,7 @@ def make_dicyclic(n: int) -> FiniteGroup:
     ``x a x**-1 = a**-1``.  Element ``i < 2n`` is ``a**i``; element
     ``2n + i`` is ``a**i * x``.
     """
+    spec = admit(GroupFamilySpec("dicyclic", (n,)))
     if n < 3:
         raise InvalidFamilyParameters(f"dicyclic group needs n >= 3, got {n}")
     m = 2 * n
@@ -232,7 +258,7 @@ def make_dicyclic(n: int) -> FiniteGroup:
         labels.append("e" if i == 0 else ("a" if i == 1 else f"a{i}"))
     for i in range(m):
         labels.append("x" if i == 0 else ("ax" if i == 1 else f"a{i}x"))
-    return _finish(order, table, labels, GroupFamilySpec("dicyclic", (n,)))
+    return _finish(order, table, labels, spec)
 
 
 def make_gpq(p: int, q: int) -> FiniteGroup:
@@ -242,6 +268,7 @@ def make_gpq(p: int, q: int) -> FiniteGroup:
     least integer above 1 satisfying ``r**p = 1 (mod q)``.  Element
     ``i*p + j`` is ``a**i * b**j``.
     """
+    spec = admit(GroupFamilySpec("gpq", (p, q)))
     if not is_prime(p) or not is_prime(q):
         raise InvalidFamilyParameters(f"gpq needs primes, got p={p}, q={q}")
     if p >= q:
@@ -266,12 +293,13 @@ def make_gpq(p: int, q: int) -> FiniteGroup:
         ai = "" if i == 0 else ("a" if i == 1 else f"a{i}")
         bj = "" if j == 0 else ("b" if j == 1 else f"b{j}")
         labels.append((ai + bj) or "e")
-    return _finish(order, table, labels, GroupFamilySpec("gpq", (p, q)))
+    return _finish(order, table, labels, spec)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with the row-major pairing ``(a, b) -> a*|H| + b``."""
     order = g.order * h.order
+    _check_order(order, "the direct product")
     hn = h.order
     table = []
     for a in range(g.order):
@@ -339,6 +367,7 @@ def make_group(spec: GroupFamilySpec) -> FiniteGroup:
     if spec.family == "direct-product":
         if spec.factors is None:
             raise InvalidFamilyParameters("direct-product spec needs two factor specs")
+        admit(spec)  # before either factor is built
         return direct_product(make_group(spec.factors[0]), make_group(spec.factors[1]))
     try:
         ctor = _CONSTRUCTORS[spec.family]
@@ -358,12 +387,7 @@ def make_group(spec: GroupFamilySpec) -> FiniteGroup:
 
 
 def element_order(g: FiniteGroup, x: int) -> int:
-    acc = x
-    k = 1
-    while acc != g.identity:
-        acc = g.table[acc][x]
-        k += 1
-    return k
+    return len(cyclic_subgroup(g, x))
 
 
 def cyclic_subgroup(g: FiniteGroup, x: int) -> tuple[int, ...]:
@@ -381,13 +405,20 @@ def cyclic_subgroups(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted({cyclic_subgroup(g, x) for x in range(g.order)}))
 
 
+def maximal_cyclic_subgroups(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """The cyclic subgroups that lie in no other, in lexicographic order.
+
+    A cyclic subgroup lies in a larger one exactly when it is generated by
+    an element of the larger one that does not generate it.
+    """
+    gen = [cyclic_subgroup(g, x) for x in range(g.order)]
+    inside = {gen[y] for sub in set(gen) for y in sub if gen[y] != sub}
+    return tuple(sorted(set(gen) - inside))
+
+
 def order_census(g: FiniteGroup) -> dict[int, int]:
     """Map from element order to the number of elements of that order."""
-    census: dict[int, int] = {}
-    for x in range(g.order):
-        k = element_order(g, x)
-        census[k] = census.get(k, 0) + 1
-    return dict(sorted(census.items()))
+    return dict(sorted(Counter(element_order(g, x) for x in range(g.order)).items()))
 
 
 def check_associative(g: FiniteGroup) -> bool:
@@ -421,13 +452,19 @@ def group_to_json(g: FiniteGroup) -> str:
 
 
 def group_from_json(text: str) -> FiniteGroup:
-    obj = json.loads(text)
-    order = int(obj["order"])
-    table = [[int(v) for v in row] for row in obj["table"]]
-    if len(table) != order or any(len(row) != order for row in table):
-        raise InvalidFamilyParameters("table shape disagrees with declared order")
-    if int(obj["identity"]) != 0:
-        raise InvalidFamilyParameters("serialized groups must use element 0 as identity")
+    """The group :func:`group_to_json` wrote; :class:`InvalidFamilyParameters` otherwise."""
+    try:
+        obj = json.loads(text)
+        order, identity = obj["order"], obj["identity"]
+        _check_order(order, "the serialized group")
+        table = [list(row) for row in obj["table"]]
+        labels = [str(s) for s in obj.get("labels") or range(order)]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise InvalidFamilyParameters(f"not a serialized group: {exc!r}") from None
+    if {type(v) for row in table for v in row} | {type(order), type(identity)} != {int} or identity:
+        raise InvalidFamilyParameters("need integers throughout, and element 0 as the identity")
+    if len(table) != order or any(len(row) != order for row in table) or len(labels) != order:
+        raise InvalidFamilyParameters("table or labels disagree with the declared order")
     # A Latin square whose row 0 and column 0 are the identity map: right
     # multiplication by any x is then a permutation sending 0 to x, so every
     # power loop returns to the identity within ``order`` steps.
@@ -441,5 +478,4 @@ def group_from_json(text: str) -> FiniteGroup:
         raise InvalidFamilyParameters(
             "table is not a Latin square with element 0 as its identity row and column"
         )
-    labels = [str(s) for s in obj.get("labels") or (str(i) for i in range(order))]
     return _finish(order, table, labels, None)

@@ -23,22 +23,23 @@ from .errors import (
 from .graphs import Graph, diameter
 from .groups import (
     FiniteGroup,
-    GroupFamilySpec,
     cyclic_subgroups,
+    element_order,
     family_of,
-    make_elementary_abelian,
+    maximal_cyclic_subgroups,
 )
 from .linalg import IntMatrix
 
+# Star partition name -> the catalog families it is defined on.
+_STAR_PARTITIONS = {
+    "gpq-sylow": ("gpq",),
+    "dihedral": ("dihedral",),
+    "dicyclic": ("dicyclic",),
+    "elab-times-cyclic": ("elementary-abelian", "elab-cyclic"),
+}
+
 #: Names accepted by :func:`family_partition`.
-FAMILY_PARTITIONS = (
-    "gpq-sylow",
-    "dihedral",
-    "dicyclic",
-    "elab-product-coarse",
-    "elab-product-fine",
-    "elab-times-cyclic",
-)
+FAMILY_PARTITIONS = (*_STAR_PARTITIONS, "elab-product-coarse", "elab-product-fine")
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,14 @@ def partition_to_json_obj(p: Partition) -> dict:
 
 
 def partition_from_json(text: str) -> Partition:
-    return Partition.of(json.loads(text)["cells"])
+    """The partition :func:`partition_to_json_obj` wrote; :class:`NotAPartition` otherwise."""
+    try:
+        cells = [list(cell) for cell in json.loads(text)["cells"]]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise NotAPartition(f"not a serialized partition: {exc!r}") from None
+    if any(type(v) is not int for cell in cells for v in cell):
+        raise NotAPartition("cells must hold integers")
+    return Partition.of(cells)
 
 
 # ---------------------------------------------------------------------------
@@ -217,15 +225,33 @@ def _require(cond: bool, message: str) -> None:
         raise FamilyMismatch(message)
 
 
-def _spec_of(g: FiniteGroup) -> GroupFamilySpec:
+def _catalog_params(g: FiniteGroup, families: tuple[str, ...]) -> dict[str, int]:
+    """The named parameters of ``g``, once its catalog family is one of ``families``."""
     if g.spec is None:
         raise FamilyMismatch("group carries no family information")
-    return g.spec
+    family, d = family_of(g.spec) or (None, {})
+    _require(family in families, f"needs a {' or '.join(families)} group, got {g.spec.describe()}")
+    if family == "elab-cyclic":
+        _require(d["m"] % d["p"] != 0, "the cyclic order must be coprime to the prime p")
+    if family == "elab-product":
+        _require(d["p"] != d["q"], "the two factor primes must differ")
+    return d
 
 
-def _prime_subgroups(g: FiniteGroup, size: int) -> list[tuple[int, ...]]:
-    """Cyclic subgroups of a given prime order, in canonical (lex) order."""
-    return [s for s in cyclic_subgroups(g) if len(s) == size]
+def star_partition(g: FiniteGroup) -> Partition:
+    """The enhanced power graph's parts as a star join (the union of cliques
+    on the maximal cyclic subgroups, when those meet only in their core).
+
+    Cells: the core, then each maximal cyclic subgroup minus the core,
+    largest first (ties in lex order), empty ones dropped.  Raises
+    :class:`FamilyMismatch` outside the star families or that premise.
+    """
+    _catalog_params(g, sum(_STAR_PARTITIONS.values(), ()))
+    maximal = sorted(maximal_cyclic_subgroups(g), key=len, reverse=True)  # stable: ties stay lex
+    core = set.intersection(*map(set, maximal))
+    arms = [tuple(v for v in sub if v not in core) for sub in maximal]
+    _require(len(core) + sum(map(len, arms)) == g.order, "maximal subgroups meet outside the core")
+    return Partition((tuple(sorted(core)), *filter(None, arms)))
 
 
 def family_partition(g: FiniteGroup, which: str) -> Partition:
@@ -234,84 +260,23 @@ def family_partition(g: FiniteGroup, which: str) -> Partition:
     Cell order is part of the contract: the identity cell always comes
     first, and remaining cells appear in the documented family order so that
     quotient matrices can be compared entry-for-entry with published forms.
+    The product partitions group El(p^n) x El(q^m) by element order 1, p,
+    pq, q (coarse), or into the identity, the order-p subgroups, their
+    products with the order-q subgroups, and those subgroups (fine).
     """
     if which not in FAMILY_PARTITIONS:
         raise FamilyMismatch(
             f"unknown partition {which!r}; expected one of {FAMILY_PARTITIONS}"
         )
-    spec = _spec_of(g)
-    family, d = family_of(spec) or (None, {})
-    if which == "gpq-sylow":
-        _require(family == "gpq", f"gpq-sylow needs a gpq group, got {spec.describe()}")
-        p, q = d["p"], d["q"]
-        q_sylow = _prime_subgroups(g, q)
-        p_sylows = _prime_subgroups(g, p)
-        _require(len(q_sylow) == 1, "expected a unique subgroup of order q")
-        _require(len(p_sylows) == q, "expected exactly q subgroups of order p")
-        cells: list[tuple[int, ...]] = [(g.identity,)]
-        cells.append(tuple(v for v in q_sylow[0] if v != g.identity))
-        for sub in p_sylows:
-            cells.append(tuple(v for v in sub if v != g.identity))
-        return Partition(tuple(cells))
-
-    if which == "dihedral":
-        _require(family == "dihedral", f"needs a dihedral group, got {spec.describe()}")
-        n = d["n"]
-        cells = [(0,), tuple(range(1, n))]
-        cells.extend((n + i,) for i in range(n))
-        return Partition(tuple(cells))
-
-    if which == "dicyclic":
-        _require(family == "dicyclic", f"needs a dicyclic group, got {spec.describe()}")
-        n = d["n"]
-        cells = [(0, n), tuple(i for i in range(1, 2 * n) if i != n)]
-        cells.extend(((2 * n + i, 3 * n + i)) for i in range(n))
-        return Partition(tuple(cells))
-
-    if which in ("elab-product-coarse", "elab-product-fine"):
-        _require(
-            family == "elab-product",
-            f"needs a direct product of elementary abelian groups, got {spec.describe()}",
-        )
-        p, n_exp, q, m_exp = d["p"], d["n"], d["q"], d["m"]
-        _require(p != q, "the two factor primes must differ")
-        pn = p**n_exp
-        qm = q**m_exp
-        if which == "elab-product-coarse":
-            v2 = tuple(a * qm for a in range(1, pn))
-            v3 = tuple(a * qm + b for a in range(1, pn) for b in range(1, qm))
-            v4 = tuple(range(1, qm))
-            return Partition(((0,), v2, v3, v4))
-        a_subs = _prime_subgroups(make_elementary_abelian(p, n_exp), p)
-        b_subs = _prime_subgroups(make_elementary_abelian(q, m_exp), q)
-        cells = [(0,)]
-        for asub in a_subs:
-            cells.append(tuple(a * qm for a in asub if a != 0))
-        for asub in a_subs:  # middle grid is row-major: A-subgroup outer, B inner
-            for bsub in b_subs:
-                cells.append(
-                    tuple(
-                        a * qm + b
-                        for a in asub
-                        if a != 0
-                        for b in bsub
-                        if b != 0
-                    )
-                )
-        for bsub in b_subs:
-            cells.append(tuple(b for b in bsub if b != 0))
-        return Partition(tuple(cells))
-
-    # which == "elab-times-cyclic": El(p^n) x Z_m, including the bare m = 1 case
-    _require(
-        family in ("elementary-abelian", "elab-cyclic"),
-        f"needs El(p^n) x Z_m or El(p^n), got {spec.describe()}",
-    )
-    p, m = d["p"], d.get("m", 1)
-    _require(m % p != 0, "the cyclic order must be coprime to the prime p")
-    base = make_elementary_abelian(p, d["n"])
-    a_subs = _prime_subgroups(base, p)
-    cells = [tuple(range(m))]
-    for asub in a_subs:
-        cells.append(tuple(a * m + j for a in asub if a != 0 for j in range(m)))
-    return Partition(tuple(cells))
+    if which in _STAR_PARTITIONS:
+        _catalog_params(g, _STAR_PARTITIONS[which])
+        return star_partition(g)
+    d = _catalog_params(g, ("elab-product",))
+    p, q = d["p"], d["q"]
+    if which == "elab-product-coarse":
+        orders = [element_order(g, x) for x in range(g.order)]
+        return Partition.of([[x for x, k in enumerate(orders) if k == o] for o in (1, p, p * q, q)])
+    subs = [tuple(v for v in s if v != g.identity) for s in cyclic_subgroups(g)]
+    a_subs, b_subs = ([s for s in subs if len(s) == k - 1] for k in (p, q))
+    mixed = [tuple(sorted(g.mul(a, b) for a in x for b in y)) for x in a_subs for y in b_subs]
+    return Partition(((g.identity,), *a_subs, *mixed, *b_subs))

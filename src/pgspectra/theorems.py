@@ -20,6 +20,7 @@ from .errors import (
     DisconnectedGraph,
     FamilyMismatch,
     HypothesisViolated,
+    InvalidFamilyParameters,
     PartNotComplete,
     SizeMismatch,
     SpectraError,
@@ -39,8 +40,10 @@ from .graphs import (
 )
 from .groups import (
     FAMILY_PARAMS,
+    MAX_ORDER,
     FiniteGroup,
     GroupFamilySpec,
+    admit,
     family_of,
     family_spec,
     is_prime,
@@ -61,7 +64,7 @@ from .linalg import (
     x_plus,
     zeros,
 )
-from .partitions import Partition, family_partition
+from .partitions import Partition, family_partition, star_partition
 
 DEFAULT_MAX_ORDER = 64
 
@@ -408,17 +411,6 @@ def _star(k: int) -> Graph:
     return Graph.from_edges(k + 1, [(0, i + 1) for i in range(k)])
 
 
-# Family -> the family partition whose cells are the complete parts of a
-# star join (the identity's cell at the centre).
-_EPG_STAR_PARTITIONS = {
-    "gpq": "gpq-sylow",
-    "dihedral": "dihedral",
-    "dicyclic": "dicyclic",
-    "elementary-abelian": "elab-times-cyclic",
-    "elab-cyclic": "elab-times-cyclic",
-}
-
-
 def epg_join_form(g: FiniteGroup) -> tuple[JoinSpec, Partition]:
     """Join decomposition of the enhanced power graph, plus the partition
     whose flattened cells give the natural block-to-vertex bijection."""
@@ -427,10 +419,8 @@ def epg_join_form(g: FiniteGroup) -> tuple[JoinSpec, Partition]:
     family, _params = family_of(g.spec) or (None, None)
     if family == "elab-product":
         return _elab_product_join_form(g, enhanced=True)
-    if family not in _EPG_STAR_PARTITIONS:
-        raise FamilyMismatch(f"no join decomposition catalogued for {g.spec.describe()}")
-    part = family_partition(g, _EPG_STAR_PARTITIONS[family])
-    return _complete_blow_up(_star(len(part.cells) - 1), part)
+    part = star_partition(g)
+    return _complete_blow_up(_star(part.cell_count - 1), part)
 
 
 def pg_join_form(g: FiniteGroup) -> tuple[JoinSpec, Partition]:
@@ -775,8 +765,10 @@ def make_case(theorem_id: str, **params: int) -> TheoremCase:
 
 
 def check_case(case: TheoremCase) -> None:
-    """Raise :class:`HypothesisViolated` when parameters break the hypotheses."""
-    THEOREMS[case.theorem_id].check(case.params_dict())
+    """Raise :class:`HypothesisViolated` (or, first, a too-large order)."""
+    thm = THEOREMS[case.theorem_id]
+    admit(family_spec(thm.family, case.params_dict()))
+    thm.check(case.params_dict())
 
 
 def verify(case: TheoremCase) -> VerificationReport:
@@ -790,7 +782,7 @@ def verify(case: TheoremCase) -> VerificationReport:
     params = case.params_dict()
     note = thm.note_for(params) if thm.note_for is not None else ""
     try:
-        thm.check(params)
+        check_case(case)
         group = thm.build_group(params)
         graph = GRAPH_BUILDERS[case.graph_kind](group)
         if case.matrix_kind == "distance":
@@ -816,6 +808,8 @@ def enumerate_cases(
     max_order: int = DEFAULT_MAX_ORDER, theorem_ids: Sequence[str] | None = None
 ) -> list[TheoremCase]:
     """All catalogued cases with group order at most ``max_order``."""
+    if max_order > MAX_ORDER:
+        raise InvalidFamilyParameters(f"max order {max_order} is above MAX_ORDER = {MAX_ORDER}")
     ids = THEOREM_IDS if theorem_ids is None else tuple(theorem_ids)
     out = []
     for tid in ids:

@@ -3,9 +3,10 @@
 Everything here deliberately avoids the production code paths it checks:
 polynomials are plain coefficient lists, characteristic polynomials come
 from a permutation-sum expansion (small matrices) or the Faddeev-LeVerrier
-recurrence (larger ones), distances come from Floyd-Warshall, and the
+recurrence (larger ones), distances come from Floyd-Warshall, the
 enhanced-adjacency oracle scans all witness elements directly from the
-Cayley table.
+Cayley table, and the named family partitions are rebuilt from the element
+index layout of each family constructor.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import itertools
 from operator import mul
 
-from pgspectra import FiniteGroup, Graph, IntMatrix
+from pgspectra import FiniteGroup, Graph, IntMatrix, cyclic_subgroups, make_elementary_abelian
+from pgspectra.groups import family_of
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
@@ -180,3 +182,54 @@ def record_worker_pools(monkeypatch, cpus: int | None) -> list[int]:
     monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: cpus)
     return created
+
+
+def _prime_subgroups(g: FiniteGroup, size: int) -> list[tuple[int, ...]]:
+    return [s for s in cyclic_subgroups(g) if len(s) == size]
+
+
+def family_partition_oracle(g: FiniteGroup, which: str) -> tuple[tuple[int, ...], ...]:
+    """The cells of ``family_partition(g, which)``, from index arithmetic.
+
+    Each family's cells are written down from where its constructor puts
+    the elements (``n + i`` for a dihedral reflection, ``a*|H| + b`` for a
+    product pair, ...), with no maximal-subgroup structure.  A cyclic
+    El(p) x Z_m gets the cells ``[Z_m, rest]`` here, which are not the
+    library's.
+    """
+    _family, d = family_of(g.spec)
+    if which == "gpq-sylow":
+        cells = [(g.identity,)]
+        cells.append(tuple(v for v in _prime_subgroups(g, d["q"])[0] if v != g.identity))
+        for sub in _prime_subgroups(g, d["p"]):
+            cells.append(tuple(v for v in sub if v != g.identity))
+        return tuple(cells)
+    if which == "dihedral":
+        n = d["n"]
+        return ((0,), tuple(range(1, n)), *((n + i,) for i in range(n)))
+    if which == "dicyclic":
+        n = d["n"]
+        cells = [(0, n), tuple(i for i in range(1, 2 * n) if i != n)]
+        return (*cells, *((2 * n + i, 3 * n + i) for i in range(n)))
+    if which in ("elab-product-coarse", "elab-product-fine"):
+        p, q = d["p"], d["q"]
+        pn, qm = p ** d["n"], q ** d["m"]
+        if which == "elab-product-coarse":
+            v2 = tuple(a * qm for a in range(1, pn))
+            v3 = tuple(a * qm + b for a in range(1, pn) for b in range(1, qm))
+            return ((0,), v2, v3, tuple(range(1, qm)))
+        a_subs = _prime_subgroups(make_elementary_abelian(p, d["n"]), p)
+        b_subs = _prime_subgroups(make_elementary_abelian(q, d["m"]), q)
+        cells = [(0,)]
+        cells.extend(tuple(a * qm for a in asub if a) for asub in a_subs)
+        for asub in a_subs:  # A-subgroup outer, B-subgroup inner
+            for bsub in b_subs:
+                cells.append(tuple(a * qm + b for a in asub if a for b in bsub if b))
+        cells.extend(tuple(b for b in bsub if b) for bsub in b_subs)
+        return tuple(cells)
+    assert which == "elab-times-cyclic", which
+    p, m = d["p"], d.get("m", 1)
+    cells = [tuple(range(m))]
+    for asub in _prime_subgroups(make_elementary_abelian(p, d["n"]), p):
+        cells.append(tuple(a * m + j for a in asub if a for j in range(m)))
+    return tuple(cells)

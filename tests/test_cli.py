@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import time
 
 import pytest
 from helpers import record_worker_pools
@@ -296,6 +297,28 @@ def test_verify_range_checks_hypotheses_like_explicit_params(capsys):
     assert "error[HypothesisViolated]" in err
     out = run_ok(capsys, argv + ["--n-range", "3:5"])
     assert out.strip().splitlines()[-1] == "3 case(s): 0 falsified, 0 informational"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["group", "--family", "cyclic", "--n", "100000"],
+        ["group", "--family", "elementary-abelian", "--p", "2", "--n", "1000000000000"],
+        ["verify", "--all", "--max-order", "100000000"],
+        ["verify", "--theorem", "epg-dihedral-distance", "--max-order", "100000"],
+        ["verify", "--theorem", "epg-dihedral-distance", "--n", "100000"],
+        ["verify", "--theorem", "epg-dihedral-distance", "--n-range", "3:100000000"],
+        ["spectrum", "--family", "elab-cyclic", "--p", "2", "--n", "11", "--m", "3",
+         "--graph", "enhanced", "--matrix", "distance"],
+    ],
+    ids=["cyclic", "elab-huge-n", "verify-all", "verify-theorem", "verify-n", "verify-range",
+         "product"],
+)
+def test_orders_above_the_cap_are_argument_errors(capsys, argv):
+    start = time.perf_counter()
+    err = run_err(capsys, argv)
+    assert "error[InvalidFamilyParameters]" in err and "MAX_ORDER" in err
+    assert time.perf_counter() - start < 5  # refused up front, nothing is built
 
 
 # ---------------------------------------------------------------------------

@@ -19,13 +19,17 @@ from pgspectra import (
     make_elementary_abelian,
     make_gpq,
     make_group,
+    maximal_cyclic_subgroups,
     order_census,
     totient_and_divisors,
 )
+from pgspectra import groups
 from pgspectra.errors import InvalidFamilyParameters
 from pgspectra.groups import (
     FAMILIES,
     FAMILY_PARAMS,
+    MAX_ORDER,
+    admit,
     check_associative,
     family_of,
     family_spec,
@@ -269,6 +273,43 @@ def test_elementary_abelian_subgroup_count(p: int, n: int):
     assert len(cyclic_subgroups(g)) == expected
 
 
+def _alpha(p: int, n: int) -> int:
+    return (p**n - 1) // (p - 1)
+
+
+@pytest.mark.parametrize(
+    "g, count",
+    [
+        (make_cyclic(1), 1),
+        (make_cyclic(12), 1),
+        *((make_dihedral(n), n + 1) for n in (3, 4, 6, 9)),
+        *((make_dicyclic(n), n + 1) for n in (3, 4, 5, 8)),
+        *((make_gpq(p, q), q + 1) for p, q in ((2, 3), (2, 7), (3, 7), (5, 11))),
+        *((make_elementary_abelian(p, n), _alpha(p, n)) for p, n in ((2, 1), (2, 3), (5, 2))),
+        *(
+            (direct_product(make_elementary_abelian(p, n), make_cyclic(m)), _alpha(p, n))
+            for p, n, m in ((2, 2, 3), (2, 3, 5), (3, 2, 4), (2, 1, 9))
+        ),
+        *(
+            (
+                direct_product(make_elementary_abelian(p, n), make_elementary_abelian(q, m)),
+                _alpha(p, n) * _alpha(q, m),
+            )
+            for p, n, q, m in ((2, 2, 3, 1), (2, 1, 3, 2), (2, 2, 3, 2), (3, 1, 5, 1))
+        ),
+    ],
+    ids=lambda v: v.spec.describe() if isinstance(v, FiniteGroup) else str(v),
+)
+def test_maximal_cyclic_subgroup_counts(g: FiniteGroup, count: int):
+    maximal = maximal_cyclic_subgroups(g)
+    assert len(maximal) == count
+    assert list(maximal) == sorted(maximal)
+    assert set(maximal) <= set(cyclic_subgroups(g))
+    # every element lies in one of them, and none lies in another
+    assert set().union(*maximal) == set(range(g.order))
+    assert not any(set(a) < set(b) for a in maximal for b in maximal)
+
+
 @pytest.mark.parametrize("g", groups_under_test(), ids=lambda g: g.spec.describe())
 def test_totients_of_cyclic_subgroups_cover_the_group(g: FiniteGroup):
     total = sum(totient_and_divisors(len(s))[0] for s in cyclic_subgroups(g))
@@ -303,6 +344,9 @@ def test_group_json_rejects_nonzero_identity():
         group_from_json(json.dumps(obj))
 
 
+_D6 = json.loads(group_to_json(make_dihedral(3)))
+
+
 @pytest.mark.parametrize(
     "table",
     [
@@ -311,12 +355,83 @@ def test_group_json_rejects_nonzero_identity():
         [[1, 0], [0, 1]],  # row 0 is not the identity map
         [[0, 1, 2], [2, 0, 1], [1, 2, 0]],  # column 0 is not the identity map
         [],  # order 0
+        # The rows below are whole JSON texts, not tables.
+        pytest.param(json.dumps({**_D6, "labels": ["e"]}), id="short-labels"),
+        pytest.param(json.dumps({"order": 1, "identity": 0}), id="missing-key"),
+        pytest.param(
+            json.dumps({"order": 2, "identity": 0, "table": [[0, 1], [1, "0"]]}), id="string-entry"
+        ),
+        pytest.param(
+            json.dumps({"order": 2, "identity": 0, "table": [[0, 1], [1, 0.0]]}), id="float-entry"
+        ),
+        pytest.param(json.dumps({"order": 1, "identity": 0, "table": 7}), id="table-not-a-list"),
+        pytest.param(json.dumps({"order": "1", "identity": 0, "table": [[0]]}), id="string-order"),
+        pytest.param(json.dumps([[0]]), id="not-an-object"),
+        pytest.param("not json", id="not-json"),
+        pytest.param(
+            json.dumps({"order": MAX_ORDER + 1, "identity": 0, "table": []}), id="above-the-cap"
+        ),
     ],
 )
 def test_group_json_rejects_non_group_tables(table):
-    obj = {"order": len(table), "identity": 0, "table": table}
+    if isinstance(table, list):
+        table = json.dumps({"order": len(table), "identity": 0, "table": table})
     with pytest.raises(InvalidFamilyParameters):
-        group_from_json(json.dumps(obj))
+        group_from_json(table)
+
+
+# ---------------------------------------------------------------------------
+# the order cap
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_cyclic(MAX_ORDER + 1),
+        lambda: make_elementary_abelian(2, 10**12),  # p**n is never computed
+        lambda: make_elementary_abelian(10**18 + 9, 1),  # nor is p tested for primality
+        lambda: make_dihedral(MAX_ORDER // 2 + 1),
+        lambda: make_dicyclic(MAX_ORDER // 4 + 1),
+        lambda: make_gpq(3, 10**18 + 9),
+        lambda: direct_product(make_cyclic(64), make_cyclic(33)),
+        lambda: make_group(family_spec("elab-cyclic", {"p": 2, "n": 10**12, "m": 3})),
+    ],
+    ids=["cyclic", "huge-n", "huge-p", "dihedral", "dicyclic", "gpq", "product", "make-group"],
+)
+def test_orders_above_the_cap_are_refused(build):
+    with pytest.raises(InvalidFamilyParameters, match="MAX_ORDER"):
+        build()
+
+
+def test_a_product_above_the_cap_builds_neither_factor(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setitem(groups._CONSTRUCTORS, "cyclic", refuse)
+    spec = GroupFamilySpec(
+        "direct-product", (), (GroupFamilySpec("cyclic", (64,)), GroupFamilySpec("cyclic", (64,)))
+    )
+    with pytest.raises(InvalidFamilyParameters, match="MAX_ORDER"):
+        make_group(spec)
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("cyclic", {"n": MAX_ORDER}),
+        ("elementary-abelian", {"p": 2, "n": 11}),
+        ("dihedral", {"n": MAX_ORDER // 2}),
+        ("dicyclic", {"n": MAX_ORDER // 4}),
+        ("elab-cyclic", {"p": 2, "n": 5, "m": 64}),  # only the order is checked here
+    ],
+)
+def test_the_cap_admits_its_own_order(name, params):
+    spec = family_spec(name, params)
+    assert admit(spec) is spec  # checked without building the group
+    bigger = family_spec(name, {**params, "n": params["n"] + 1})
+    with pytest.raises(InvalidFamilyParameters):
+        admit(bigger)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import pytest
+from helpers import family_partition_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pgspectra import (
     FAMILY_PARTITIONS,
+    GroupFamilySpec,
     Graph,
     Partition,
     coarsest_equitable_partition,
@@ -27,6 +32,7 @@ from pgspectra import (
     make_gpq,
     power_graph,
     quotient_matrix,
+    star_partition,
 )
 from pgspectra.errors import (
     DiameterExceedsTwo,
@@ -35,6 +41,7 @@ from pgspectra.errors import (
     NotAPartition,
     NotEquitable,
 )
+from pgspectra.groups import is_prime
 from pgspectra.partitions import partition_from_json, partition_to_json_obj
 
 
@@ -90,9 +97,26 @@ def test_partition_json_roundtrip():
     p = Partition.of([[0, 2], [1]])
     obj = partition_to_json_obj(p)
     assert obj == {"cells": [[0, 2], [1]]}
-    import json
-
     assert partition_from_json(json.dumps(obj)) == p
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "not json",
+        "[]",
+        "{}",
+        '{"cells": 5}',
+        '{"cells": [5]}',
+        '{"cells": [["a"]]}',
+        '{"cells": [[1.5]]}',
+        '{"cells": [[true]]}',
+        '{"cells": [[0, 1], [1]]}',
+    ],
+)
+def test_partition_json_rejects_non_partitions(text):
+    with pytest.raises(NotAPartition):
+        partition_from_json(text)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +399,79 @@ def test_family_partition_mismatches():
     anon = group_from_json(group_to_json(make_dihedral(4)))
     with pytest.raises(FamilyMismatch):
         family_partition(anon, "dihedral")
+
+
+def _oracle_sweep() -> list:
+    """Groups of every family with their partition names, no cyclic El(p) x Z_m."""
+    out = [
+        (make_gpq(p, q), "gpq-sylow")
+        for q in range(3, 40)
+        for p in range(2, q)
+        if is_prime(p) and is_prime(q) and (q - 1) % p == 0 and p * q <= 40
+    ]
+    out += [(make_dihedral(n), "dihedral") for n in range(3, 40)]
+    out += [(make_dicyclic(n), "dicyclic") for n in range(3, 20)]
+    for p, n in ((2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)):
+        el = make_elementary_abelian(p, n)
+        out.append((el, "elab-times-cyclic"))
+        out += [
+            (direct_product(el, make_cyclic(m)), "elab-times-cyclic")
+            for m in range(2, 128 // p**n + 1)
+            if m % p
+        ]
+    products = [(2, 1, 3, 1), (2, 2, 3, 1), (2, 1, 3, 2), (2, 2, 3, 2), (2, 3, 3, 1)]
+    products += [(3, 1, 2, 2), (2, 1, 5, 1), (2, 2, 5, 1), (3, 1, 5, 1), (2, 1, 7, 1)]
+    for p, n, q, m in products:
+        g = direct_product(make_elementary_abelian(p, n), make_elementary_abelian(q, m))
+        out += [(g, "elab-product-coarse"), (g, "elab-product-fine")]
+    return out
+
+
+def test_family_partitions_match_the_index_oracle():
+    sweep = _oracle_sweep()
+    assert len(sweep) == 132  # 122 groups; each El x El product has two partitions
+    mismatched = [
+        (g.spec.describe(), name)
+        for g, name in sweep
+        if family_partition(g, name).cells != family_partition_oracle(g, name)
+    ]
+    assert mismatched == []
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        make_elementary_abelian(5, 1),
+        direct_product(make_elementary_abelian(3, 1), make_cyclic(4)),
+        direct_product(make_elementary_abelian(2, 1), make_cyclic(9)),
+    ],
+    ids=lambda g: g.spec.describe(),
+)
+def test_cyclic_inputs_get_one_cell(g):
+    # a cyclic group is its own maximal cyclic subgroup: its enhanced power
+    # graph is complete, so the star has no arms
+    assert family_partition(g, "elab-times-cyclic").cells == (tuple(range(g.order)),)
+
+
+def test_star_partition_needs_maximal_subgroups_meeting_only_in_the_core():
+    # Z_2 x Z_4 has the order of D_8, but two of its cyclic subgroups of
+    # order 4 share an element of order 2 that a third maximal one lacks
+    fake = dataclasses.replace(
+        direct_product(make_cyclic(2), make_cyclic(4)), spec=GroupFamilySpec("dihedral", (4,))
+    )
+    with pytest.raises(FamilyMismatch, match="outside the core"):
+        family_partition(fake, "dihedral")
+    with pytest.raises(FamilyMismatch, match="outside the core"):
+        star_partition(fake)
+
+
+def test_star_partition_needs_a_star_family():
+    with pytest.raises(FamilyMismatch):
+        star_partition(make_cyclic(6))
+    with pytest.raises(FamilyMismatch):
+        star_partition(direct_product(make_elementary_abelian(2, 2), make_elementary_abelian(3, 1)))
+    with pytest.raises(FamilyMismatch):
+        star_partition(group_from_json(group_to_json(make_dihedral(4))))
 
 
 def test_family_partition_names_catalogued():

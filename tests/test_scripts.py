@@ -1,0 +1,37 @@
+"""The scripts under ``scripts/``, each run in-process on small orders."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_verify_all_writes_one_line_per_case(tmp_path, capsys):
+    out = tmp_path / "verification.jsonl"
+    assert load_script("verify_all").main(["--max-order", "12", "--output", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    reports = [json.loads(line) for line in lines]
+    assert reports and all(r["group_order"] <= 12 for r in reports)
+    assert not any(r["equal"] is False for r in reports)
+    summary = capsys.readouterr().out
+    assert f"{len(reports)} cases in" in summary
+    assert "0 falsified" in summary
+
+
+def test_spectra_table_prints_every_family(capsys):
+    assert load_script("spectra_table").main(["--max-order", "12"]) == 0
+    out = capsys.readouterr().out
+    for heading in ("order p*q", "dihedral", "dicyclic", "elementary abelian", "El(p^n) x Z_m"):
+        assert heading in out
+    assert "D_6 (order   6)" in out
+    assert "Dic_12 (order  12)" in out

@@ -54,9 +54,12 @@ from pgspectra.errors import (
     DisconnectedGraph,
     FamilyMismatch,
     HypothesisViolated,
+    InvalidFamilyParameters,
     PartNotComplete,
     SizeMismatch,
 )
+from pgspectra.groups import MAX_ORDER
+from pgspectra.theorems import check_case
 from pgspectra import GroupFamilySpec, make_group
 from pgspectra.graphs import Graph
 from pgspectra.groups import FAMILIES
@@ -397,6 +400,8 @@ def test_join_distance_rejects_a_disconnected_outer_graph():
         direct_product(make_elementary_abelian(2, 2), make_cyclic(3)),
         make_elementary_abelian(2, 3),
         direct_product(make_elementary_abelian(2, 2), make_elementary_abelian(3, 2)),
+        make_elementary_abelian(5, 1),  # cyclic: one complete part
+        direct_product(make_elementary_abelian(3, 1), make_cyclic(4)),  # cyclic too
     ],
     ids=lambda g: g.spec.describe(),
 )
@@ -426,7 +431,6 @@ def pg_join_form_checked(group):
 def test_join_form_needs_a_catalogued_family():
     with pytest.raises(FamilyMismatch):
         epg_join_form(make_cyclic(6))
-
 
 def test_join_forms_reject_products_outside_the_catalog():
     from pgspectra import pg_join_form
@@ -547,6 +551,16 @@ def test_enumerate_cases_covers_all_theorems():
     ]
     with pytest.raises(HypothesisViolated):
         enumerate_cases(24, theorem_ids=["nope"])
+
+
+def test_case_orders_above_the_cap_are_refused():
+    with pytest.raises(InvalidFamilyParameters, match="MAX_ORDER"):
+        enumerate_cases(MAX_ORDER + 1)
+    # refused before q is tested for primality
+    with pytest.raises(InvalidFamilyParameters, match="MAX_ORDER"):
+        check_case(make_case("epg-gpq-distance", p=3, q=10**18 + 9))
+    report = verify(make_case("epg-dihedral-distance", n=MAX_ORDER))
+    assert report.equal is False and "InvalidFamilyParameters" in report.note
 
 
 def test_enumerated_orders_respect_the_bound():
