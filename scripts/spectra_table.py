@@ -18,16 +18,7 @@ from pgspectra import (
     cf_epg_gpq_determinant,
     cf_epg_gpq_distance,
 )
-from pgspectra.groups import is_prime
-
-
-def gpq_rows(max_order: int):
-    for q in range(3, max_order):
-        if not is_prime(q):
-            continue
-        for p in range(2, q):
-            if is_prime(p) and (q - 1) % p == 0 and p * q <= max_order:
-                yield p, q
+from pgspectra.theorems import THEOREMS
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -37,18 +28,19 @@ def main(argv: list[str] | None = None) -> int:
     mo = args.max_order
 
     print("# nonabelian groups of order p*q (power graph = enhanced power graph)")
-    for p, q in sorted(gpq_rows(mo), key=lambda t: t[0] * t[1]):
+    for d in THEOREMS["epg-gpq-distance"].cases(mo):
+        p, q = d["p"], d["q"]
         f = cf_epg_gpq_distance(p, q)
         det = cf_epg_gpq_determinant(p, q)
         print(f"G({p},{q}) (order {p * q:3d})  |det D| = {det}")
         print(f"    {f.pretty()}")
 
     print("\n# dihedral groups, enhanced power graph")
-    for n in range(3, mo // 2 + 1):
+    for n in (d["n"] for d in THEOREMS["epg-dihedral-distance"].cases(mo)):
         print(f"D_{2 * n} (order {2 * n:3d})  {cf_epg_dihedral_distance(n).pretty()}")
 
     print("\n# dicyclic groups, enhanced power graph")
-    for n in range(3, mo // 4 + 1):
+    for n in (d["n"] for d in THEOREMS["epg-dicyclic-distance"].cases(mo)):
         print(f"Dic_{4 * n} (order {4 * n:3d})  {cf_epg_dicyclic_distance(n).pretty()}")
 
     print("\n# elementary abelian groups")

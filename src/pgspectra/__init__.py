@@ -30,13 +30,10 @@ from .graphs import (
     JoinSpec,
     adjacency_matrix,
     complete_graph,
-    cone,
     diameter,
     distance_matrix,
     empty_graph,
     enhanced_power_graph,
-    figure1_gamma,
-    figure1_gamma_prime,
     graph_join,
     induced_subgraph,
     power_graph,
@@ -61,7 +58,6 @@ from .groups import (
     make_group,
     maximal_cyclic_subgroups,
     order_census,
-    totient_and_divisors,
 )
 from .linalg import (
     FactoredPoly,
@@ -105,10 +101,8 @@ from .theorems import (
     cf_pg_dihedral_distance_rhs,
     elab_product_BC,
     enumerate_cases,
-    epg_join_form,
+    join_form,
     make_case,
-    pg_join_form,
-    proper_power_zn_join_form,
     verify,
     verify_sweep,
 )

@@ -15,7 +15,7 @@ import sys
 from itertools import chain
 from typing import Callable, Sequence
 
-from .errors import SpectraError
+from .errors import DisconnectedGraph, SpectraError
 from .graphs import Graph, adjacency_matrix, diameter, distance_matrix, to_dot
 from .groups import (
     FAMILY_PARAMS,
@@ -195,9 +195,13 @@ def _graph_json(args: argparse.Namespace) -> str:
 
 def _graph_text(args: argparse.Namespace) -> str:
     group, graph, _labels = _graph(args)
+    try:
+        shape = f"diameter {diameter(graph)}"
+    except DisconnectedGraph:
+        shape = "disconnected"
     return (
         f"{args.graph} graph of {group.spec.describe()}:\n"
-        f"  {graph.vertex_count} vertices, {graph.edge_count} edges, diameter {diameter(graph)}"
+        f"  {graph.vertex_count} vertices, {graph.edge_count} edges, {shape}"
     )
 
 

@@ -1,4 +1,4 @@
-"""Power graphs, enhanced power graphs, joins, and exact distance matrices.
+"""Power graphs, enhanced power graphs, graph blow-ups, and exact distance matrices.
 
 Graphs are simple and undirected, on vertices ``0..n-1``, stored as a tuple
 of neighbor sets.  Distance matrices are exact integer matrices computed by
@@ -161,11 +161,6 @@ def graph_join(spec: JoinSpec) -> Graph:
     return Graph(total, tuple(frozenset(s) for s in adj))
 
 
-def cone(graph: Graph) -> Graph:
-    """A new apex vertex 0 joined to every vertex of ``graph`` (shifted by 1)."""
-    return graph_join(JoinSpec(complete_graph(2), (complete_graph(1), graph)))
-
-
 def verify_join_form(graph: Graph, spec: JoinSpec, bijection: Sequence[int]) -> bool:
     """Check a claimed join structure as a labeled equality of edge sets.
 
@@ -223,42 +218,6 @@ def diameter(graph: Graph) -> int:
     if graph.vertex_count == 0:
         raise DisconnectedGraph("diameter of the empty graph is undefined")
     return max(max(row) for row in _distance_rows(graph))
-
-
-# ---------------------------------------------------------------------------
-# Structural templates used by the product-group join forms
-# ---------------------------------------------------------------------------
-
-
-def figure1_gamma(alpha: int, beta: int) -> Graph:
-    """The three-layer template on ``alpha + alpha*beta + beta`` vertices.
-
-    Layer one is ``alpha`` outer vertices; layer two is an ``alpha x beta``
-    grid of middle vertices (row-major); layer three is ``beta`` outer
-    vertices.  Vertex ``i`` of layer one sees its whole middle row; vertex
-    ``j`` of layer three sees its whole middle column.  No other edges.
-    """
-    if alpha < 1 or beta < 1:
-        raise SizeMismatch("layer sizes must be >= 1")
-    n = alpha + alpha * beta + beta
-    edges = []
-    for i in range(alpha):
-        for j in range(beta):
-            edges.append((i, alpha + i * beta + j))
-    for j in range(beta):
-        xj = alpha + alpha * beta + j
-        for i in range(alpha):
-            edges.append((xj, alpha + i * beta + j))
-    return Graph.from_edges(n, edges)
-
-
-def figure1_gamma_prime(alpha: int, beta: int) -> Graph:
-    """:func:`figure1_gamma` plus all edges between layers one and three."""
-    base = figure1_gamma(alpha, beta)
-    extra = [
-        (i, alpha + alpha * beta + j) for i in range(alpha) for j in range(beta)
-    ]
-    return Graph.from_edges(base.vertex_count, base.edges() + extra)
 
 
 # ---------------------------------------------------------------------------

@@ -50,18 +50,6 @@ def prime_power_base(n: int) -> int | None:
     return n
 
 
-def totient_and_divisors(n: int) -> tuple[int, tuple[int, ...]]:
-    """Euler's totient of ``n`` and its proper nontrivial divisors, ascending.
-
-    "Proper nontrivial" excludes both 1 and ``n`` itself.
-    """
-    if n < 1:
-        raise InvalidFamilyParameters(f"totient needs n >= 1, got {n}")
-    phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-    divisors = tuple(d for d in range(2, n) if n % d == 0)
-    return phi, divisors
-
-
 # ---------------------------------------------------------------------------
 # Group representation
 # ---------------------------------------------------------------------------

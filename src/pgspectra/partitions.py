@@ -53,6 +53,8 @@ class Partition:
         for cell in self.cells:
             if not cell:
                 raise NotAPartition("empty cell")
+            if any(type(v) is not int for v in cell):
+                raise NotAPartition(f"cell {cell} holds a non-integer vertex")
             if list(cell) != sorted(set(cell)):
                 raise NotAPartition(f"cell {cell} is not strictly ascending")
             if seen.intersection(cell):
@@ -61,7 +63,7 @@ class Partition:
 
     @staticmethod
     def of(cells: Sequence[Sequence[int]]) -> Partition:
-        return Partition(tuple(tuple(int(v) for v in cell) for cell in cells))
+        return Partition(tuple(tuple(cell) for cell in cells))
 
     @property
     def cell_count(self) -> int:
@@ -99,8 +101,6 @@ def partition_from_json(text: str) -> Partition:
         cells = [list(cell) for cell in json.loads(text)["cells"]]
     except (ValueError, KeyError, TypeError) as exc:
         raise NotAPartition(f"not a serialized partition: {exc!r}") from None
-    if any(type(v) is not int for cell in cells for v in cell):
-        raise NotAPartition("cells must hold integers")
     return Partition.of(cells)
 
 

@@ -9,16 +9,15 @@ reports whether the two routes agree exactly.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .errors import (
     DisconnectedGraph,
-    FamilyMismatch,
     HypothesisViolated,
     InvalidFamilyParameters,
     PartNotComplete,
@@ -30,11 +29,8 @@ from .graphs import (
     JoinSpec,
     adjacency_matrix,
     complete_graph,
-    cone,
     distance_matrix,
     enhanced_power_graph,
-    figure1_gamma,
-    figure1_gamma_prime,
     power_graph,
     proper_power_graph,
 )
@@ -44,12 +40,13 @@ from .groups import (
     FiniteGroup,
     GroupFamilySpec,
     admit,
+    cyclic_subgroup,
     family_of,
     family_spec,
     is_prime,
     make_cyclic,
     make_group,
-    totient_and_divisors,
+    maximal_cyclic_subgroups,
 )
 from .linalg import (
     FactoredPoly,
@@ -64,7 +61,7 @@ from .linalg import (
     x_plus,
     zeros,
 )
-from .partitions import Partition, family_partition, star_partition
+from .partitions import Partition
 
 DEFAULT_MAX_ORDER = 64
 
@@ -403,70 +400,41 @@ def cf_join_distance(spec: JoinSpec) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Join decompositions for the supported families
+# Join forms from the cyclic-subgroup structure of any group
 # ---------------------------------------------------------------------------
 
 
-def _star(k: int) -> Graph:
-    return Graph.from_edges(k + 1, [(0, i + 1) for i in range(k)])
+def join_form(g: FiniteGroup, graph_kind: str) -> tuple[JoinSpec, Partition]:
+    """The ``graph_kind`` graph of ``g`` as a blow-up of complete parts.
 
-
-def epg_join_form(g: FiniteGroup) -> tuple[JoinSpec, Partition]:
-    """Join decomposition of the enhanced power graph, plus the partition
-    whose flattened cells give the natural block-to-vertex bijection."""
-    if g.spec is None:
-        raise FamilyMismatch("group carries no family information")
-    family, _params = family_of(g.spec) or (None, None)
-    if family == "elab-product":
-        return _elab_product_join_form(g, enhanced=True)
-    part = star_partition(g)
-    return _complete_blow_up(_star(part.cell_count - 1), part)
-
-
-def pg_join_form(g: FiniteGroup) -> tuple[JoinSpec, Partition]:
-    """Join decomposition of the power graph of El(p^n) x El(q^m)."""
-    return _elab_product_join_form(g, enhanced=False)
-
-
-def _elab_product_join_form(g: FiniteGroup, enhanced: bool) -> tuple[JoinSpec, Partition]:
-    family, d = (family_of(g.spec) if g.spec is not None else None) or (None, None)
-    if family != "elab-product":
-        raise FamilyMismatch("need a direct product of two elementary abelian groups")
-    p, n, q, m = d["p"], d["n"], d["q"], d["m"]
-    alpha = (p**n - 1) // (p - 1)
-    beta = (q**m - 1) // (q - 1)
-    template = figure1_gamma_prime(alpha, beta) if enhanced else figure1_gamma(alpha, beta)
-    return _complete_blow_up(cone(template), family_partition(g, "elab-product-fine"))
-
-
-def _complete_blow_up(outer: Graph, part: Partition) -> tuple[JoinSpec, Partition]:
-    """Outer vertex i blown up to a complete part the size of cell i."""
-    return JoinSpec(outer, tuple(complete_graph(len(cell)) for cell in part.cells)), part
-
-
-def proper_power_zn_join_form(n: int) -> tuple[JoinSpec, Partition]:
-    """Divisor-pattern join decomposition of the proper power graph of Z_n.
-
-    Parts are the generators (a complete part of size phi(n)) followed by one
-    complete part per proper nontrivial divisor d, ascending, holding the
-    phi(d) elements of order d.  The outer graph is a cone over the divisor
-    divisibility graph.  Returns the spec and the partition whose flattened
-    cells give the block-to-vertex bijection (vertex v - 1 is element v).
+    Power graph: a part holds the elements generating the same cyclic
+    subgroup, and two parts are joined when one subgroup contains the other.
+    Enhanced power graph: a part holds the elements lying in exactly the
+    same maximal cyclic subgroups, and two parts are joined when those sets
+    of subgroups meet (Aalipour et al., Electron. J. Combin. 24(3), 2017).
+    Proper power graph: the power form without the identity's part, where
+    vertex v - 1 is element v.  Parts are ordered by their smallest element;
+    the partition's flattened cells give the block-to-vertex bijection.
     """
-    _require(n >= 2, f"proper power graph of Z_n needs n >= 2, got {n}")
-    _phi, divs = totient_and_divisors(n)
-    delta = Graph.from_edges(
-        len(divs),
-        [
-            (i, j)
-            for i in range(len(divs))
-            for j in range(i + 1, len(divs))
-            if divs[j] % divs[i] == 0
-        ],
-    )
-    orders = [n // math.gcd(v, n) for v in range(1, n)]
-    part = Partition.of([[u for u, o in enumerate(orders) if o == d] for d in (n, *divs)])
-    return _complete_blow_up(cone(delta), part)
+    _require(graph_kind in GRAPH_BUILDERS, f"unknown graph kind {graph_kind!r}")
+    enhanced = graph_kind == "enhanced"
+    if enhanced:
+        maximal = [frozenset(sub) for sub in maximal_cyclic_subgroups(g)]
+        keys = [frozenset(i for i, sub in enumerate(maximal) if x in sub) for x in range(g.order)]
+    else:
+        keys = [frozenset(cyclic_subgroup(g, x)) for x in range(g.order)]
+    drop = g.identity if graph_kind == "proper-power" else None
+    cells: dict[frozenset[int], list[int]] = {}
+    for v, x in enumerate(x for x in range(g.order) if x != drop):
+        cells.setdefault(keys[x], []).append(v)
+    edges = [
+        (i, j)
+        for (i, a), (j, b) in combinations(enumerate(cells), 2)
+        if (not a.isdisjoint(b) if enhanced else a <= b or b <= a)
+    ]
+    part = Partition.of(list(cells.values()))
+    outer = Graph.from_edges(len(cells), edges)
+    return JoinSpec(outer, tuple(complete_graph(len(cell)) for cell in part.cells)), part
 
 
 # ---------------------------------------------------------------------------

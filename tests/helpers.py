@@ -5,16 +5,32 @@ polynomials are plain coefficient lists, characteristic polynomials come
 from a permutation-sum expansion (small matrices) or the Faddeev-LeVerrier
 recurrence (larger ones), distances come from Floyd-Warshall, the
 enhanced-adjacency oracle scans all witness elements directly from the
-Cayley table, and the named family partitions are rebuilt from the element
-index layout of each family constructor.
+Cayley table, the named family partitions are rebuilt from the element
+index layout of each family constructor, and the family join forms are
+the per-family outer graphs (a star, a cone over a Figure-1 template, a
+cone over the divisor graph) that the general ``join_form`` replaced.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from operator import mul
 
-from pgspectra import FiniteGroup, Graph, IntMatrix, cyclic_subgroups, make_elementary_abelian
+from pgspectra import (
+    FiniteGroup,
+    Graph,
+    IntMatrix,
+    JoinSpec,
+    Partition,
+    complete_graph,
+    cyclic_subgroups,
+    family_partition,
+    graph_join,
+    make_elementary_abelian,
+    star_partition,
+)
+from pgspectra.errors import InvalidFamilyParameters, SizeMismatch
 from pgspectra.groups import family_of
 
 
@@ -233,3 +249,109 @@ def family_partition_oracle(g: FiniteGroup, which: str) -> tuple[tuple[int, ...]
     for asub in _prime_subgroups(make_elementary_abelian(p, d["n"]), p):
         cells.append(tuple(a * m + j for a in asub if a for j in range(m)))
     return tuple(cells)
+
+
+# ---------------------------------------------------------------------------
+# Family join forms: the outer graphs written down per family
+# ---------------------------------------------------------------------------
+
+
+def totient_and_divisors(n: int) -> tuple[int, tuple[int, ...]]:
+    """Euler's totient of ``n`` and its proper nontrivial divisors, ascending.
+
+    "Proper nontrivial" excludes both 1 and ``n`` itself.
+    """
+    if n < 1:
+        raise InvalidFamilyParameters(f"totient needs n >= 1, got {n}")
+    phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+    divisors = tuple(d for d in range(2, n) if n % d == 0)
+    return phi, divisors
+
+
+def cone(graph: Graph) -> Graph:
+    """A new apex vertex 0 joined to every vertex of ``graph`` (shifted by 1)."""
+    return graph_join(JoinSpec(complete_graph(2), (complete_graph(1), graph)))
+
+
+def figure1_gamma(alpha: int, beta: int) -> Graph:
+    """The three-layer template on ``alpha + alpha*beta + beta`` vertices.
+
+    Layer one is ``alpha`` outer vertices; layer two is an ``alpha x beta``
+    grid of middle vertices (row-major); layer three is ``beta`` outer
+    vertices.  Vertex ``i`` of layer one sees its whole middle row; vertex
+    ``j`` of layer three sees its whole middle column.  No other edges.
+    """
+    if alpha < 1 or beta < 1:
+        raise SizeMismatch("layer sizes must be >= 1")
+    n = alpha + alpha * beta + beta
+    edges = []
+    for i in range(alpha):
+        for j in range(beta):
+            edges.append((i, alpha + i * beta + j))
+    for j in range(beta):
+        xj = alpha + alpha * beta + j
+        for i in range(alpha):
+            edges.append((xj, alpha + i * beta + j))
+    return Graph.from_edges(n, edges)
+
+
+def figure1_gamma_prime(alpha: int, beta: int) -> Graph:
+    """:func:`figure1_gamma` plus all edges between layers one and three."""
+    base = figure1_gamma(alpha, beta)
+    extra = [
+        (i, alpha + alpha * beta + j) for i in range(alpha) for j in range(beta)
+    ]
+    return Graph.from_edges(base.vertex_count, base.edges() + extra)
+
+
+def _complete_blow_up(outer: Graph, part: Partition) -> tuple[JoinSpec, Partition]:
+    return JoinSpec(outer, tuple(complete_graph(len(cell)) for cell in part.cells)), part
+
+
+def star_join_oracle(g: FiniteGroup) -> tuple[JoinSpec, Partition]:
+    """Enhanced power graph of a star family: a star over ``star_partition``."""
+    part = star_partition(g)
+    star = Graph.from_edges(part.cell_count, [(0, i) for i in range(1, part.cell_count)])
+    return _complete_blow_up(star, part)
+
+
+def elab_product_join_oracle(g: FiniteGroup, enhanced: bool) -> tuple[JoinSpec, Partition]:
+    """El(p^n) x El(q^m): a cone over the Figure-1 template (primed when enhanced)."""
+    _family, d = family_of(g.spec)
+    alpha = (d["p"] ** d["n"] - 1) // (d["p"] - 1)
+    beta = (d["q"] ** d["m"] - 1) // (d["q"] - 1)
+    template = figure1_gamma_prime(alpha, beta) if enhanced else figure1_gamma(alpha, beta)
+    return _complete_blow_up(cone(template), family_partition(g, "elab-product-fine"))
+
+
+def proper_power_zn_join_oracle(n: int) -> tuple[JoinSpec, Partition]:
+    """Proper power graph of Z_n: a cone over the divisor divisibility graph.
+
+    Parts are the generators, then the elements of each proper nontrivial
+    divisor order d, ascending; vertex v - 1 is element v.
+    """
+    _phi, divs = totient_and_divisors(n)
+    delta = Graph.from_edges(
+        len(divs),
+        [(i, j) for i in range(len(divs)) for j in range(i + 1, len(divs)) if divs[j] % divs[i] == 0],
+    )
+    orders = [n // math.gcd(v, n) for v in range(1, n)]
+    part = Partition.of([[u for u, o in enumerate(orders) if o == d] for d in (n, *divs)])
+    return _complete_blow_up(cone(delta), part)
+
+
+def same_blow_up(form: tuple[JoinSpec, Partition], oracle: tuple[JoinSpec, Partition]) -> bool:
+    """True when ``form`` is ``oracle`` with its cells in another order.
+
+    Each cell of ``form`` is matched to the equal cell of ``oracle``; the two
+    outer graphs must then have the same edges and matched parts be equal.
+    """
+    (spec, part), (ospec, opart) = form, oracle
+    if sorted(part.cells) != sorted(opart.cells):
+        return False
+    where = {cell: i for i, cell in enumerate(opart.cells)}
+    match = [where[cell] for cell in part.cells]
+    edges = {frozenset((match[i], match[j])) for i, j in spec.outer.edges()}
+    return edges == set(map(frozenset, ospec.outer.edges())) and all(
+        spec.parts[i] == ospec.parts[match[i]] for i in range(part.cell_count)
+    )

@@ -16,7 +16,14 @@ from functools import lru_cache
 
 import pytest
 
-from helpers import char_poly_oracle, determinant_oracle
+from helpers import (
+    char_poly_oracle,
+    determinant_oracle,
+    elab_product_join_oracle,
+    proper_power_zn_join_oracle,
+    same_blow_up,
+    star_join_oracle,
+)
 from pgspectra import (
     FiniteGroup,
     Graph,
@@ -39,23 +46,22 @@ from pgspectra import (
     distance_quotient_matrix,
     elab_product_BC,
     enhanced_power_graph,
-    epg_join_form,
     expand,
     family_partition,
+    join_form,
     make_cyclic,
     make_dicyclic,
     make_dihedral,
     make_elementary_abelian,
     make_gpq,
-    pg_join_form,
     poly_exact_div,
     power_graph,
     proper_power_graph,
-    proper_power_zn_join_form,
     quotient_matrix,
     verify_join_form,
     x_plus,
 )
+from pgspectra.theorems import GRAPH_BUILDERS
 
 GPQ_PAIRS = ((2, 3), (2, 5), (2, 7), (2, 11), (3, 7), (2, 13), (3, 13))
 DIHEDRAL_NS = tuple(range(3, 17))
@@ -312,15 +318,22 @@ def test_criterion_11_join_forms(criterion):
             direct_product(make_elementary_abelian(3, 2), make_cyclic(2)),
         ]
         el49 = product_group(2, 2, 3, 2)
-        forms = [(epg_join_form(g), enhanced_power_graph(g)) for g in groups]
-        forms.append((epg_join_form(el49), enhanced_power_graph(el49)))
-        forms.append((pg_join_form(el49), power_graph(el49)))
+        # (group, graph kind, the family's own join form)
+        forms = [(g, "enhanced", star_join_oracle(g)) for g in groups]
+        forms.append((el49, "enhanced", elab_product_join_oracle(el49, enhanced=True)))
+        forms.append((el49, "power", elab_product_join_oracle(el49, enhanced=False)))
         for n in (6, 8, 12, 30):
-            forms.append((proper_power_zn_join_form(n), proper_power_graph(make_cyclic(n))))
-        for (spec, part), graph in forms:
+            forms.append((make_cyclic(n), "proper-power", proper_power_zn_join_oracle(n)))
+        for g, kind, oracle in forms:
+            spec, part = join_form(g, kind)
+            graph = GRAPH_BUILDERS[kind](g)
+            assert same_blow_up((spec, part), oracle), (g.spec, kind)
             assert verify_join_form(graph, spec, part.flatten()), spec
             assert cf_join_distance(spec) == distance_poly(graph), spec
-        notes.append(f"{len(forms)} join decompositions, each predicting its distance polynomial")
+        notes.append(
+            f"{len(forms)} join decompositions, each equal to its family form "
+            "and predicting its distance polynomial"
+        )
 
 
 def test_criterion_12_oracle_suite(criterion):

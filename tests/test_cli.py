@@ -91,6 +91,19 @@ def test_graph_json_and_text(capsys):
     assert "6 vertices, 13 edges, diameter 2" in text
 
 
+@pytest.mark.parametrize(
+    "family, vertices",
+    [
+        (["--family", "elementary-abelian", "--p", "2", "--n", "2"], 3),
+        (["--family", "cyclic", "--n", "1"], 0),
+    ],
+    ids=["El(2^2)", "Z_1"],
+)
+def test_graph_text_of_a_disconnected_graph(capsys, family, vertices):
+    text = run_ok(capsys, ["graph", *family, "--graph", "proper-power", "--format", "text"])
+    assert text.endswith(f"  {vertices} vertices, 0 edges, disconnected\n")
+
+
 def test_proper_power_graph_drops_identity_label(capsys):
     out = run_ok(
         capsys,

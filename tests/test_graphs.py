@@ -4,21 +4,25 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import enhanced_edges_oracle, floyd_warshall, power_edges_oracle
+from helpers import (
+    cone,
+    enhanced_edges_oracle,
+    figure1_gamma,
+    figure1_gamma_prime,
+    floyd_warshall,
+    power_edges_oracle,
+)
 from pgspectra import (
     Graph,
     JoinSpec,
     adjacency_matrix,
     complete_graph,
-    cone,
     cyclic_subgroups,
     diameter,
     direct_product,
     distance_matrix,
     empty_graph,
     enhanced_power_graph,
-    figure1_gamma,
-    figure1_gamma_prime,
     graph_join,
     induced_subgraph,
     make_cyclic,

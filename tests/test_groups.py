@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from helpers import totient_and_divisors
 
 from pgspectra import (
     FiniteGroup,
@@ -21,7 +22,6 @@ from pgspectra import (
     make_group,
     maximal_cyclic_subgroups,
     order_census,
-    totient_and_divisors,
 )
 from pgspectra import groups
 from pgspectra.errors import InvalidFamilyParameters

@@ -83,6 +83,9 @@ def test_partition_validation():
         Partition.of([[1, 0]])  # not ascending
     with pytest.raises(NotAPartition):
         Partition.of([[0], [0]])
+    for vertex in (1.5, True, "a"):  # only integers are vertices
+        with pytest.raises(NotAPartition):
+            Partition.of([[vertex]])
 
 
 def test_partition_must_cover_vertex_range():

@@ -3,7 +3,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import record_worker_pools
+from helpers import (
+    elab_product_join_oracle,
+    proper_power_zn_join_oracle,
+    record_worker_pools,
+    same_blow_up,
+    star_join_oracle,
+)
 
 from pgspectra import (
     FactoredPoly,
@@ -31,10 +37,12 @@ from pgspectra import (
     empty_graph,
     enhanced_power_graph,
     enumerate_cases,
-    epg_join_form,
     expand,
     family_partition,
     graph_join,
+    group_from_json,
+    group_to_json,
+    join_form,
     make_case,
     make_cyclic,
     make_dicyclic,
@@ -43,7 +51,6 @@ from pgspectra import (
     make_gpq,
     power_graph,
     proper_power_graph,
-    proper_power_zn_join_form,
     quotient_matrix,
     verify,
     verify_sweep,
@@ -52,7 +59,6 @@ from pgspectra import (
 )
 from pgspectra.errors import (
     DisconnectedGraph,
-    FamilyMismatch,
     HypothesisViolated,
     InvalidFamilyParameters,
     PartNotComplete,
@@ -62,7 +68,7 @@ from pgspectra.groups import MAX_ORDER
 from pgspectra.theorems import check_case
 from pgspectra import GroupFamilySpec, make_group
 from pgspectra.graphs import Graph
-from pgspectra.groups import FAMILIES
+from pgspectra.groups import FAMILIES, family_of
 from pgspectra.theorems import GRAPH_BUILDERS, THEOREMS, closed_form_for, parallel_map
 
 
@@ -391,6 +397,49 @@ def test_join_distance_rejects_a_disconnected_outer_graph():
         cf_join_distance(JoinSpec(complete_graph(1), (empty_graph(2),)))
 
 
+_OUTSIDE_THE_CATALOG = [
+    direct_product(make_cyclic(2), make_cyclic(4)),
+    direct_product(make_cyclic(4), make_cyclic(4)),
+    direct_product(make_dihedral(4), make_cyclic(3)),
+    group_from_json(group_to_json(make_gpq(3, 13))),  # JSON carries no family spec
+    make_cyclic(1),
+]
+
+
+def _catalog_groups(max_order: int) -> list:
+    groups = {}
+    for case in enumerate_cases(max_order):
+        group = THEOREMS[case.theorem_id].build_group(case.params_dict())
+        groups.setdefault(group.spec, group)
+    return list(groups.values())
+
+
+@pytest.mark.parametrize("kind", list(GRAPH_BUILDERS))
+@pytest.mark.parametrize(
+    "group",
+    _catalog_groups(40) + _OUTSIDE_THE_CATALOG,
+    ids=lambda g: "json" if g.spec is None else g.spec.describe(),
+)
+def test_join_form_of_any_group_verifies_and_predicts_the_spectrum(group, kind):
+    graph = GRAPH_BUILDERS[kind](group)
+    spec, part = join_form(group, kind)
+    assert verify_join_form(graph, spec, part.flatten())
+    assert [cell[0] for cell in part.cells] == sorted(cell[0] for cell in part.cells)
+    assert all(p.is_complete() for p in spec.parts)
+    try:
+        dense = brute_distance_poly(graph)
+    except DisconnectedGraph:
+        with pytest.raises(DisconnectedGraph):
+            cf_join_distance(spec)
+    else:
+        assert cf_join_distance(spec) == dense
+
+
+def test_join_form_rejects_an_unknown_graph_kind():
+    with pytest.raises(HypothesisViolated):
+        join_form(make_cyclic(4), "commuting")
+
+
 @pytest.mark.parametrize(
     "group",
     [
@@ -407,51 +456,37 @@ def test_join_distance_rejects_a_disconnected_outer_graph():
 )
 def test_enhanced_join_forms_verify_and_predict_the_spectrum(group):
     graph = enhanced_power_graph(group)
-    spec, part = epg_join_form(group)
+    spec, part = join_form(group, "enhanced")
     assert verify_join_form(graph, spec, part.flatten())
     assert cf_join_distance(spec) == brute_distance_poly(graph)
+    if family_of(group.spec)[0] == "elab-product":
+        assert same_blow_up((spec, part), elab_product_join_oracle(group, enhanced=True))
+    else:
+        assert same_blow_up((spec, part), star_join_oracle(group))
 
 
 def test_power_join_form_of_the_product_family():
     group = direct_product(make_elementary_abelian(2, 2), make_elementary_abelian(3, 2))
     graph = power_graph(group)
-    spec, part = epg_join_form(group)  # enhanced template does not fit here
+    spec, part = join_form(group, "enhanced")  # the enhanced form does not fit here
     assert not verify_join_form(graph, spec, part.flatten())
-    spec, part = pg_join_form_checked(group)
+    spec, part = join_form(group, "power")
     assert verify_join_form(graph, spec, part.flatten())
+    assert same_blow_up((spec, part), elab_product_join_oracle(group, enhanced=False))
     assert cf_join_distance(spec) == brute_distance_poly(graph)
-
-
-def pg_join_form_checked(group):
-    from pgspectra import pg_join_form
-
-    return pg_join_form(group)
-
-
-def test_join_form_needs_a_catalogued_family():
-    with pytest.raises(FamilyMismatch):
-        epg_join_form(make_cyclic(6))
-
-def test_join_forms_reject_products_outside_the_catalog():
-    from pgspectra import pg_join_form
-
-    for group in (direct_product(make_cyclic(2), make_cyclic(3)), make_gpq(2, 3)):
-        with pytest.raises(FamilyMismatch):
-            pg_join_form(group)
-    with pytest.raises(FamilyMismatch):
-        epg_join_form(direct_product(make_cyclic(2), make_cyclic(3)))
 
 
 @pytest.mark.parametrize("n", [2, 6, 8, 12, 30])
 def test_proper_power_graph_divisor_join(n: int):
     graph = proper_power_graph(make_cyclic(n))
-    spec, part = proper_power_zn_join_form(n)
+    spec, part = join_form(make_cyclic(n), "proper-power")
     assert verify_join_form(graph, spec, part.flatten())
+    assert same_blow_up((spec, part), proper_power_zn_join_oracle(n))
 
 
 def test_proper_power_graph_divisor_join_predicts_the_spectrum():
     for n in (2, 6, 8, 12, 30):
-        spec, _part = proper_power_zn_join_form(n)
+        spec, _part = join_form(make_cyclic(n), "proper-power")
         assert cf_join_distance(spec) == brute_distance_poly(proper_power_graph(make_cyclic(n)))
 
 
