@@ -1,8 +1,10 @@
 """Power graphs, enhanced power graphs, graph blow-ups, and exact distance matrices.
 
 Graphs are simple and undirected, on vertices ``0..n-1``, stored as a tuple
-of neighbor sets.  Distance matrices are exact integer matrices computed by
-breadth-first search.
+of neighbor sets.  Distance matrices are exact integer matrices.  When some
+vertex is universal (adjacent to all others, as the identity is in the power
+and enhanced power graphs) every distance is 0, 1 or 2, so D = 2(J - I) - A
+is read off the neighbor sets; other graphs fall back to breadth-first search.
 """
 
 from __future__ import annotations
@@ -187,6 +189,14 @@ def verify_join_form(graph: Graph, spec: JoinSpec, bijection: Sequence[int]) -> 
 # ---------------------------------------------------------------------------
 
 
+def _has_universal_vertex(graph: Graph) -> bool:
+    """Whether some vertex has degree n - 1; raises on the empty graph."""
+    n = graph.vertex_count
+    if n == 0:
+        raise DisconnectedGraph("the empty graph has no distances")
+    return any(len(s) == n - 1 for s in graph.neighbors)
+
+
 def _distance_rows(graph: Graph) -> Iterator[list[int]]:
     """BFS distance rows from each source in turn; raises on disconnected input."""
     n, neighbors = graph.vertex_count, graph.neighbors
@@ -207,16 +217,34 @@ def _distance_rows(graph: Graph) -> Iterator[list[int]]:
 
 
 def distance_matrix(graph: Graph) -> IntMatrix:
-    """All-pairs shortest-path matrix; raises on disconnected input."""
-    rows = list(_distance_rows(graph))
-    if not rows:
-        return IntMatrix(0, 0, ())
-    return IntMatrix.from_rows(rows)
+    """All-pairs shortest-path matrix; raises on disconnected or empty input.
+
+    With a universal vertex this is 2(J - I) - A, built in one pass over the
+    neighbor sets; otherwise each row comes from a breadth-first search.
+    """
+    n = graph.vertex_count
+    if not _has_universal_vertex(graph):
+        return IntMatrix.from_rows(list(_distance_rows(graph)))
+    flat = [2] * (n * n)
+    for u in range(n):
+        base = u * n
+        flat[base + u] = 0
+        for v in graph.neighbors[u]:
+            flat[base + v] = 1
+    return IntMatrix(n, n, tuple(flat))
 
 
 def diameter(graph: Graph) -> int:
-    if graph.vertex_count == 0:
-        raise DisconnectedGraph("diameter of the empty graph is undefined")
+    """Largest distance; raises on disconnected or empty input.
+
+    With a universal vertex it is 0 for one vertex, 1 for a complete graph and
+    2 otherwise, found without a search; otherwise it is the largest entry of
+    the breadth-first distance rows.
+    """
+    if _has_universal_vertex(graph):
+        if graph.vertex_count == 1:
+            return 0
+        return 1 if graph.is_complete() else 2
     return max(max(row) for row in _distance_rows(graph))
 
 

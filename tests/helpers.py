@@ -32,6 +32,7 @@ from pgspectra import (
 )
 from pgspectra.errors import InvalidFamilyParameters, SizeMismatch
 from pgspectra.groups import family_of
+from pgspectra.theorems import THEOREMS, enumerate_cases
 
 
 def perm_sign(perm: tuple[int, ...]) -> int:
@@ -150,7 +151,8 @@ def power_edges_oracle(g: FiniteGroup) -> set[tuple[int, int]]:
     return edges
 
 
-def floyd_warshall(graph: Graph) -> list[list[int]]:
+def floyd_warshall(graph: Graph) -> list[list[int]] | None:
+    """All-pairs distances, or None when the graph is empty or disconnected."""
     n = graph.vertex_count
     inf = n + 1  # strictly larger than any path length in a connected graph
     dist = [[0 if i == j else inf for j in range(n)] for i in range(n)]
@@ -168,8 +170,18 @@ def floyd_warshall(graph: Graph) -> list[list[int]]:
                 alt = dik + dk[j]
                 if alt < di[j]:
                     di[j] = alt
-    assert all(d < inf for row in dist for d in row), "graph is disconnected"
+    if n == 0 or any(d == inf for row in dist for d in row):
+        return None
     return dist
+
+
+def catalog_groups(max_order: int) -> list[FiniteGroup]:
+    """One group per distinct family spec among the catalog cases up to ``max_order``."""
+    groups = {}
+    for case in enumerate_cases(max_order):
+        group = THEOREMS[case.theorem_id].build_group(case.params_dict())
+        groups.setdefault(group.spec, group)
+    return list(groups.values())
 
 
 def record_worker_pools(monkeypatch, cpus: int | None) -> list[int]:

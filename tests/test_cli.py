@@ -180,6 +180,19 @@ def test_spectrum_disconnected_graph_fails_cleanly(capsys):
     assert "error[DisconnectedGraph]" in err
 
 
+def test_spectrum_distance_of_the_empty_graph_fails_cleanly(capsys):
+    err = run_err(
+        capsys,
+        [
+            "spectrum",
+            "--family", "cyclic", "--n", "1",
+            "--graph", "proper-power", "--matrix", "distance",
+        ],
+    )
+    assert "error[DisconnectedGraph]" in err
+    assert "empty graph" in err
+
+
 def test_spectrum_respects_bit_cap(monkeypatch, capsys):
     monkeypatch.setenv("PGSPECTRA_MAX_BITS", "4")
     err = run_err(

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from helpers import (
+    catalog_groups,
     cone,
     enhanced_edges_oracle,
     figure1_gamma,
@@ -37,6 +38,7 @@ from pgspectra import (
 )
 from pgspectra.errors import DisconnectedGraph, SizeMismatch
 from pgspectra.groups import prime_power_base
+from pgspectra.theorems import GRAPH_BUILDERS
 
 
 def path_graph(n: int) -> Graph:
@@ -265,10 +267,51 @@ def test_distance_matrix_examples():
     ]
 
 
-@pytest.mark.parametrize("g", SMALL_GROUPS, ids=lambda g: g.spec.describe())
+def assert_distances_match_floyd_warshall(graph: Graph) -> None:
+    expected = floyd_warshall(graph)
+    if expected is None:
+        with pytest.raises(DisconnectedGraph):
+            distance_matrix(graph)
+        with pytest.raises(DisconnectedGraph):
+            diameter(graph)
+    else:
+        assert distance_matrix(graph).to_rows() == expected
+        assert diameter(graph) == max(max(row) for row in expected)
+
+
+@pytest.mark.parametrize(
+    "g",
+    list({g.spec: g for g in SMALL_GROUPS + catalog_groups(64)}.values()),
+    ids=lambda g: g.spec.describe(),
+)
 def test_distance_matrix_matches_floyd_warshall(g):
-    graph = enhanced_power_graph(g)
-    assert distance_matrix(graph).to_rows() == floyd_warshall(graph)
+    # power and enhanced graphs take the universal-vertex route; proper power
+    # graphs without a universal vertex take breadth-first search
+    for build in GRAPH_BUILDERS.values():
+        assert_distances_match_floyd_warshall(build(g))
+
+
+@st.composite
+def graphs_with_or_without_a_universal_vertex(draw) -> Graph:
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [pair for pair, kept in zip(pairs, keep) if kept]
+    if draw(st.booleans()):
+        hub = draw(st.integers(0, n - 1))
+        edges += [(hub, v) for v in range(n) if v != hub]
+    return Graph.from_edges(n, edges)
+
+
+@given(graphs_with_or_without_a_universal_vertex())
+def test_random_graph_distances_match_floyd_warshall(graph):
+    assert_distances_match_floyd_warshall(graph)
+
+
+def test_the_empty_graph_has_no_distances():
+    for measure in (distance_matrix, diameter):
+        with pytest.raises(DisconnectedGraph, match="empty graph"):
+            measure(empty_graph(0))
 
 
 def test_distance_matrix_rejects_disconnected():

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from helpers import (
+    catalog_groups,
     elab_product_join_oracle,
     proper_power_zn_join_oracle,
     record_worker_pools,
@@ -406,18 +407,10 @@ _OUTSIDE_THE_CATALOG = [
 ]
 
 
-def _catalog_groups(max_order: int) -> list:
-    groups = {}
-    for case in enumerate_cases(max_order):
-        group = THEOREMS[case.theorem_id].build_group(case.params_dict())
-        groups.setdefault(group.spec, group)
-    return list(groups.values())
-
-
 @pytest.mark.parametrize("kind", list(GRAPH_BUILDERS))
 @pytest.mark.parametrize(
     "group",
-    _catalog_groups(40) + _OUTSIDE_THE_CATALOG,
+    catalog_groups(40) + _OUTSIDE_THE_CATALOG,
     ids=lambda g: "json" if g.spec is None else g.spec.describe(),
 )
 def test_join_form_of_any_group_verifies_and_predicts_the_spectrum(group, kind):
