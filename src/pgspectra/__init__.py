@@ -35,7 +35,6 @@ from .graphs import (
     empty_graph,
     enhanced_power_graph,
     graph_join,
-    induced_subgraph,
     power_graph,
     proper_power_graph,
     to_dot,

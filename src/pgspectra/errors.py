@@ -61,7 +61,7 @@ class InexactDivision(SpectraError):
 
 
 class DimensionMismatch(SpectraError):
-    """Matrix operands do not conform (addition, product, block assembly)."""
+    """Matrix operands do not conform, or loaded entries are not exact integers."""
 
 
 class HypothesisViolated(SpectraError):

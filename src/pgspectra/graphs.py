@@ -89,14 +89,12 @@ class JoinSpec:
 
 
 def power_graph(g: FiniteGroup) -> Graph:
-    """Distinct elements are adjacent when one is a power of the other."""
-    gen = [frozenset(cyclic_subgroup(g, x)) for x in range(g.order)]
-    edges = [
-        (u, v)
-        for u in range(g.order)
-        for v in range(u + 1, g.order)
-        if v in gen[u] or u in gen[v]
-    ]
+    """Distinct elements are adjacent when one is a power of the other.
+
+    Built in one pass: each element ``x`` is joined to the rest of its
+    cyclic subgroup ``<x>``.
+    """
+    edges = ((x, y) for x in range(g.order) for y in cyclic_subgroup(g, x))
     return Graph.from_edges(g.order, edges)
 
 
@@ -117,21 +115,14 @@ def enhanced_power_graph(g: FiniteGroup) -> Graph:
     return Graph(g.order, tuple(frozenset(s) for s in adj))
 
 
-def induced_subgraph(graph: Graph, keep: Sequence[int]) -> Graph:
-    """Subgraph on ``keep``, relabeled 0..k-1 in ascending original order."""
-    kept = sorted(set(keep))
-    if kept and not (0 <= kept[0] and kept[-1] < graph.vertex_count):
-        raise SizeMismatch("kept vertices outside the graph's vertex range")
-    index = {v: i for i, v in enumerate(kept)}
-    nbrs = tuple(
-        frozenset(index[w] for w in graph.neighbors[v] if w in index) for v in kept
-    )
-    return Graph(len(kept), nbrs)
-
-
 def proper_power_graph(g: FiniteGroup) -> Graph:
-    """Power graph with the identity vertex removed."""
-    return induced_subgraph(power_graph(g), [v for v in range(g.order) if v != g.identity])
+    """Power graph with the identity removed; vertex ``v - 1`` is element ``v``.
+
+    Built in one pass like :func:`power_graph`, over the elements other than
+    the identity (element 0).
+    """
+    edges = ((x - 1, y - 1) for x in range(1, g.order) for y in cyclic_subgroup(g, x) if y)
+    return Graph.from_edges(g.order - 1, edges)
 
 
 # ---------------------------------------------------------------------------

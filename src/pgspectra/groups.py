@@ -172,27 +172,33 @@ def make_elementary_abelian(p: int, n: int) -> FiniteGroup:
         raise InvalidFamilyParameters(f"elementary abelian group needs a prime p, got {p}")
     if n < 1:
         raise InvalidFamilyParameters(f"elementary abelian group needs n >= 1, got {n}")
-    order = p**n
-    digits = []
-    for i in range(order):
-        v, rest = [], i
-        for _ in range(n):
-            rest, d = divmod(rest, p)
-            v.append(d)
-        digits.append(v)
-    table = []
-    for i in range(order):
-        di = digits[i]
-        row = []
-        for j in range(order):
-            dj = digits[j]
-            acc = 0
-            for k in range(n - 1, -1, -1):
-                acc = acc * p + (di[k] + dj[k]) % p
-            row.append(acc)
-        table.append(row)
-    labels = ["(" + ",".join(str(d) for d in v) + ")" for v in digits]
-    return _finish(order, table, labels, spec)
+    places, digits = [p**k for k in range(n)], range(p)
+    table = [[0]]
+    for w in places:  # element d*w + i, for i < w, has top digit d
+        table = [[x + (d + e) % p * w for e in digits for x in r] for d in digits for r in table]
+    labels = ["(" + ",".join(str(i // w % p) for w in places) + ")" for i in range(p**n)]
+    return _finish(p**n, table, labels, spec)
+
+
+def _power(letter: str, k: int) -> str:
+    """The label of ``letter**k``: empty for k = 0, the bare letter for k = 1."""
+    return "" if k == 0 else letter if k == 1 else f"{letter}{k}"
+
+
+def _dihedral_type(m: int, t: int, letter: str, spec: GroupFamilySpec) -> FiniteGroup:
+    """The group ``<a, b | a**m, b**2 = a**t, b a b**-1 = a**-1>`` of order ``2m``.
+
+    Element ``i < m`` is ``a**i``; element ``m + i`` is ``a**i * b``, its
+    label spelling ``b`` as ``letter``.  Products follow from the relations:
+    ``(a**i b**e)(a**j b**f) = a**(i + (-1)**e * j + t*e*f) b**(e + f)``.
+    """
+    table = [
+        [(e ^ f) * m + (i + (-j if e else j) + t * (e & f)) % m for f in (0, 1) for j in range(m)]
+        for e in (0, 1)
+        for i in range(m)
+    ]
+    labels = [_power("a", i) or "e" for i in range(m)] + [_power("a", i) + letter for i in range(m)]
+    return _finish(2 * m, table, labels, spec)
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -204,21 +210,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     spec = admit(GroupFamilySpec("dihedral", (n,)))
     if n < 3:
         raise InvalidFamilyParameters(f"dihedral group needs n >= 3, got {n}")
-    order = 2 * n
-
-    def mul(i1: int, e1: int, i2: int, e2: int) -> int:
-        i = (i1 + (i2 if e1 == 0 else -i2)) % n
-        return (e1 ^ e2) * n + i
-
-    table = [
-        [mul(x % n, x // n, y % n, y // n) for y in range(order)] for x in range(order)
-    ]
-    labels = []
-    for i in range(n):
-        labels.append("e" if i == 0 else ("a" if i == 1 else f"a{i}"))
-    for i in range(n):
-        labels.append("b" if i == 0 else ("ab" if i == 1 else f"a{i}b"))
-    return _finish(order, table, labels, spec)
+    return _dihedral_type(n, 0, "b", spec)
 
 
 def make_dicyclic(n: int) -> FiniteGroup:
@@ -231,22 +223,7 @@ def make_dicyclic(n: int) -> FiniteGroup:
     spec = admit(GroupFamilySpec("dicyclic", (n,)))
     if n < 3:
         raise InvalidFamilyParameters(f"dicyclic group needs n >= 3, got {n}")
-    m = 2 * n
-    order = 4 * n
-
-    def mul(i1: int, e1: int, i2: int, e2: int) -> int:
-        i = (i1 + (i2 if e1 == 0 else -i2) + (n if e1 and e2 else 0)) % m
-        return (e1 ^ e2) * m + i
-
-    table = [
-        [mul(p % m, p // m, q % m, q // m) for q in range(order)] for p in range(order)
-    ]
-    labels = []
-    for i in range(m):
-        labels.append("e" if i == 0 else ("a" if i == 1 else f"a{i}"))
-    for i in range(m):
-        labels.append("x" if i == 0 else ("ax" if i == 1 else f"a{i}x"))
-    return _finish(order, table, labels, spec)
+    return _dihedral_type(2 * n, n, "x", spec)
 
 
 def make_gpq(p: int, q: int) -> FiniteGroup:
@@ -266,22 +243,15 @@ def make_gpq(p: int, q: int) -> FiniteGroup:
             f"gpq needs p | q-1 for a nonabelian group, got p={p}, q={q}"
         )
     r = next(r for r in range(2, q) if pow(r, p, q) == 1)
-    order = p * q
-
-    def mul(i1: int, j1: int, i2: int, j2: int) -> int:
-        # (a^i1 b^j1)(a^i2 b^j2) = a^(i1 + r^j1 * i2) b^(j1 + j2)
-        return ((i1 + pow(r, j1, q) * i2) % q) * p + (j1 + j2) % p
-
+    rj = [pow(r, j, q) for j in range(p)]
+    # (a^i b^j)(a^k b^l) = a^(i + r^j * k) b^(j + l)
     table = [
-        [mul(u // p, u % p, v // p, v % p) for v in range(order)] for u in range(order)
+        [(i + rj[j] * k) % q * p + (j + l) % p for k in range(q) for l in range(p)]
+        for i in range(q)
+        for j in range(p)
     ]
-    labels = []
-    for u in range(order):
-        i, j = u // p, u % p
-        ai = "" if i == 0 else ("a" if i == 1 else f"a{i}")
-        bj = "" if j == 0 else ("b" if j == 1 else f"b{j}")
-        labels.append((ai + bj) or "e")
-    return _finish(order, table, labels, spec)
+    labels = [(_power("a", i) + _power("b", j)) or "e" for i in range(q) for j in range(p)]
+    return _finish(p * q, table, labels, spec)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -289,12 +259,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     order = g.order * h.order
     _check_order(order, "the direct product")
     hn = h.order
-    table = []
-    for a in range(g.order):
-        ga = g.table[a]
-        for b in range(h.order):
-            hb = h.table[b]
-            table.append([ga[c] * hn + hb[d] for c in range(g.order) for d in range(h.order)])
+    table = [[x * hn + y for x in ga for y in hb] for ga in g.table for hb in h.table]
     labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
     spec = None
     if g.spec is not None and h.spec is not None:

@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import os
+import re
 from dataclasses import dataclass
 from operator import mul
 from typing import Iterable, Sequence
@@ -58,6 +59,18 @@ def _check_growth(cap: int, values: Iterable[int], context: str) -> None:
             )
 
 
+_DECIMAL = re.compile(r"-?[0-9]+")
+
+
+def _exact_int(v: object) -> int:
+    """An entering ``int`` or decimal string as an int; anything else raises, never truncates."""
+    if type(v) is int:
+        return v
+    if type(v) is str and _DECIMAL.fullmatch(v):
+        return int(v)
+    raise DimensionMismatch(f"need an integer or its decimal string, got {v!r}")
+
+
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
@@ -87,7 +100,7 @@ class IntMatrix:
         for row in rows:
             if len(row) != c:
                 raise DimensionMismatch("ragged rows")
-            flat.extend(int(v) for v in row)
+            flat.extend(_exact_int(v) for v in row)
         return IntMatrix(r, c, tuple(flat))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
@@ -170,9 +183,9 @@ class IntMatrix:
 
     @staticmethod
     def from_json_obj(obj: dict) -> IntMatrix:
-        rows = [[int(v) for v in row] for row in obj["entries"]]
-        m = IntMatrix.from_rows(rows) if rows else IntMatrix(0, int(obj["cols"]), ())
-        if (m.rows, m.cols) != (int(obj["rows"]), int(obj["cols"])):
+        rows = obj["entries"]
+        m = IntMatrix.from_rows(rows) if rows else IntMatrix(0, _exact_int(obj["cols"]), ())
+        if (m.rows, m.cols) != (_exact_int(obj["rows"]), _exact_int(obj["cols"])):
             raise DimensionMismatch("declared shape disagrees with entries")
         return m
 
@@ -231,7 +244,7 @@ def block(grid: Sequence[Sequence[IntMatrix]]) -> IntMatrix:
 
 
 def _normalize(coeffs: Iterable[int]) -> tuple[int, ...]:
-    out = [int(c) for c in coeffs]
+    out = list(coeffs)
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -249,7 +262,8 @@ class IntPolynomial:
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[int]) -> IntPolynomial:
-        return IntPolynomial(_normalize(coeffs))
+        """Coefficients given as ints or decimal strings; trailing zeros are dropped."""
+        return IntPolynomial(_normalize(map(_exact_int, coeffs)))
 
     @property
     def degree(self) -> int:
@@ -317,7 +331,7 @@ class IntPolynomial:
 
     @staticmethod
     def from_json_obj(obj: dict) -> IntPolynomial:
-        return IntPolynomial.from_coeffs(int(c) for c in obj["coeffs"])
+        return IntPolynomial.from_coeffs(obj["coeffs"])
 
     def pretty(self, var: str = "x") -> str:
         """Human-readable rendering, highest power first."""
@@ -424,7 +438,7 @@ class FactoredPoly:
     def from_json_obj(obj: dict) -> FactoredPoly:
         return FactoredPoly(
             tuple(
-                (IntPolynomial.from_coeffs(int(c) for c in f["coeffs"]), int(f["mult"]))
+                (IntPolynomial.from_coeffs(f["coeffs"]), _exact_int(f["mult"]))
                 for f in obj["factors"]
             )
         )

@@ -718,15 +718,15 @@ def _theorem(theorem_id: str) -> _Theorem:
 
 
 def make_case(theorem_id: str, **params: int) -> TheoremCase:
-    """Build a case for a catalogued theorem, checking parameter names."""
+    """Build a case for a catalogued theorem, checking parameter names and that each is an int."""
     thm = _theorem(theorem_id)
-    if set(params) != set(thm.param_names):
+    if set(params) != set(thm.param_names) or any(type(v) is not int for v in params.values()):
         raise HypothesisViolated(
-            f"{theorem_id} takes parameters {thm.param_names}, got {tuple(sorted(params))}"
+            f"{theorem_id} takes integer parameters {thm.param_names}, got {params}"
         )
     return TheoremCase(
         theorem_id,
-        tuple((k, int(params[k])) for k in thm.param_names),
+        tuple((k, params[k]) for k in thm.param_names),
         thm.graph_kind,
         thm.matrix_kind,
     )

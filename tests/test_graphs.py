@@ -25,7 +25,6 @@ from pgspectra import (
     empty_graph,
     enhanced_power_graph,
     graph_join,
-    induced_subgraph,
     make_cyclic,
     make_dicyclic,
     make_dihedral,
@@ -54,6 +53,9 @@ SMALL_GROUPS = [
     direct_product(make_elementary_abelian(2, 2), make_cyclic(3)),
     direct_product(make_elementary_abelian(2, 2), make_elementary_abelian(3, 2)),
 ]
+
+# The small groups and every distinct group of the order-64 catalog.
+ORACLE_GROUPS = list({g.spec: g for g in SMALL_GROUPS + catalog_groups(64)}.values())
 
 
 # ---------------------------------------------------------------------------
@@ -84,15 +86,6 @@ def test_complete_and_empty():
     assert not empty_graph(2).is_complete()
 
 
-def test_induced_subgraph_relabels_ascending():
-    g = complete_graph(4)
-    h = induced_subgraph(g, [1, 3])
-    assert h.vertex_count == 2
-    assert h.edges() == [(0, 1)]
-    p = path_graph(4)
-    assert induced_subgraph(p, [0, 2, 3]).edges() == [(1, 2)]
-
-
 # ---------------------------------------------------------------------------
 # graphs from groups
 # ---------------------------------------------------------------------------
@@ -117,12 +110,21 @@ def test_power_graph_of_d6():
     assert g.edges() == [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 2)]
 
 
-@pytest.mark.parametrize("g", SMALL_GROUPS, ids=lambda g: g.spec.describe())
+@pytest.mark.parametrize("g", ORACLE_GROUPS, ids=lambda g: g.spec.describe())
 def test_power_graph_matches_witness_scan(g):
     assert set(power_graph(g).edges()) == power_edges_oracle(g)
 
 
-@pytest.mark.parametrize("g", SMALL_GROUPS, ids=lambda g: g.spec.describe())
+@pytest.mark.parametrize("g", ORACLE_GROUPS, ids=lambda g: g.spec.describe())
+def test_proper_power_graph_matches_witness_scan(g):
+    # the oracle's power graph without the identity, element v as vertex v - 1
+    expected = {(u - 1, v - 1) for u, v in power_edges_oracle(g) if u != g.identity}
+    proper = proper_power_graph(g)
+    assert proper.vertex_count == g.order - 1
+    assert set(proper.edges()) == expected
+
+
+@pytest.mark.parametrize("g", ORACLE_GROUPS, ids=lambda g: g.spec.describe())
 def test_enhanced_power_graph_matches_witness_scan(g):
     assert set(enhanced_power_graph(g).edges()) == enhanced_edges_oracle(g)
 
@@ -279,11 +281,7 @@ def assert_distances_match_floyd_warshall(graph: Graph) -> None:
         assert diameter(graph) == max(max(row) for row in expected)
 
 
-@pytest.mark.parametrize(
-    "g",
-    list({g.spec: g for g in SMALL_GROUPS + catalog_groups(64)}.values()),
-    ids=lambda g: g.spec.describe(),
-)
+@pytest.mark.parametrize("g", ORACLE_GROUPS, ids=lambda g: g.spec.describe())
 def test_distance_matrix_matches_floyd_warshall(g):
     # power and enhanced graphs take the universal-vertex route; proper power
     # graphs without a universal vertex take breadth-first search

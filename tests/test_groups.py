@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from helpers import totient_and_divisors
@@ -195,6 +197,47 @@ def test_gpq_group():
 def test_gpq_rejects_bad_params(p: int, q: int):
     with pytest.raises(InvalidFamilyParameters):
         make_gpq(p, q)
+
+
+# ---------------------------------------------------------------------------
+# element layout
+# ---------------------------------------------------------------------------
+
+
+def _el(p: int, n: int) -> GroupFamilySpec:
+    return GroupFamilySpec("elementary-abelian", (p, n))
+
+
+def _product(a: GroupFamilySpec, b: GroupFamilySpec) -> GroupFamilySpec:
+    return GroupFamilySpec("direct-product", (), (a, b))
+
+
+# D_2n for n = 3..64 and 256, Dic_4n for n = 3..32 and 128, every El(p^n) of
+# order at most 256, and the gpq and product groups of the benchmark.
+LAYOUT_SPECS = [
+    *(GroupFamilySpec("dihedral", (n,)) for n in [*range(3, 65), 256]),
+    *(GroupFamilySpec("dicyclic", (n,)) for n in [*range(3, 33), 128]),
+    *(_el(p, n) for p in range(2, 257) if is_prime(p) for n in range(1, 9) if p**n <= 256),
+    GroupFamilySpec("gpq", (3, 139)),
+    _product(_el(2, 3), GroupFamilySpec("cyclic", (63,))),
+    _product(_el(2, 4), _el(3, 3)),
+]
+
+# SHA-256 of ``json.dumps([table, labels])`` for each group above, recorded
+# from the original per-family constructors: every element index and label
+# stays where it was.
+LAYOUT_DIGESTS = json.loads(Path(__file__).with_name("element_layout.json").read_text())
+
+
+def test_layout_digests_name_exactly_the_pinned_groups():
+    assert [spec.describe() for spec in LAYOUT_SPECS] == list(LAYOUT_DIGESTS)
+
+
+@pytest.mark.parametrize("spec", LAYOUT_SPECS, ids=GroupFamilySpec.describe)
+def test_element_layout_is_pinned(spec: GroupFamilySpec):
+    g = make_group(spec)
+    digest = hashlib.sha256(json.dumps([g.table, g.labels]).encode()).hexdigest()
+    assert digest == LAYOUT_DIGESTS[spec.describe()]
 
 
 def test_direct_product_with_trivial_factor():

@@ -235,6 +235,41 @@ def test_factored_pretty_and_json():
 
 
 # ---------------------------------------------------------------------------
+# exact integers where values enter
+# ---------------------------------------------------------------------------
+
+# Each loader takes an int or its decimal string and nothing else; int() would
+# read 1.5 or True as 1 (char_poly of [[1.5]] came out as x - 1).
+LOADERS = {
+    "from_rows": lambda v: IntMatrix.from_rows([[v]]),
+    "matrix_json": lambda v: IntMatrix.from_json_obj({"rows": 1, "cols": 1, "entries": [[v]]}),
+    "matrix_json_shape": lambda v: IntMatrix.from_json_obj(
+        {"rows": v, "cols": 1, "entries": [[1]]}
+    ),
+    "from_coeffs": lambda v: IntPolynomial.from_coeffs([v, 1]),
+    "poly_json": lambda v: IntPolynomial.from_json_obj({"coeffs": [v, "1"]}),
+    "factored_json": lambda v: FactoredPoly.from_json_obj(
+        {"factors": [{"coeffs": [v, "1"], "mult": 1}]}
+    ),
+    "factored_json_mult": lambda v: FactoredPoly.from_json_obj(
+        {"factors": [{"coeffs": ["1", "1"], "mult": v}]}
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "x", "1.5", " 1", None])
+@pytest.mark.parametrize("load", LOADERS.values(), ids=LOADERS.keys())
+def test_loaders_reject_values_that_are_not_exact_integers(load, bad):
+    with pytest.raises(DimensionMismatch, match="integer"):
+        load(bad)
+
+
+@pytest.mark.parametrize("load", LOADERS.values(), ids=LOADERS.keys())
+def test_loaders_take_ints_and_decimal_strings(load):
+    assert load(1) == load("1")
+
+
+# ---------------------------------------------------------------------------
 # characteristic polynomial
 # ---------------------------------------------------------------------------
 

@@ -521,6 +521,13 @@ def test_make_case_validates_names():
         make_case("epg-gpq-distance", p=2, q=3, extra=1)
 
 
+@pytest.mark.parametrize("n", [3.9, 3.0, True, "x", "3"])
+def test_make_case_needs_integer_parameters(n):
+    # int() would have turned n = 3.9 into a verified n = 3
+    with pytest.raises(HypothesisViolated, match="integer"):
+        make_case("epg-dihedral-distance", n=n)
+
+
 def test_verify_single_case():
     report = verify(make_case("epg-gpq-distance", p=2, q=3))
     assert report.equal is True
