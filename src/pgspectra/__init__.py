@@ -74,17 +74,15 @@ from .linalg import (
     zeros,
 )
 from .partitions import (
-    FAMILY_PARTITIONS,
     Partition,
     coarsest_equitable_partition,
     distance_quotient_from_matrix,
     distance_quotient_matrix,
-    family_partition,
     is_equitable,
     quotient_matrix,
-    star_partition,
 )
 from .theorems import (
+    FAMILY_PARTITIONS,
     THEOREM_IDS,
     TheoremCase,
     VerificationReport,
@@ -100,8 +98,10 @@ from .theorems import (
     cf_pg_dihedral_distance_rhs,
     elab_product_BC,
     enumerate_cases,
+    family_partition,
     join_form,
     make_case,
+    star_partition,
     verify,
     verify_sweep,
 )

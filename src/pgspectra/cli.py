@@ -16,7 +16,7 @@ from itertools import chain
 from typing import Callable, Sequence
 
 from .errors import DisconnectedGraph, SpectraError
-from .graphs import Graph, adjacency_matrix, diameter, distance_matrix, to_dot
+from .graphs import MATRIX_KINDS, Graph, diameter, graph_matrix, to_dot
 from .groups import (
     FAMILY_PARAMS,
     FiniteGroup,
@@ -26,7 +26,7 @@ from .groups import (
     make_group,
     order_census,
 )
-from .linalg import IntMatrix, char_poly
+from .linalg import char_poly
 from .theorems import (
     DEFAULT_MAX_ORDER,
     GRAPH_BUILDERS,
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec = sub.add_parser("spectrum", help="exact characteristic polynomial")
     add_family(p_spec)
     p_spec.add_argument("--graph", required=True, choices=tuple(GRAPH_BUILDERS))
-    p_spec.add_argument("--matrix", required=True, choices=("adjacency", "distance"))
+    p_spec.add_argument("--matrix", required=True, choices=MATRIX_KINDS)
     add_artifact_output(p_spec, "spectrum")
 
     p_verify = sub.add_parser("verify", help="check closed forms against brute force")
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_family(p_export)
     p_export.add_argument("--what", required=True, choices=tuple(_EXPORT_FORMATS))
     p_export.add_argument("--graph", dest="graph", choices=tuple(GRAPH_BUILDERS))
-    p_export.add_argument("--matrix", choices=("adjacency", "distance"))
+    p_export.add_argument("--matrix", choices=MATRIX_KINDS)
     p_export.add_argument("--format", choices=sorted(set(chain(*_EXPORT_FORMATS.values()))))
     p_export.add_argument("--output", required=True)
     return parser
@@ -178,10 +178,6 @@ def _graph(args: argparse.Namespace) -> tuple[FiniteGroup, Graph, list[str]]:
     return group, GRAPH_BUILDERS[args.graph](group), labels
 
 
-def _matrix(graph: Graph, kind: str) -> IntMatrix:
-    return distance_matrix(graph) if kind == "distance" else adjacency_matrix(graph)
-
-
 def _group_text(args: argparse.Namespace) -> str:
     group = _group(args)
     census = ", ".join(f"{k}x{v}" for k, v in order_census(group).items())
@@ -208,19 +204,19 @@ def _graph_text(args: argparse.Namespace) -> str:
 def _matrix_renderer(kind: str, fmt: str) -> Callable[[argparse.Namespace], str]:
     def render(args: argparse.Namespace) -> str:
         _, graph, labels = _graph(args)
-        matrix = _matrix(graph, kind)
+        matrix = graph_matrix(graph, kind)
         return matrix.to_csv(labels) if fmt == "csv" else json.dumps(matrix.to_json_obj())
 
     return render
 
 
 def _spectrum_json(args: argparse.Namespace) -> str:
-    return json.dumps(char_poly(_matrix(_graph(args)[1], args.matrix)).to_json_obj())
+    return json.dumps(char_poly(graph_matrix(_graph(args)[1], args.matrix)).to_json_obj())
 
 
 def _spectrum_text(args: argparse.Namespace) -> str:
     group, graph, _labels = _graph(args)
-    matrix = _matrix(graph, args.matrix)
+    matrix = graph_matrix(graph, args.matrix)
     lines = [
         f"{args.graph} graph of {group.spec.describe()}, {args.matrix} matrix "
         f"({matrix.rows}x{matrix.cols})",

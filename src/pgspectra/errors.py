@@ -61,7 +61,7 @@ class InexactDivision(SpectraError):
 
 
 class DimensionMismatch(SpectraError):
-    """Matrix operands do not conform, or loaded entries are not exact integers."""
+    """Matrix operands do not conform, or matrix or polynomial data is malformed."""
 
 
 class HypothesisViolated(SpectraError):

@@ -254,6 +254,16 @@ def adjacency_matrix(graph: Graph) -> IntMatrix:
     return IntMatrix(n, n, tuple(flat))
 
 
+MATRIX_KINDS = ("adjacency", "distance")
+
+
+def graph_matrix(graph: Graph, kind: str) -> IntMatrix:
+    """The ``kind`` matrix of ``graph``, one of :data:`MATRIX_KINDS`, built by name at each call."""
+    if kind not in MATRIX_KINDS:
+        raise ValueError(f"unknown matrix kind {kind!r}; expected one of {MATRIX_KINDS}")
+    return distance_matrix(graph) if kind == "distance" else adjacency_matrix(graph)
+
+
 def to_dot(graph: Graph, labels: Sequence[str] | None = None, name: str = "G") -> str:
     """Graphviz DOT text with deterministic vertex and edge order."""
     if labels is not None and len(labels) != graph.vertex_count:

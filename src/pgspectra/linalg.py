@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -71,6 +70,13 @@ def _exact_int(v: object) -> int:
     raise DimensionMismatch(f"need an integer or its decimal string, got {v!r}")
 
 
+def _json_list(obj: object, key: str) -> list:
+    """The list under ``key`` of a loaded JSON object; anything else raises."""
+    if type(obj) is not dict or type(obj.get(key)) is not list:
+        raise DimensionMismatch(f"need a JSON object with a list under {key!r}")
+    return obj[key]
+
+
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
@@ -94,14 +100,13 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
-        r = len(rows)
-        c = len(rows[0]) if r else 0
+        """Rows as lists or tuples of ints or decimal strings (never one string of digits)."""
         flat: list[int] = []
         for row in rows:
-            if len(row) != c:
-                raise DimensionMismatch("ragged rows")
+            if type(row) not in (list, tuple) or len(row) != len(rows[0]):
+                raise DimensionMismatch("rows must be lists or tuples of one length")
             flat.extend(_exact_int(v) for v in row)
-        return IntMatrix(r, c, tuple(flat))
+        return IntMatrix(len(rows), len(rows[0]) if rows else 0, tuple(flat))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -183,9 +188,10 @@ class IntMatrix:
 
     @staticmethod
     def from_json_obj(obj: dict) -> IntMatrix:
-        rows = obj["entries"]
-        m = IntMatrix.from_rows(rows) if rows else IntMatrix(0, _exact_int(obj["cols"]), ())
-        if (m.rows, m.cols) != (_exact_int(obj["rows"]), _exact_int(obj["cols"])):
+        rows = _json_list(obj, "entries")
+        shape = (_exact_int(obj.get("rows")), _exact_int(obj.get("cols")))
+        m = IntMatrix.from_rows(rows) if rows else IntMatrix(0, shape[1], ())
+        if (m.rows, m.cols) != shape:
             raise DimensionMismatch("declared shape disagrees with entries")
         return m
 
@@ -331,7 +337,7 @@ class IntPolynomial:
 
     @staticmethod
     def from_json_obj(obj: dict) -> IntPolynomial:
-        return IntPolynomial.from_coeffs(obj["coeffs"])
+        return IntPolynomial.from_coeffs(_json_list(obj, "coeffs"))
 
     def pretty(self, var: str = "x") -> str:
         """Human-readable rendering, highest power first."""
@@ -405,11 +411,8 @@ class FactoredPoly:
     factors: tuple[tuple[IntPolynomial, int], ...]
 
     def __post_init__(self) -> None:
-        for base, mult in self.factors:
-            if mult < 1:
-                raise ValueError("factor multiplicities must be >= 1")
-            if not base:
-                raise ValueError("zero polynomial cannot be a factor")
+        if any(mult < 1 or not base for base, mult in self.factors):
+            raise DimensionMismatch("each factor needs a nonzero base and a multiplicity >= 1")
 
     @staticmethod
     def of(*pairs: tuple[IntPolynomial, int]) -> FactoredPoly:
@@ -438,8 +441,8 @@ class FactoredPoly:
     def from_json_obj(obj: dict) -> FactoredPoly:
         return FactoredPoly(
             tuple(
-                (IntPolynomial.from_coeffs(f["coeffs"]), _exact_int(f["mult"]))
-                for f in obj["factors"]
+                (IntPolynomial.from_json_obj(f), _exact_int(f.get("mult")))
+                for f in _json_list(obj, "factors")
             )
         )
 
@@ -455,14 +458,6 @@ class FactoredPoly:
 
 def expand(f: FactoredPoly) -> IntPolynomial:
     return f.expand()
-
-
-def poly_to_json(p: IntPolynomial) -> str:
-    return json.dumps(p.to_json_obj())
-
-
-def poly_from_json(text: str) -> IntPolynomial:
-    return IntPolynomial.from_json_obj(json.loads(text))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ matrix collects those counts; for graphs of diameter at most two the
 distance-quotient matrix follows from it by the two-step distance identity
 
     T^D[i][i] = 2*|V_i| - 2 - T[i][i],      T^D[i][j] = 2*|V_j| - T[i][j].
+
+Nothing here knows about groups: the partitions named after group families
+are cells of join forms, built in :mod:`pgspectra.theorems`.
 """
 
 from __future__ import annotations
@@ -14,32 +17,9 @@ import json
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    DiameterExceedsTwo,
-    FamilyMismatch,
-    NotAPartition,
-    NotEquitable,
-)
+from .errors import DiameterExceedsTwo, NotAPartition, NotEquitable
 from .graphs import Graph, diameter
-from .groups import (
-    FiniteGroup,
-    cyclic_subgroups,
-    element_order,
-    family_of,
-    maximal_cyclic_subgroups,
-)
 from .linalg import IntMatrix
-
-# Star partition name -> the catalog families it is defined on.
-_STAR_PARTITIONS = {
-    "gpq-sylow": ("gpq",),
-    "dihedral": ("dihedral",),
-    "dicyclic": ("dicyclic",),
-    "elab-times-cyclic": ("elementary-abelian", "elab-cyclic"),
-}
-
-#: Names accepted by :func:`family_partition`.
-FAMILY_PARTITIONS = (*_STAR_PARTITIONS, "elab-product-coarse", "elab-product-fine")
 
 
 @dataclass(frozen=True)
@@ -213,70 +193,3 @@ def coarsest_equitable_partition(graph: Graph) -> Partition:
         cells = new_cells
     cells.sort(key=lambda c: c[0])
     return Partition.of(cells)
-
-
-# ---------------------------------------------------------------------------
-# Named structural partitions for each group family
-# ---------------------------------------------------------------------------
-
-
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise FamilyMismatch(message)
-
-
-def _catalog_params(g: FiniteGroup, families: tuple[str, ...]) -> dict[str, int]:
-    """The named parameters of ``g``, once its catalog family is one of ``families``."""
-    if g.spec is None:
-        raise FamilyMismatch("group carries no family information")
-    family, d = family_of(g.spec) or (None, {})
-    _require(family in families, f"needs a {' or '.join(families)} group, got {g.spec.describe()}")
-    if family == "elab-cyclic":
-        _require(d["m"] % d["p"] != 0, "the cyclic order must be coprime to the prime p")
-    if family == "elab-product":
-        _require(d["p"] != d["q"], "the two factor primes must differ")
-    return d
-
-
-def star_partition(g: FiniteGroup) -> Partition:
-    """The enhanced power graph's parts as a star join (the union of cliques
-    on the maximal cyclic subgroups, when those meet only in their core).
-
-    Cells: the core, then each maximal cyclic subgroup minus the core,
-    largest first (ties in lex order), empty ones dropped.  Raises
-    :class:`FamilyMismatch` outside the star families or that premise.
-    """
-    _catalog_params(g, sum(_STAR_PARTITIONS.values(), ()))
-    maximal = sorted(maximal_cyclic_subgroups(g), key=len, reverse=True)  # stable: ties stay lex
-    core = set.intersection(*map(set, maximal))
-    arms = [tuple(v for v in sub if v not in core) for sub in maximal]
-    _require(len(core) + sum(map(len, arms)) == g.order, "maximal subgroups meet outside the core")
-    return Partition((tuple(sorted(core)), *filter(None, arms)))
-
-
-def family_partition(g: FiniteGroup, which: str) -> Partition:
-    """The named vertex partition used by the closed-form quotient results.
-
-    Cell order is part of the contract: the identity cell always comes
-    first, and remaining cells appear in the documented family order so that
-    quotient matrices can be compared entry-for-entry with published forms.
-    The product partitions group El(p^n) x El(q^m) by element order 1, p,
-    pq, q (coarse), or into the identity, the order-p subgroups, their
-    products with the order-q subgroups, and those subgroups (fine).
-    """
-    if which not in FAMILY_PARTITIONS:
-        raise FamilyMismatch(
-            f"unknown partition {which!r}; expected one of {FAMILY_PARTITIONS}"
-        )
-    if which in _STAR_PARTITIONS:
-        _catalog_params(g, _STAR_PARTITIONS[which])
-        return star_partition(g)
-    d = _catalog_params(g, ("elab-product",))
-    p, q = d["p"], d["q"]
-    if which == "elab-product-coarse":
-        orders = [element_order(g, x) for x in range(g.order)]
-        return Partition.of([[x for x, k in enumerate(orders) if k == o] for o in (1, p, p * q, q)])
-    subs = [tuple(v for v in s if v != g.identity) for s in cyclic_subgroups(g)]
-    a_subs, b_subs = ([s for s in subs if len(s) == k - 1] for k in (p, q))
-    mixed = [tuple(sorted(g.mul(a, b) for a in x for b in y)) for x in a_subs for y in b_subs]
-    return Partition(((g.identity,), *a_subs, *mixed, *b_subs))

@@ -1,7 +1,10 @@
 """Closed-form spectrum catalog with a brute-force verification harness.
 
 Each ``cf_*`` function rebuilds a published closed-form characteristic
-polynomial from its printed formula.  The harness turns the catalog into
+polynomial from its printed formula.  :func:`join_form` writes any group's
+power graphs as blow-ups of complete parts; the named family partitions are
+its cells in the published order (the enhanced core then its arms, or the
+power cells ranked by element order).  The harness turns the catalog into
 :class:`TheoremCase` objects, recomputes the same polynomial from scratch
 (group table -> graph -> exact matrix -> characteristic polynomial), and
 reports whether the two routes agree exactly.
@@ -18,6 +21,7 @@ from typing import Callable, Sequence
 
 from .errors import (
     DisconnectedGraph,
+    FamilyMismatch,
     HypothesisViolated,
     InvalidFamilyParameters,
     PartNotComplete,
@@ -25,12 +29,13 @@ from .errors import (
     SpectraError,
 )
 from .graphs import (
+    MATRIX_KINDS,
     Graph,
     JoinSpec,
-    adjacency_matrix,
     complete_graph,
     distance_matrix,
     enhanced_power_graph,
+    graph_matrix,
     power_graph,
     proper_power_graph,
 )
@@ -41,6 +46,7 @@ from .groups import (
     GroupFamilySpec,
     admit,
     cyclic_subgroup,
+    element_order,
     family_of,
     family_spec,
     is_prime,
@@ -181,7 +187,7 @@ def _check_product(p: int, n: int, q: int, m: int) -> None:
 
 def _check_kinds(graph_kind: str, matrix_kind: str) -> None:
     _require(graph_kind in ("power", "enhanced"), f"unknown graph kind {graph_kind!r}")
-    _require(matrix_kind in ("adjacency", "distance"), f"unknown matrix kind {matrix_kind!r}")
+    _require(matrix_kind in MATRIX_KINDS, f"unknown matrix kind {matrix_kind!r}")
 
 
 def _product_t1(p: int, n: int, q: int, m: int, graph_kind: str, matrix_kind: str) -> IntMatrix:
@@ -274,7 +280,7 @@ def elab_product_BC(p: int, n: int, q: int, m: int, matrix_kind: str) -> tuple[I
     """The 2x2 companion matrices whose characteristic polynomials carry the
     repeated factors of the refined quotient's factorization."""
     _check_product(p, n, q, m)
-    _require(matrix_kind in ("adjacency", "distance"), f"unknown matrix kind {matrix_kind!r}")
+    _require(matrix_kind in MATRIX_KINDS, f"unknown matrix kind {matrix_kind!r}")
     pn, qm = p**n, q**m
     if matrix_kind == "adjacency":
         b = IntMatrix.from_rows([[p - 2, (p - 1) * (qm - 1)], [p - 1, (p - 1) * (q - 1) - 1]])
@@ -400,7 +406,7 @@ def cf_join_distance(spec: JoinSpec) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Join forms from the cyclic-subgroup structure of any group
+# Join forms of any group, and the named family partitions read from them
 # ---------------------------------------------------------------------------
 
 
@@ -435,6 +441,73 @@ def join_form(g: FiniteGroup, graph_kind: str) -> tuple[JoinSpec, Partition]:
     part = Partition.of(list(cells.values()))
     outer = Graph.from_edges(len(cells), edges)
     return JoinSpec(outer, tuple(complete_graph(len(cell)) for cell in part.cells)), part
+
+
+# Star partition name -> the catalog families it is defined on.
+_STAR_PARTITIONS = {
+    "gpq-sylow": ("gpq",),
+    "dihedral": ("dihedral",),
+    "dicyclic": ("dicyclic",),
+    "elab-times-cyclic": ("elementary-abelian", "elab-cyclic"),
+}
+
+#: Names accepted by :func:`family_partition`.
+FAMILY_PARTITIONS = (*_STAR_PARTITIONS, "elab-product-coarse", "elab-product-fine")
+
+
+def _mismatch_unless(cond: bool, message: str) -> None:
+    if not cond:
+        raise FamilyMismatch(message)
+
+
+def _catalog_params(g: FiniteGroup, families: tuple[str, ...]) -> dict[str, int]:
+    """The named parameters of ``g``, once its catalog family is one of ``families``."""
+    _mismatch_unless(g.spec is not None, "group carries no family information")
+    family, d = family_of(g.spec) or (None, {})
+    _mismatch_unless(
+        family in families, f"needs a {' or '.join(families)} group, got {g.spec.describe()}"
+    )
+    if family == "elab-cyclic":
+        _mismatch_unless(d["m"] % d["p"] != 0, "the cyclic order must be coprime to the prime p")
+    if family == "elab-product":
+        _mismatch_unless(d["p"] != d["q"], "the two factor primes must differ")
+    return d
+
+
+def star_partition(g: FiniteGroup) -> Partition:
+    """The enhanced join form's cells: the core, then the arms, largest first.
+
+    The form is a star of cliques on the identity's cell (the core) exactly
+    when the maximal cyclic subgroups meet only in that core; each arm is
+    then one of them minus the core, and ties keep lex order.  Raises
+    :class:`FamilyMismatch` outside the star families or that premise.
+    """
+    _catalog_params(g, sum(_STAR_PARTITIONS.values(), ()))
+    spec, part = join_form(g, "enhanced")
+    core, *arms = part.cells
+    _mismatch_unless(spec.outer.edge_count == len(arms), "maximal subgroups meet outside the core")
+    return Partition((core, *sorted(arms, key=lambda arm: (-len(arm), arm))))
+
+
+def family_partition(g: FiniteGroup, which: str) -> Partition:
+    """The named partition whose quotients match the published matrix forms.
+
+    Cells and their order are the contract: the identity's cell first, then
+    the star's arms (:func:`star_partition`), or the power join form's cells
+    of El(p^n) x El(q^m) ranked by element order 1, p, pq, q: every cell,
+    ascending within its rank (fine), or one merged cell per rank (coarse).
+    """
+    if which not in FAMILY_PARTITIONS:
+        raise FamilyMismatch(f"unknown partition {which!r}; expected one of {FAMILY_PARTITIONS}")
+    if which in _STAR_PARTITIONS:
+        _catalog_params(g, _STAR_PARTITIONS[which])
+        return star_partition(g)
+    d = _catalog_params(g, ("elab-product",))
+    rank = {order: r for r, order in enumerate((1, d["p"], d["p"] * d["q"], d["q"]))}
+    ranked = sorted((rank[element_order(g, c[0])], c) for c in join_form(g, "power")[1].cells)
+    if which == "elab-product-fine":
+        return Partition(tuple(cell for _, cell in ranked))
+    return Partition.of([sorted(v for r, cell in ranked if r == k for v in cell) for k in range(4)])
 
 
 # ---------------------------------------------------------------------------
@@ -753,11 +826,7 @@ def verify(case: TheoremCase) -> VerificationReport:
         check_case(case)
         group = thm.build_group(params)
         graph = GRAPH_BUILDERS[case.graph_kind](group)
-        if case.matrix_kind == "distance":
-            matrix = distance_matrix(graph)
-        else:
-            matrix = adjacency_matrix(graph)
-        brute = char_poly(matrix)
+        brute = char_poly(graph_matrix(graph, case.matrix_kind))
         closed = thm.closed_form(params)
         equal: bool | None = closed.expand() == brute if closed is not None else None
         order = group.order

@@ -8,7 +8,8 @@ enhanced-adjacency oracle scans all witness elements directly from the
 Cayley table, the named family partitions are rebuilt from the element
 index layout of each family constructor, and the family join forms are
 the per-family outer graphs (a star, a cone over a Figure-1 template, a
-cone over the divisor graph) that the general ``join_form`` replaced.
+cone over the divisor graph) that the general ``join_form`` replaced, over
+those index-layout cells.
 """
 
 from __future__ import annotations
@@ -25,10 +26,8 @@ from pgspectra import (
     Partition,
     complete_graph,
     cyclic_subgroups,
-    family_partition,
     graph_join,
     make_elementary_abelian,
-    star_partition,
 )
 from pgspectra.errors import InvalidFamilyParameters, SizeMismatch
 from pgspectra.groups import family_of
@@ -320,9 +319,26 @@ def _complete_blow_up(outer: Graph, part: Partition) -> tuple[JoinSpec, Partitio
     return JoinSpec(outer, tuple(complete_graph(len(cell)) for cell in part.cells)), part
 
 
+# Star family -> the name of its partition in ``family_partition_oracle``.
+_STAR_ORACLE_NAMES = {
+    "gpq": "gpq-sylow",
+    "dihedral": "dihedral",
+    "dicyclic": "dicyclic",
+    "elementary-abelian": "elab-times-cyclic",
+    "elab-cyclic": "elab-times-cyclic",
+}
+
+
 def star_join_oracle(g: FiniteGroup) -> tuple[JoinSpec, Partition]:
-    """Enhanced power graph of a star family: a star over ``star_partition``."""
-    part = star_partition(g)
+    """Enhanced power graph of a star family: a star over the index-layout cells.
+
+    A cyclic El(p) x Z_m (m = 1 included) is one complete cell instead.
+    """
+    family, d = family_of(g.spec)
+    if family in ("elementary-abelian", "elab-cyclic") and d["n"] == 1:
+        part = Partition.of([range(g.order)])
+    else:
+        part = Partition(family_partition_oracle(g, _STAR_ORACLE_NAMES[family]))
     star = Graph.from_edges(part.cell_count, [(0, i) for i in range(1, part.cell_count)])
     return _complete_blow_up(star, part)
 
@@ -333,7 +349,8 @@ def elab_product_join_oracle(g: FiniteGroup, enhanced: bool) -> tuple[JoinSpec, 
     alpha = (d["p"] ** d["n"] - 1) // (d["p"] - 1)
     beta = (d["q"] ** d["m"] - 1) // (d["q"] - 1)
     template = figure1_gamma_prime(alpha, beta) if enhanced else figure1_gamma(alpha, beta)
-    return _complete_blow_up(cone(template), family_partition(g, "elab-product-fine"))
+    part = Partition(family_partition_oracle(g, "elab-product-fine"))
+    return _complete_blow_up(cone(template), part)
 
 
 def proper_power_zn_join_oracle(n: int) -> tuple[JoinSpec, Partition]:

@@ -34,7 +34,7 @@ from pgspectra.errors import (
     NotSquare,
 )
 from pgspectra import linalg
-from pgspectra.linalg import MAX_BITS_ENV, poly_from_json, poly_to_json
+from pgspectra.linalg import MAX_BITS_ENV
 from pgspectra.theorems import GRAPH_BUILDERS, THEOREMS, enumerate_cases
 
 
@@ -199,9 +199,9 @@ def test_poly_pretty():
 
 def test_poly_json_roundtrip():
     p = IntPolynomial((-(10**30), 0, 7))
-    text = poly_to_json(p)
+    text = json.dumps(p.to_json_obj())
     assert json.loads(text) == {"coeffs": [str(-(10**30)), "0", "7"]}
-    assert poly_from_json(text) == p
+    assert IntPolynomial.from_json_obj(json.loads(text)) == p
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_factored_of_drops_zero_multiplicity():
 
 
 def test_factored_rejects_bad_multiplicity():
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch):
         FactoredPoly(((x_plus(1), -1),))
 
 
@@ -267,6 +267,48 @@ def test_loaders_reject_values_that_are_not_exact_integers(load, bad):
 @pytest.mark.parametrize("load", LOADERS.values(), ids=LOADERS.keys())
 def test_loaders_take_ints_and_decimal_strings(load):
     assert load(1) == load("1")
+
+
+def _factor(**fields) -> dict:
+    return {"factors": [{"coeffs": ["1", "1"], "mult": 1, **fields}]}
+
+
+# Each loader reads JSON lists and objects only: a string is not the list of
+# its digits, and a missing key, a non-object or a value the type cannot hold
+# is a named error like any other malformed input.
+MALFORMED = {
+    "poly_coeffs_string": lambda: IntPolynomial.from_json_obj({"coeffs": "12"}),
+    "poly_no_coeffs": lambda: IntPolynomial.from_json_obj({}),
+    "poly_not_an_object": lambda: IntPolynomial.from_json_obj(["1", "2"]),
+    "rows_are_strings": lambda: IntMatrix.from_rows(["12", "34"]),
+    "rows_are_ints": lambda: IntMatrix.from_rows([1, 2]),
+    "matrix_rows_are_strings": lambda: IntMatrix.from_json_obj(
+        {"rows": 1, "cols": 2, "entries": ["12"]}
+    ),
+    "matrix_entries_string": lambda: IntMatrix.from_json_obj(
+        {"rows": 2, "cols": 1, "entries": "12"}
+    ),
+    "matrix_row_is_an_int": lambda: IntMatrix.from_json_obj(
+        {"rows": 1, "cols": 1, "entries": [5]}
+    ),
+    "matrix_no_entries": lambda: IntMatrix.from_json_obj({"rows": 0, "cols": 0}),
+    "matrix_no_rows": lambda: IntMatrix.from_json_obj({"cols": 1, "entries": [[1]]}),
+    "matrix_not_an_object": lambda: IntMatrix.from_json_obj([[1]]),
+    "factored_mult_zero": lambda: FactoredPoly.from_json_obj(_factor(mult=0)),
+    "factored_mult_negative": lambda: FactoredPoly.from_json_obj(_factor(mult=-1)),
+    "factored_zero_base": lambda: FactoredPoly.from_json_obj(_factor(coeffs=[])),
+    "factored_coeffs_string": lambda: FactoredPoly.from_json_obj(_factor(coeffs="11")),
+    "factored_no_mult": lambda: FactoredPoly.from_json_obj({"factors": [{"coeffs": ["1", "1"]}]}),
+    "factored_no_factors": lambda: FactoredPoly.from_json_obj({}),
+    "factored_factor_not_an_object": lambda: FactoredPoly.from_json_obj({"factors": ["11"]}),
+    "factored_not_an_object": lambda: FactoredPoly.from_json_obj(None),
+}
+
+
+@pytest.mark.parametrize("load", MALFORMED.values(), ids=MALFORMED.keys())
+def test_loaders_reject_malformed_json_with_a_named_error(load):
+    with pytest.raises(DimensionMismatch):
+        load()
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
 import json
+from itertools import combinations
+from pathlib import Path
 
 import pytest
-from helpers import family_partition_oracle
+from helpers import catalog_groups, family_partition_oracle
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -25,11 +28,13 @@ from pgspectra import (
     group_from_json,
     group_to_json,
     is_equitable,
+    join_form,
     make_cyclic,
     make_dicyclic,
     make_dihedral,
     make_elementary_abelian,
     make_gpq,
+    maximal_cyclic_subgroups,
     power_graph,
     quotient_matrix,
     star_partition,
@@ -457,15 +462,55 @@ def test_cyclic_inputs_get_one_cell(g):
 
 
 def test_star_partition_needs_maximal_subgroups_meeting_only_in_the_core():
-    # Z_2 x Z_4 has the order of D_8, but two of its cyclic subgroups of
-    # order 4 share an element of order 2 that a third maximal one lacks
-    fake = dataclasses.replace(
-        direct_product(make_cyclic(2), make_cyclic(4)), spec=GroupFamilySpec("dihedral", (4,))
-    )
-    with pytest.raises(FamilyMismatch, match="outside the core"):
-        family_partition(fake, "dihedral")
-    with pytest.raises(FamilyMismatch, match="outside the core"):
-        star_partition(fake)
+    rows = [
+        # Z_2 x Z_4 has the order of D_8, but two of its cyclic subgroups of
+        # order 4 share an element of order 2 that a third maximal one lacks
+        ((2, 4), "dihedral", 4),
+        # Z_4 x Z_4 has the order of Dic_16; its six maximal subgroups, all
+        # of order 4, share its three elements of order 2 in pairs, while
+        # their common core is trivial
+        ((4, 4), "dicyclic", 4),
+    ]
+    for factors, name, n in rows:
+        fake = dataclasses.replace(
+            direct_product(*map(make_cyclic, factors)), spec=GroupFamilySpec(name, (n,))
+        )
+        with pytest.raises(FamilyMismatch, match="outside the core"):
+            family_partition(fake, name)
+        with pytest.raises(FamilyMismatch, match="outside the core"):
+            star_partition(fake)
+
+
+def test_enhanced_form_is_a_star_exactly_when_maximal_subgroups_meet_in_their_core():
+    groups = catalog_groups(64) + [
+        direct_product(make_cyclic(2), make_cyclic(4)),
+        direct_product(make_cyclic(4), make_cyclic(4)),
+        direct_product(make_dihedral(4), make_cyclic(3)),
+        direct_product(make_dicyclic(3), make_cyclic(2)),
+    ]
+    seen = set()
+    for g in groups:
+        maximal = [set(sub) for sub in maximal_cyclic_subgroups(g)]
+        core = set.intersection(*maximal)
+        meet_in_core = all(a & b == core for a, b in combinations(maximal, 2))
+        spec, part = join_form(g, "enhanced")
+        assert (spec.outer.edge_count == part.cell_count - 1) == meet_in_core, g.spec.describe()
+        seen.add(meet_in_core)
+    assert seen == {True, False}
+
+
+def test_partitions_module_imports_no_group_code():
+    source = Path(__file__).parents[1] / "src" / "pgspectra" / "partitions.py"
+    imported = set()  # absolute names of modules and of names taken from them
+    for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("pgspectra" if node.level else "", node.module)))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    forbidden = {"pgspectra.groups", "pgspectra.theorems"}
+    assert not imported & forbidden, sorted(imported & forbidden)
 
 
 def test_star_partition_needs_a_star_family():
