@@ -18,11 +18,14 @@ from collections import Counter
 from pathlib import Path
 
 from pgspectra import THEOREM_IDS, verify_sweep
+from pgspectra.theorems import DEFAULT_MAX_ORDER
 
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--max-order", type=int, default=64, help="largest group order to enumerate")
+    ap.add_argument(
+        "--max-order", type=int, default=DEFAULT_MAX_ORDER, help="largest group order to enumerate"
+    )
     ap.add_argument("--jobs", type=int, default=1, help="worker processes")
     ap.add_argument("--output", type=Path, default=Path("verification.jsonl"))
     args = ap.parse_args(argv)

@@ -64,6 +64,7 @@ from .linalg import (
     IntPolynomial,
     block,
     char_poly,
+    dense_char_poly,
     determinant,
     expand,
     identity,

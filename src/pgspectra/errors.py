@@ -77,5 +77,7 @@ class BitGrowthExceeded(SpectraError):
 
     Either a ``char_poly`` output coefficient or a Bareiss pivot exceeded the
     ``PGSPECTRA_MAX_BITS`` cap, or a characteristic-polynomial coefficient
-    bound exceeded the largest prime ``char_poly`` can work modulo.
+    bound exceeded the largest prime ``dense_char_poly`` can work modulo.
+    ``char_poly`` applies that prime bound to its twin-reduced quotient, not
+    to the whole matrix.
     """

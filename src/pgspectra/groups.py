@@ -411,11 +411,13 @@ def group_from_json(text: str) -> FiniteGroup:
         order, identity = obj["order"], obj["identity"]
         _check_order(order, "the serialized group")
         table = [list(row) for row in obj["table"]]
-        labels = [str(s) for s in obj.get("labels") or range(order)]
+        labels = obj.get("labels", [str(i) for i in range(order)])
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidFamilyParameters(f"not a serialized group: {exc!r}") from None
     if {type(v) for row in table for v in row} | {type(order), type(identity)} != {int} or identity:
         raise InvalidFamilyParameters("need integers throughout, and element 0 as the identity")
+    if type(labels) is not list or any(type(s) is not str for s in labels):
+        raise InvalidFamilyParameters("labels, when given, must be a list of strings")
     if len(table) != order or any(len(row) != order for row in table) or len(labels) != order:
         raise InvalidFamilyParameters("table or labels disagree with the declared order")
     # A Latin square whose row 0 and column 0 are the identity map: right

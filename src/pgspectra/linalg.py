@@ -1,10 +1,14 @@
 """Exact integer matrices, polynomials, and characteristic polynomials.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
-point is involved anywhere.  Characteristic polynomials come from Hessenberg
-reduction modulo a Gershgorin-bounded prime (Cohen, *A Course in Computational
-Algebraic Number Theory*, Alg. 2.2.9), certified by a Bareiss determinant;
-determinants come from fraction-free Bareiss elimination.
+point is involved anywhere.  ``char_poly`` first splits off the eigenvalues
+of twins (classes whose rows and columns agree; each merge of two gives one
+linear factor), then runs the dense kernel ``dense_char_poly`` on the small
+quotient that remains, and certifies the factorisation on the original
+matrix.  The kernel is Hessenberg reduction modulo a Gershgorin-bounded
+prime (Cohen, *A Course in Computational Algebraic Number Theory*, Alg.
+2.2.9), certified by a Bareiss determinant; determinants come from
+fraction-free Bareiss elimination.
 
 Polynomials are dense coefficient tuples in ascending order, so
 ``(c0, c1, c2)`` is ``c0 + c1*x + c2*x**2``.
@@ -16,8 +20,11 @@ import csv
 import io
 import os
 import re
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from operator import mul
+from itertools import chain
+from math import comb, prod
+from operator import itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -509,7 +516,12 @@ def _hessenberg_char_poly(rows: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def char_poly(m: IntMatrix) -> IntPolynomial:
+def _certificate_point(rows: list[list[int]]) -> int:
+    """``R + 1`` with ``R`` the largest absolute row sum: Gershgorin's bound."""
+    return max(sum(map(abs, row)) for row in rows) + 1
+
+
+def dense_char_poly(m: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial ``det(xI - m)``, exactly, in O(n^3) operations.
 
     With ``R`` the largest absolute row sum, Gershgorin bounds every
@@ -520,6 +532,10 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     determinant of ``(R + 1)I - m``; a mismatch raises
     :class:`InternalExactnessViolation`.  A bound beyond the largest tabled
     prime raises :class:`BitGrowthExceeded`.
+
+    This is the kernel :func:`char_poly` runs on its twin-reduced quotient;
+    closed-form predictions call it directly, so they never share the
+    reduction with the brute force that checks them.
     """
     if m.rows != m.cols:
         raise NotSquare(f"characteristic polynomial needs a square matrix, got {m.rows}x{m.cols}")
@@ -528,7 +544,7 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
         return IntPolynomial((1,))
     cap = _bit_cap()
     rows = [list(m.row(i)) for i in range(n)]
-    x0 = max(sum(map(abs, row)) for row in rows) + 1
+    x0 = _certificate_point(rows)
     bound = 2 * x0**n
     p = next((2**e - 1 for e in MERSENNE_EXPONENTS if 2**e - 1 > bound), None)
     if p is None:
@@ -541,6 +557,163 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     poly = IntPolynomial(tuple(coeffs))
     if determinant(x0 * identity(n) - m) != poly(x0):
         raise InternalExactnessViolation(f"char_poly: det({x0}I - A) != poly({x0})")
+    return poly
+
+
+#: One merge of a twin reduction: the eigenvalue and the twin cells merged.
+#: Each cell after the first gives the eigenvector ``1_first - 1_cell``.
+TwinMerge = tuple[int, tuple[tuple[int, ...], ...]]
+
+
+def _twin_groups(q: list[list[int]]) -> list[tuple[int, list[int]]]:
+    """Disjoint groups of mutual twin classes of quotient ``q``, each with its eigenvalue.
+
+    Twins X and Y agree in row and column outside {X, Y} and on the diagonal,
+    and ``q[X][Y] == q[Y][X] == t``.  With the diagonal entry of X's row and
+    column set to ``t``, X's key (diagonal, ``t``, row, column) then equals
+    Y's, so each candidate value ``t`` costs one O(k) key per class and no
+    pair is compared.  Twins also share their row and column sums, which
+    leave most classes of a twin-free matrix alone before any key is built.
+    """
+    cols = list(zip(*q))
+    coarse: dict[tuple[int, int, int], list[int]] = defaultdict(list)
+    for i, row in enumerate(q):
+        coarse[row[i], sum(row), sum(cols[i])].append(i)
+    buckets: dict[tuple[int, ...], list[int]] = defaultdict(list)
+    for members in coarse.values():
+        if len(members) < 2:
+            continue
+        pick = itemgetter(*members)
+        for i in members:
+            row, col = q[i], cols[i]
+            values = pick(row)
+            for t in set(values):
+                if t == row[i] and values.count(t) == 1:
+                    continue  # row[i] itself is no twin value
+                key = (row[i], t, *row[:i], t, *row[i + 1 :], *col[:i], t, *col[i + 1 :])
+                buckets[key].append(i)
+    groups = []
+    used: set[int] = set()
+    for (d, t, *_), members in buckets.items():
+        free = [i for i in members if i not in used]
+        if len(free) > 1:
+            used.update(free)
+            groups.append((d - t, free))
+    return groups
+
+
+def _twin_reduction(
+    rows: list[list[int]],
+) -> tuple[list[tuple[int, ...]], list[list[int]], list[TwinMerge]]:
+    """Merge twin classes of ``rows``, starting from singletons, until none remain.
+
+    Returns the final cells, their quotient and the merges in order.  Merging
+    twins keeps the partition equitable, so later passes find twins among
+    classes (such as the arms of a star) that no two vertices show.
+    """
+    cells = [(i,) for i in range(len(rows))]
+    q = rows
+    merges: list[TwinMerge] = []
+    while groups := _twin_groups(q):
+        owner = list(range(len(q)))
+        for lam, members in groups:
+            merges.append((lam, tuple(cells[i] for i in members)))
+            for i in members:
+                owner[i] = members[0]
+        merged: dict[int, list[int]] = defaultdict(list)  # representative -> its classes
+        for i, rep in enumerate(owner):
+            merged[rep].append(i)
+        parts = list(merged.values())
+        cells = [tuple(sorted(chain.from_iterable(cells[i] for i in part))) for part in parts]
+        q = [[sum(map(q[part[0]].__getitem__, other)) for other in parts] for part in parts]
+    return cells, q, merges
+
+
+def _certify_twin_reduction(
+    rows: list[list[int]],
+    cells: list[tuple[int, ...]],
+    q: list[list[int]],
+    merges: list[TwinMerge],
+) -> None:
+    """Check on the original matrix that ``char_poly = char_poly(q) * prod(x - lam)``.
+
+    The merges, replayed from singletons, must each join current cells and
+    end at ``cells``; the eigenvectors ``1_X - 1_Y`` of the merges and the
+    indicator vectors of ``cells`` then form a basis.  ``M P = P q`` for the
+    indicator matrix ``P`` of ``cells``, and ``M v = lam v`` for every merge
+    vector ``v``, so in that basis ``M`` is block diagonal with blocks ``q``
+    and ``diag(lam)``.
+    """
+    n = len(rows)
+    # M @ 1_cell for every current cell of the replay; a merged cell's is the sum.
+    image: dict[tuple[int, ...], Sequence[int]] = {(j,): col for j, col in enumerate(zip(*rows))}
+    for lam, group in merges:
+        if len(set(group)) != len(group) or not all(cell in image for cell in group):
+            raise InternalExactnessViolation("twin reduction merged cells that do not exist")
+        first, *others = group
+        for cell in others:
+            diff = list(map(sub, image[first], image[cell]))
+            for i in first:
+                diff[i] -= lam
+            for i in cell:
+                diff[i] += lam
+            if any(diff):
+                raise InternalExactnessViolation(f"twin reduction: M v != {lam} v")
+        union = tuple(sorted(chain.from_iterable(group)))
+        image[union] = list(map(sum, zip(*(image.pop(cell) for cell in group))))
+    if image.keys() != set(cells) or len(q) + sum(len(g) - 1 for _, g in merges) != n:
+        raise InternalExactnessViolation("twin reduction: merges do not end at its partition")
+    if len(q) != len(cells) or any(len(row) != len(cells) for row in q):
+        raise InternalExactnessViolation("twin reduction: quotient does not fit its partition")
+    owner = [0] * n
+    for c, cell in enumerate(cells):
+        for i in cell:
+            owner[i] = c
+    for c, cell in enumerate(cells):
+        if list(image[cell]) != [q[owner[i]][c] for i in range(n)]:
+            raise InternalExactnessViolation("twin reduction: partition is not equitable")
+
+
+def char_poly(m: IntMatrix) -> IntPolynomial:
+    """Characteristic polynomial ``det(xI - m)``, exactly.
+
+    Twins are split off first.  Classes X and Y of an equitable partition
+    with quotient ``Q`` are twins when their rows and columns of ``Q`` agree
+    outside {X, Y}, ``Q[X][X] = Q[Y][Y]`` and ``Q[X][Y] = Q[Y][X]``; then
+    ``1_X - 1_Y`` is an eigenvector for ``lam = Q[X][X] - Q[X][Y]``, and
+    merging X and Y keeps the partition equitable.  Starting from singletons
+    and merging until no twins remain gives ``char_poly(m) =
+    dense_char_poly(Q) * prod(x - lam)``; power graphs and enhanced power
+    graphs are blow-ups of small outer graphs, so ``Q`` is small.  A
+    twin-free matrix goes straight to :func:`dense_char_poly`.
+
+    The reduction is certified on ``m`` itself: the final partition is
+    equitable, every merge vector is an eigenvector, the merges and ``Q``
+    account for all ``n`` dimensions, and the product agrees with
+    ``det(x0 I - Q) * prod(x0 - lam)`` at the kernel's certificate point
+    ``x0``.  A failure raises :class:`InternalExactnessViolation`.  The
+    ``PGSPECTRA_MAX_BITS`` cap covers every output coefficient and every
+    Bareiss pivot.
+    """
+    if m.rows != m.cols:
+        raise NotSquare(f"characteristic polynomial needs a square matrix, got {m.rows}x{m.cols}")
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    cells, q, merges = _twin_reduction(rows)
+    if not merges:
+        return dense_char_poly(m)
+    _certify_twin_reduction(rows, cells, q, merges)
+    kernel = dense_char_poly(IntMatrix(len(q), len(q), tuple(chain.from_iterable(q))))
+    lams = Counter(lam for lam, group in merges for _ in group[1:])
+    poly = kernel
+    # (x - lam)**mult by the binomial theorem, lowest degrees multiplied first.
+    for lam, mult in sorted(lams.items(), key=lambda lm: lm[1]):
+        power = (comb(mult, k) * (-lam) ** (mult - k) for k in range(mult + 1))
+        poly = poly * IntPolynomial(tuple(power))
+    # dense_char_poly certified kernel(x0) == det(x0 I - Q).
+    x0 = _certificate_point(q)
+    if poly(x0) != kernel(x0) * prod((x0 - lam) ** mult for lam, mult in lams.items()):
+        raise InternalExactnessViolation(f"char_poly: twin product disagrees at {x0}")
+    _check_growth(_bit_cap(), poly.coeffs, "char_poly")
     return poly
 
 

@@ -60,6 +60,7 @@ from .linalg import (
     IntPolynomial,
     block,
     char_poly,
+    dense_char_poly,
     identity,
     kron,
     ones,
@@ -301,7 +302,7 @@ def cf_elab_product(
     pn, qm = p**n, q**m
     alpha = (pn - 1) // (p - 1)
     beta = (qm - 1) // (q - 1)
-    phi_t1 = char_poly(_product_t1(p, n, q, m, graph_kind, matrix_kind))
+    phi_t1 = dense_char_poly(_product_t1(p, n, q, m, graph_kind, matrix_kind))
     b, c = elab_product_BC(p, n, q, m, matrix_kind)
     if matrix_kind == "adjacency":
         middle = x_plus(-(p * q - p - q))  # x - (pq - p - q)
@@ -311,8 +312,8 @@ def cf_elab_product(
         (phi_t1, 1),
         (x_plus(1), pn * qm - (alpha + 1) * (beta + 1)),
         (middle, (alpha - 1) * (beta - 1)),
-        (char_poly(b), alpha - 1),
-        (char_poly(c), beta - 1),
+        (dense_char_poly(b), alpha - 1),
+        (dense_char_poly(c), beta - 1),
     )
 
 
@@ -378,7 +379,7 @@ def cf_join_distance(spec: JoinSpec) -> IntPolynomial:
 
         TD[i][j] = n_j * d(i, j),      TD[i][i] = lambda_i * (n_i - 1),
 
-    and the result is ``char_poly(TD)`` times ``(x + lambda_i)**(n_i - 1)``
+    and the result is ``dense_char_poly(TD)`` times ``(x + lambda_i)**(n_i - 1)``
     per part (Cardoso, de Freitas, Martins, Robbiano, Discrete Math. 313,
     2013).  Nothing is computed from the joined graph itself.
     """
@@ -399,7 +400,7 @@ def cf_join_distance(spec: JoinSpec) -> IntPolynomial:
     td = [[n_j * d for n_j, d in zip(sizes, row)] for row in outer]
     for i, lam in enumerate(lams):
         td[i][i] = lam * (sizes[i] - 1)
-    out = char_poly(IntMatrix.from_rows(td))
+    out = dense_char_poly(IntMatrix.from_rows(td))
     for n_i, lam in zip(sizes, lams):
         out = out * x_plus(lam) ** (n_i - 1)
     return out
@@ -776,8 +777,8 @@ THEOREM_IDS: tuple[str, ...] = tuple(t.theorem_id for t in _THEOREM_LIST)
 
 def _pg_dihedral_closed_form(n: int) -> FactoredPoly:
     zn = make_cyclic(n)
-    pz = char_poly(distance_matrix(power_graph(zn)))
-    pzstar = char_poly(distance_matrix(proper_power_graph(zn)))
+    pz = dense_char_poly(distance_matrix(power_graph(zn)))
+    pzstar = dense_char_poly(distance_matrix(proper_power_graph(zn)))
     return FactoredPoly.of((cf_pg_dihedral_distance_rhs(n, pz, pzstar), 1))
 
 

@@ -39,6 +39,7 @@ from pgspectra import (
     cf_join_distance,
     cf_pg_dihedral_distance_rhs,
     char_poly,
+    dense_char_poly,
     coarsest_equitable_partition,
     determinant,
     direct_product,
@@ -125,7 +126,7 @@ def product_graph(p: int, n: int, q: int, m: int, graph_kind: str) -> Graph:
 
 @lru_cache(maxsize=None)
 def distance_poly(graph: Graph):
-    return char_poly(distance_matrix(graph))
+    return dense_char_poly(distance_matrix(graph))
 
 
 def test_criterion_01_gpq_distance_spectra(criterion):

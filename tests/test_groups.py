@@ -380,6 +380,12 @@ def test_group_json_shape():
     assert obj["identity"] == 0
 
 
+def test_group_json_without_labels_numbers_the_elements():
+    obj = json.loads(group_to_json(make_dihedral(3)))
+    del obj["labels"]
+    assert group_from_json(json.dumps(obj)).labels == ("0", "1", "2", "3", "4", "5")
+
+
 def test_group_json_rejects_nonzero_identity():
     obj = json.loads(group_to_json(make_cyclic(3)))
     obj["identity"] = 1
@@ -400,6 +406,10 @@ _D6 = json.loads(group_to_json(make_dihedral(3)))
         [],  # order 0
         # The rows below are whole JSON texts, not tables.
         pytest.param(json.dumps({**_D6, "labels": ["e"]}), id="short-labels"),
+        pytest.param(json.dumps({**_D6, "labels": "eabcde"}), id="string-labels"),
+        pytest.param(json.dumps({**_D6, "labels": [1, None, "b", "c", "d", "e"]}), id="non-string-labels"),
+        pytest.param(json.dumps({**_D6, "labels": []}), id="empty-labels"),
+        pytest.param(json.dumps({**_D6, "labels": None}), id="null-labels"),
         pytest.param(json.dumps({"order": 1, "identity": 0}), id="missing-key"),
         pytest.param(
             json.dumps({"order": 2, "identity": 0, "table": [[0, 1], [1, "0"]]}), id="string-entry"

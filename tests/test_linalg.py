@@ -1,26 +1,36 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import char_poly_faddeev_oracle, char_poly_oracle, determinant_oracle
+from helpers import (
+    catalog_groups,
+    char_poly_faddeev_oracle,
+    char_poly_oracle,
+    determinant_oracle,
+)
 from pgspectra import (
     FactoredPoly,
+    Graph,
     IntMatrix,
     IntPolynomial,
     adjacency_matrix,
     block,
     char_poly,
+    dense_char_poly,
     determinant,
     distance_matrix,
     expand,
     identity,
     kron,
+    make_dicyclic,
+    make_dihedral,
     ones,
     poly_exact_div,
     x_plus,
@@ -29,6 +39,7 @@ from pgspectra import (
 from pgspectra.errors import (
     BitGrowthExceeded,
     DimensionMismatch,
+    DisconnectedGraph,
     InexactDivision,
     InternalExactnessViolation,
     NotSquare,
@@ -418,10 +429,13 @@ def test_char_poly_matches_faddeev_oracle_on_catalog_matrices():
     ],
 )
 def test_char_poly_where_the_gershgorin_bound_is_attained(n: int, r: int):
+    # The twin reduction takes these to 1 x 1 quotients; dense_char_poly
+    # still meets the lift boundary on the whole matrix.
     scalar = -r * identity(n)  # (x + r)^n, so |c_k| = C(n, k) r^(n-k) exactly
-    assert char_poly(scalar).coeffs == tuple(comb(n, k) * r ** (n - k) for k in range(n + 1))
-    for m in (scalar, r * identity(n), r * ones(n, n)):
-        assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
+    for route in (char_poly, dense_char_poly):
+        assert route(scalar).coeffs == tuple(comb(n, k) * r ** (n - k) for k in range(n + 1))
+        for m in (scalar, r * identity(n), r * ones(n, n)):
+            assert route(m).coeffs == char_poly_faddeev_oracle(m)
 
 
 def test_char_poly_certificate_catches_a_corrupted_kernel(monkeypatch):
@@ -433,15 +447,166 @@ def test_char_poly_certificate_catches_a_corrupted_kernel(monkeypatch):
         return coeffs
 
     monkeypatch.setattr(linalg, "_hessenberg_char_poly", corrupted)
-    with pytest.raises(InternalExactnessViolation):
-        char_poly(IntMatrix.from_rows([[2, 1], [1, 2]]))
+    for route in (char_poly, dense_char_poly):
+        with pytest.raises(InternalExactnessViolation):
+            route(IntMatrix.from_rows([[2, 1], [1, 2]]))
 
 
 def test_char_poly_bound_beyond_the_prime_table(monkeypatch):
     monkeypatch.setattr(linalg, "MERSENNE_EXPONENTS", (61,))
     assert char_poly(IntMatrix.from_rows([[2, 1], [1, 2]])).coeffs == (3, -4, 1)
+    # Distinct diagonal entries leave no twins: the bound 2 * 21**20 > 2**61 - 1
+    # is met on the whole matrix.
+    twin_free = IntMatrix(20, 20, tuple(i + 1 if i == j else 0 for i in range(20) for j in range(20)))
     with pytest.raises(BitGrowthExceeded, match="tabled prime"):
-        char_poly(9 * identity(20))  # bound 2 * 10**20 > 2**61 - 1
+        char_poly(twin_free)
+    with pytest.raises(BitGrowthExceeded, match="tabled prime"):
+        dense_char_poly(9 * identity(20))  # bound 2 * 10**20
+    # The reduced route takes 9I to the 1 x 1 quotient [9], well inside the table.
+    assert char_poly(9 * identity(20)) == x_plus(-9) ** 20
+
+
+# ---------------------------------------------------------------------------
+# twin reduction
+# ---------------------------------------------------------------------------
+
+
+def _plant_twins(rows: list[list[int]], cell: list[int], cross: int) -> list[int]:
+    """Append a copy of ``cell`` to ``rows`` in place; return the copy's indices.
+
+    Each copy keeps its original's row and column outside the two cells and
+    the entries inside the cell; between the cells every entry is ``cross``.
+    A one-vertex cell gives twins with eigenvalue ``d - cross``.  A cell of
+    mutual twins gives twin cells, found only once both cells are classes.
+    """
+    n = len(rows)
+    copy = list(range(n, n + len(cell)))
+    image = dict(zip(cell, copy))
+    for row in rows:
+        row.extend(row[i] for i in cell)
+    for i in cell:
+        rows.append(list(rows[i]))
+    for a in cell:
+        for b in cell:
+            rows[image[a]][image[b]] = rows[a][b]
+            rows[a][image[b]] = rows[image[a]][b] = cross
+    return copy
+
+
+@st.composite
+def matrices_with_planted_twins(draw) -> IntMatrix:
+    """A random, not necessarily symmetric, integer matrix grown by twin copies.
+
+    A vertex gets a few copies with one twin value (closed twins of A when
+    it is 1 and the diagonal 0, open twins when it is 0); then that cell of
+    mutual twins may be copied as a whole with another value.  The vertices
+    are shuffled last.
+    """
+    k = draw(st.integers(1, 4))
+    rows = [draw(st.lists(entries_st, min_size=k, max_size=k)) for _ in range(k)]
+    for _ in range(draw(st.integers(1, 2))):
+        x = draw(st.integers(0, len(rows) - 1))
+        t = draw(st.integers(-3, 3))
+        cell = [x]
+        for _ in range(draw(st.integers(1, 2))):
+            cell += _plant_twins(rows, [x], t)
+        if draw(st.booleans()):
+            _plant_twins(rows, cell, draw(st.integers(-3, 3)))
+    perm = draw(st.permutations(range(len(rows))))
+    n = len(rows)
+    return IntMatrix(n, n, tuple(rows[i][j] for i in perm for j in perm))
+
+
+@st.composite
+def graph_matrices_with_twins(draw) -> IntMatrix:
+    """Adjacency or distance matrix of a random graph with closed and open twins."""
+    k = draw(st.integers(1, 5))
+    edges = {(u, v) for u in range(k) for v in range(u) if draw(st.booleans())}
+    n = k
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.integers(0, n - 1))
+        edges |= {(n, v) for u, v in edges if u == x} | {(n, u) for u, v in edges if v == x}
+        if draw(st.booleans()):
+            edges.add((n, x))  # closed twins
+        n += 1
+    if draw(st.booleans()):
+        edges |= {(n, v) for v in range(n)}  # a universal vertex keeps D defined
+        n += 1
+    graph = Graph.from_edges(n, edges)
+    if draw(st.booleans()):
+        return adjacency_matrix(graph)
+    try:
+        return distance_matrix(graph)
+    except DisconnectedGraph:
+        return adjacency_matrix(graph)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(matrices_with_planted_twins(), graph_matrices_with_twins()))
+def test_reduced_char_poly_matches_faddeev_oracle_on_planted_twins(m: IntMatrix):
+    assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
+
+
+def test_twin_reduction_splits_off_class_twins():
+    # Two copies of a pair of closed twins: the pairs are twin classes only
+    # after the first pass, as the arms of a star are.
+    rows = [[0, 1], [1, 0]]
+    _plant_twins(rows, [0, 1], 2)
+    cells, q, merges = linalg._twin_reduction(rows)
+    assert cells == [(0, 1, 2, 3)] and q == [[1 + 2 * 2]]
+    assert [(lam, len(group)) for lam, group in merges] == [(-1, 2), (-1, 2), (1 - 4, 2)]
+    assert char_poly(IntMatrix.from_rows(rows)) == x_plus(1) ** 2 * x_plus(3) * x_plus(-5)
+
+
+def _wrong_eigenvalue(cells, q, merges):
+    (lam, group), *rest = merges
+    return cells, q, [(lam + 1, group), *rest]
+
+
+def _non_twin_merge(cells, q, merges):
+    # Report the star's centre and its leaves as one more pair of twins.
+    return [(0, 1, 2, 3)], [[sum(q[0])]], [*merges, (0, tuple(cells))]
+
+
+def _corrupted_quotient(cells, q, merges):
+    return cells, [[v + (i == 0 == j) for j, v in enumerate(row)] for i, row in enumerate(q)], merges
+
+
+def _lost_merge(cells, q, merges):
+    *rest, (lam, group) = merges
+    return cells, q, [*rest, (lam, group[:-1])]
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (_wrong_eigenvalue, "M v != "),
+        (_non_twin_merge, "M v != "),
+        (_corrupted_quotient, "not equitable"),
+        (_lost_merge, "do not end at"),
+    ],
+)
+def test_twin_certificate_catches_a_corrupted_reduction(monkeypatch, corrupt, message):
+    reduce = linalg._twin_reduction
+    monkeypatch.setattr(linalg, "_twin_reduction", lambda rows: corrupt(*reduce(rows)))
+    star = IntMatrix.from_rows([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]])
+    with pytest.raises(InternalExactnessViolation, match=message):
+        char_poly(star)
+
+
+def test_reduced_char_poly_matches_dense_on_catalog_graphs():
+    """A and D of every graph kind of every catalog group to order 64, D_128 and Dic_128."""
+    seen = set()
+    for group in [*catalog_groups(64), make_dihedral(64), make_dicyclic(32)]:
+        for build in GRAPH_BUILDERS.values():
+            graph = build(group)
+            matrices = [adjacency_matrix(graph)]
+            with contextlib.suppress(DisconnectedGraph):
+                matrices.append(distance_matrix(graph))
+            for m in matrices:
+                if m.entries not in seen:
+                    seen.add(m.entries)
+                    assert char_poly(m) == dense_char_poly(m), group.spec
 
 
 # ---------------------------------------------------------------------------
@@ -539,13 +704,21 @@ def test_bit_cap_rejects_garbage(monkeypatch):
 
 
 def test_bit_cap_covers_char_poly_certificate(monkeypatch):
-    # x^2 - 1 fits in one bit, but det(2I - m) = 3 and its first pivot 2 need two.
-    m = IntMatrix.from_rows([[0, 1], [1, 0]])
+    # x^2 - x fits in one bit, but det(2I - m) = 2, the last pivot, needs two;
+    # the distinct diagonal leaves no twins, so the certificate runs on m.
+    m = IntMatrix.from_rows([[1, 0], [0, 0]])
     monkeypatch.setenv(MAX_BITS_ENV, "1")
     with pytest.raises(BitGrowthExceeded, match="determinant"):
         char_poly(m)
     monkeypatch.setenv(MAX_BITS_ENV, "2")
-    assert char_poly(m).coeffs == (-1, 0, 1)
+    assert char_poly(m).coeffs == (0, -1, 1)
+    # Dense, x^2 - 1 needs det(2I - A) = 3 and its first pivot 2; reduced to
+    # the 1 x 1 quotient [1] of its twins, it fits in one bit throughout.
+    swap = IntMatrix.from_rows([[0, 1], [1, 0]])
+    monkeypatch.setenv(MAX_BITS_ENV, "1")
+    with pytest.raises(BitGrowthExceeded, match="determinant"):
+        dense_char_poly(swap)
+    assert char_poly(swap).coeffs == (-1, 0, 1)
 
 
 def test_bit_cap_covers_last_bareiss_pivot(monkeypatch):

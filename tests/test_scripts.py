@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from pgspectra import theorems
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -26,6 +28,13 @@ def test_verify_all_writes_one_line_per_case(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert f"{len(reports)} cases in" in summary
     assert "0 falsified" in summary
+
+
+def test_verify_all_default_order_is_the_library_default(tmp_path, monkeypatch):
+    monkeypatch.setattr(theorems, "DEFAULT_MAX_ORDER", 12)
+    out = tmp_path / "verification.jsonl"
+    assert load_script("verify_all").main(["--output", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == len(theorems.enumerate_cases(12))
 
 
 def test_spectra_table_prints_every_family(capsys):

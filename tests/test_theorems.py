@@ -29,6 +29,7 @@ from pgspectra import (
     cf_join_distance,
     cf_pg_dihedral_distance_rhs,
     char_poly,
+    dense_char_poly,
     complete_graph,
     determinant,
     direct_product,
@@ -74,7 +75,7 @@ from pgspectra.theorems import GRAPH_BUILDERS, THEOREMS, closed_form_for, parall
 
 
 def brute_distance_poly(graph) -> IntPolynomial:
-    return char_poly(distance_matrix(graph))
+    return dense_char_poly(distance_matrix(graph))
 
 
 # ---------------------------------------------------------------------------
@@ -770,3 +771,13 @@ def test_parallel_map_clamps_workers(monkeypatch, jobs, n_items, cpus, workers):
     created = record_worker_pools(monkeypatch, cpus)
     assert parallel_map(str, range(n_items), jobs) == [str(i) for i in range(n_items)]
     assert created == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize(
+    "build, n", [(make_dicyclic, 64), (make_dihedral, 128), (make_dicyclic, 128)]
+)
+def test_enhanced_distance_closed_forms_at_orders_256_and_512(build, n):
+    # Dense, one of these takes minutes; twin reduction leaves a 3 x 3 quotient.
+    group = build(n)
+    closed = closed_form_for(group.spec, "enhanced", "distance")
+    assert char_poly(distance_matrix(enhanced_power_graph(group))) == closed.expand()
