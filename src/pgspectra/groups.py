@@ -36,20 +36,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_power_base(n: int) -> int | None:
-    """The prime ``p`` when ``n = p**k`` for some ``k >= 1``, else ``None``."""
-    if n < 2:
-        return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return p if n == 1 else None
-        p += 1
-    return n
-
-
 # ---------------------------------------------------------------------------
 # Group representation
 # ---------------------------------------------------------------------------

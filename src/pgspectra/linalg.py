@@ -22,8 +22,8 @@ import os
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain
-from math import comb, prod
+from itertools import accumulate, chain, repeat
+from math import prod
 from operator import itemgetter, mul, sub
 from typing import Iterable, Sequence
 
@@ -321,6 +321,16 @@ class IntPolynomial:
     def __pow__(self, k: int) -> IntPolynomial:
         if k < 0:
             raise ValueError("negative polynomial power")
+        if self.degree == 1:
+            # (a*x + c)**k by the binomial theorem: coefficient i is
+            # C(k, i) * a**i * c**(k - i), with C(k, i) * a**i kept running.
+            c, a = self.coeffs
+            c_pows = list(accumulate(repeat(c, k), mul, initial=1))
+            out, term = [], 1
+            for i in range(k + 1):
+                out.append(term * c_pows[k - i])
+                term = term * a * (k - i) // (i + 1)
+            return IntPolynomial(tuple(out))
         result = IntPolynomial((1,))
         base = self
         while k:
@@ -705,10 +715,9 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     kernel = dense_char_poly(IntMatrix(len(q), len(q), tuple(chain.from_iterable(q))))
     lams = Counter(lam for lam, group in merges for _ in group[1:])
     poly = kernel
-    # (x - lam)**mult by the binomial theorem, lowest degrees multiplied first.
+    # Lowest degrees multiplied first.
     for lam, mult in sorted(lams.items(), key=lambda lm: lm[1]):
-        power = (comb(mult, k) * (-lam) ** (mult - k) for k in range(mult + 1))
-        poly = poly * IntPolynomial(tuple(power))
+        poly = poly * x_plus(-lam) ** mult
     # dense_char_poly certified kernel(x0) == det(x0 I - Q).
     x0 = _certificate_point(q)
     if poly(x0) != kernel(x0) * prod((x0 - lam) ** mult for lam, mult in lams.items()):

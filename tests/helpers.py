@@ -267,6 +267,20 @@ def family_partition_oracle(g: FiniteGroup, which: str) -> tuple[tuple[int, ...]
 # ---------------------------------------------------------------------------
 
 
+def prime_power_base(n: int) -> int | None:
+    """The prime ``p`` when ``n = p**k`` for some ``k >= 1``, else ``None``."""
+    if n < 2:
+        return None
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return p if n == 1 else None
+        p += 1
+    return n
+
+
 def totient_and_divisors(n: int) -> tuple[int, tuple[int, ...]]:
     """Euler's totient of ``n`` and its proper nontrivial divisors, ascending.
 

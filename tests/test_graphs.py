@@ -12,6 +12,7 @@ from helpers import (
     figure1_gamma_prime,
     floyd_warshall,
     power_edges_oracle,
+    prime_power_base,
 )
 from pgspectra import (
     Graph,
@@ -36,7 +37,6 @@ from pgspectra import (
     verify_join_form,
 )
 from pgspectra.errors import DisconnectedGraph, SizeMismatch
-from pgspectra.groups import prime_power_base
 from pgspectra.theorems import GRAPH_BUILDERS
 
 

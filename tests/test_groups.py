@@ -5,7 +5,7 @@ import json
 from pathlib import Path
 
 import pytest
-from helpers import totient_and_divisors
+from helpers import prime_power_base, totient_and_divisors
 
 from pgspectra import (
     FiniteGroup,
@@ -36,7 +36,6 @@ from pgspectra.groups import (
     family_of,
     family_spec,
     is_prime,
-    prime_power_base,
 )
 
 

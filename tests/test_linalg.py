@@ -6,7 +6,7 @@ import random
 from math import comb
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -163,6 +163,33 @@ def test_poly_arithmetic():
     assert (p**0).coeffs == (1,)
     assert p(5) == 6
     assert (p * q)(3) == 8
+
+
+@example(a=1, c=-3, k=60)
+@example(a=-2, c=0, k=60)
+@example(a=1, c=5, k=60)
+@example(a=7, c=-1, k=0)
+@given(
+    a=st.integers(-(10**6), 10**6).filter(bool),
+    c=st.integers(-(10**6), 10**6),
+    k=st.integers(0, 60),
+)
+def test_linear_power_matches_repeated_multiplication(a: int, c: int, k: int):
+    base = IntPolynomial((c, a))
+    expected = IntPolynomial((1,))
+    for _ in range(k):
+        expected = expected * base
+    assert base**k == expected
+
+
+def test_power_of_constants_zero_and_negative_exponents():
+    assert IntPolynomial((3,)) ** 4 == IntPolynomial((81,))
+    assert IntPolynomial((-2,)) ** 0 == IntPolynomial((1,))
+    assert IntPolynomial() ** 3 == IntPolynomial()
+    assert IntPolynomial() ** 0 == IntPolynomial((1,))
+    for base in (x_plus(1), IntPolynomial((2,)), IntPolynomial(), IntPolynomial((1, 0, 1))):
+        with pytest.raises(ValueError):
+            base**-1
 
 
 def test_poly_leading_and_monic():

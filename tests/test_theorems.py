@@ -67,6 +67,7 @@ from pgspectra.errors import (
     SizeMismatch,
 )
 from pgspectra.groups import MAX_ORDER
+from pgspectra import theorems
 from pgspectra.theorems import check_case
 from pgspectra import GroupFamilySpec, make_group
 from pgspectra.graphs import Graph
@@ -159,6 +160,25 @@ def test_dihedral_recursion_validates_degrees():
         cf_pg_dihedral_distance_rhs(4, x_plus(1), x_plus(1) ** 3)
     with pytest.raises(HypothesisViolated):
         cf_pg_dihedral_distance_rhs(4, x_plus(1) ** 4, x_plus(1))
+
+
+def test_pg_dihedral_prediction_matches_the_brute_force_zn_route():
+    for n in (*range(3, 41), 64):
+        zn = make_cyclic(n)
+        pz = brute_distance_poly(power_graph(zn))
+        pzstar = brute_distance_poly(proper_power_graph(zn))
+        expected = FactoredPoly.of((cf_pg_dihedral_distance_rhs(n, pz, pzstar), 1))
+        assert THEOREMS["pg-dihedral-distance"].closed_form({"n": n}) == expected, n
+
+
+def test_predictions_build_no_graph_and_take_no_reduced_char_poly(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a prediction reached the brute-force pipeline")
+
+    for name in ("char_poly", "power_graph", "proper_power_graph", "enhanced_power_graph"):
+        monkeypatch.setattr(theorems, name, forbidden)
+    for case in enumerate_cases(40):
+        THEOREMS[case.theorem_id].closed_form(case.params_dict())
 
 
 def test_dicyclic_distance_closed_form():
