@@ -42,7 +42,8 @@ from .theorems import (
 )
 
 
-_PARAMS = ("n", "p", "q", "m")  # the --n --p --q --m flags of every family
+# the --n --p --q --m flags: every family parameter, in first-seen order
+_PARAMS = tuple(dict.fromkeys(k for keys in FAMILY_PARAMS.values() for k in keys))
 
 
 class _UsageError(Exception):

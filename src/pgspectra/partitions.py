@@ -13,11 +13,11 @@ are cells of join forms, built in :mod:`pgspectra.theorems`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Sequence
+from operator import itemgetter
+from typing import Callable, Sequence
 
-from .errors import DiameterExceedsTwo, NotAPartition, NotEquitable
+from .errors import DiameterExceedsTwo, NotAPartition, NotEquitable, NotSquare
 from .graphs import Graph, diameter
 from .linalg import IntMatrix
 
@@ -71,22 +71,34 @@ class Partition:
         return idx
 
 
-def partition_to_json_obj(p: Partition) -> dict:
-    return {"cells": [list(cell) for cell in p.cells]}
-
-
-def partition_from_json(text: str) -> Partition:
-    """The partition :func:`partition_to_json_obj` wrote; :class:`NotAPartition` otherwise."""
-    try:
-        cells = [list(cell) for cell in json.loads(text)["cells"]]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise NotAPartition(f"not a serialized partition: {exc!r}") from None
-    return Partition.of(cells)
-
-
 # ---------------------------------------------------------------------------
 # Equitability and quotients
 # ---------------------------------------------------------------------------
+
+
+def _split(cells: Sequence[Sequence[int]], signature: Callable) -> list[tuple]:
+    """Each cell's vertices grouped by ``signature``, as ``(signature, vertices)`` pairs.
+
+    A cell's groups come in sorted signature order, and each group keeps its
+    vertices ascending; cells stay in order.
+    """
+    out: list[tuple] = []
+    for cell in cells:
+        groups: dict = {}
+        for v in cell:
+            groups.setdefault(signature(v), []).append(v)
+        out.extend(sorted(groups.items()))
+    return out
+
+
+def _equitable_quotient(p: Partition, signature: Callable) -> IntMatrix:
+    """The matrix of the cells' common signatures; :class:`NotEquitable` if a cell splits."""
+    split = _split(p.cells, signature)
+    for i, (cell, (_, group)) in enumerate(zip(p.cells, split)):
+        if len(group) < len(cell):
+            other = split[i + 1][1][0]
+            raise NotEquitable(f"vertices {group[0]} and {other} disagree within a cell")
+    return IntMatrix.from_rows([sig for sig, _ in split])
 
 
 def _cell_counts(graph: Graph, idx: list[int], v: int, ncells: int) -> tuple[int, ...]:
@@ -108,14 +120,7 @@ def is_equitable(graph: Graph, p: Partition) -> bool:
 def quotient_matrix(graph: Graph, p: Partition) -> IntMatrix:
     """Adjacency quotient: entry (i, j) counts cell-j neighbors of a cell-i vertex."""
     idx = p.cell_index(graph.vertex_count)
-    rows = []
-    for cell in p.cells:
-        first = _cell_counts(graph, idx, cell[0], p.cell_count)
-        for v in cell[1:]:
-            if _cell_counts(graph, idx, v, p.cell_count) != first:
-                raise NotEquitable(f"vertices {cell[0]} and {v} disagree within a cell")
-        rows.append(list(first))
-    return IntMatrix.from_rows(rows)
+    return _equitable_quotient(p, lambda v: _cell_counts(graph, idx, v, p.cell_count))
 
 
 def distance_quotient_matrix(graph: Graph, p: Partition) -> IntMatrix:
@@ -145,51 +150,31 @@ def distance_quotient_from_matrix(dm: IntMatrix, p: Partition) -> IntMatrix:
     Raises :class:`NotEquitable` when rows within a cell disagree, i.e. the
     partition is not equitable for the distance structure.
     """
-    idx = p.cell_index(dm.rows)
-    ncells = p.cell_count
-    out = []
-    for cell in p.cells:
-        first: list[int] | None = None
-        for v in cell:
-            sums = [0] * ncells
-            row = dm.row(v)
-            for w, dval in enumerate(row):
-                sums[idx[w]] += dval
-            if first is None:
-                first = sums
-            elif sums != first:
-                raise NotEquitable("distance row sums disagree within a cell")
-        assert first is not None
-        out.append(first)
-    return IntMatrix.from_rows(out)
+    if dm.rows != dm.cols:
+        raise NotSquare(f"need a square matrix, got {dm.rows}x{dm.cols}")
+    p.cell_index(dm.rows)  # the cells must cover 0..n-1
+    # itemgetter of a one-vertex cell gives that entry, of a larger cell a tuple
+    getters = [itemgetter(*cell) for cell in p.cells]
+
+    def cell_sums(v: int) -> tuple[int, ...]:
+        row = dm.row(v)
+        return tuple(s if type(s) is int else sum(s) for s in (get(row) for get in getters))
+
+    return _equitable_quotient(p, cell_sums)
 
 
 def coarsest_equitable_partition(graph: Graph) -> Partition:
     """Iterated neighbor-count refinement from the one-cell partition.
 
-    Vertices are split by their tuple of per-cell neighbor counts (compared
-    lexicographically); splitting is stable by vertex index.  The final cell
-    list is sorted by minimum vertex.
+    Each pass splits every cell by its vertices' per-cell neighbor counts
+    (groups in lexicographic count order, vertices ascending) until no cell
+    splits.  The final cell list is sorted by minimum vertex.
     """
     n = graph.vertex_count
-    if n == 0:
-        return Partition(())
-    cells: list[list[int]] = [list(range(n))]
+    p = Partition((tuple(range(n)),) if n else ())
     while True:
-        idx = [0] * n
-        for ci, cell in enumerate(cells):
-            for v in cell:
-                idx[v] = ci
-        ncells = len(cells)
-        new_cells: list[list[int]] = []
-        for cell in cells:
-            groups: dict[tuple[int, ...], list[int]] = {}
-            for v in cell:  # cell is ascending, so grouping stays stable
-                groups.setdefault(_cell_counts(graph, idx, v, ncells), []).append(v)
-            for sig in sorted(groups):
-                new_cells.append(groups[sig])
-        if len(new_cells) == len(cells):
-            break
-        cells = new_cells
-    cells.sort(key=lambda c: c[0])
-    return Partition.of(cells)
+        idx = p.cell_index(n)
+        split = _split(p.cells, lambda v: _cell_counts(graph, idx, v, p.cell_count))
+        if len(split) == p.cell_count:
+            return Partition(tuple(sorted(p.cells)))
+        p = Partition(tuple(tuple(group) for _, group in split))

@@ -89,6 +89,10 @@ def _require(cond: bool, message: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _check_n(n: int) -> None:
+    _require(n >= 3, f"need n >= 3, got n={n}")
+
+
 def _check_gpq(p: int, q: int) -> None:
     _require(is_prime(p) and is_prime(q), f"p and q must be prime, got {p}, {q}")
     _require(p < q, f"need p < q, got p={p}, q={q}")
@@ -123,7 +127,7 @@ def cf_epg_gpq_determinant(p: int, q: int) -> int:
 def cf_epg_dihedral_distance(n: int) -> FactoredPoly:
     """Distance characteristic polynomial of the enhanced power graph of the
     dihedral group of order 2n."""
-    _require(n >= 3, f"dihedral closed form needs n >= 3, got {n}")
+    _check_n(n)
     cubic = IntPolynomial(
         (
             -(n * n + 2 * n - 2),
@@ -149,7 +153,7 @@ def cf_pg_dihedral_distance_rhs(
     (identity removed), both supplied by the caller; the catalog takes them
     from the join forms of Z_n (:func:`cf_join_distance` of :func:`join_form`).
     """
-    _require(n >= 3, f"dihedral recursion needs n >= 3, got {n}")
+    _check_n(n)
     _require(pz.degree == n, f"pz must have degree n={n}, got {pz.degree}")
     _require(pzstar.degree == n - 1, f"pzstar must have degree n-1={n - 1}, got {pzstar.degree}")
     lin = IntPolynomial((2 * (n + 1), 4 * n + 1))  # (4n+1)x + 2(n+1)
@@ -160,7 +164,7 @@ def cf_pg_dihedral_distance_rhs(
 def cf_epg_dicyclic_distance(n: int) -> FactoredPoly:
     """Distance characteristic polynomial of the enhanced power graph of the
     dicyclic group of order 4n."""
-    _require(n >= 3, f"dicyclic closed form needs n >= 3, got {n}")
+    _check_n(n)
     cubic = IntPolynomial(
         (
             -(6 * n - 3),
@@ -181,10 +185,14 @@ def cf_epg_dicyclic_distance(n: int) -> FactoredPoly:
 # ---------------------------------------------------------------------------
 
 
+def _check_elab(p: int, n: int) -> None:
+    _require(is_prime(p) and n >= 1, f"El(p^n) needs a prime p and n >= 1, got El({p}^{n})")
+
+
 def _check_product(p: int, n: int, q: int, m: int) -> None:
-    _require(is_prime(p) and is_prime(q), f"p and q must be prime, got {p}, {q}")
+    _check_elab(p, n)
+    _check_elab(q, m)
     _require(p != q, f"need distinct primes, got p=q={p}")
-    _require(n >= 1 and m >= 1, f"need n, m >= 1, got n={n}, m={m}")
 
 
 def _check_kinds(graph_kind: str, matrix_kind: str) -> None:
@@ -324,7 +332,7 @@ def cf_elab_product(
 
 
 def _check_elab_cyclic(p: int, n: int, m: int) -> None:
-    _require(is_prime(p), f"p must be prime, got {p}")
+    _check_elab(p, n)
     _require(n >= 2, f"need n >= 2, got {n}")
     _require(m >= 1, f"need m >= 1, got {m}")
     _require(m % p != 0, f"need gcd(m, p) = 1, got m={m}, p={p}")
@@ -353,8 +361,7 @@ def cf_elab_times_cyclic_distance(p: int, n: int, m: int) -> FactoredPoly:
 def cf_elab_distance(p: int, n: int) -> FactoredPoly:
     """Distance characteristic polynomial of the enhanced power graph of
     El(p^n) (which coincides with its power graph)."""
-    _require(is_prime(p), f"p must be prime, got {p}")
-    _require(n >= 1, f"need n >= 1, got {n}")
+    _check_elab(p, n)
     pn = p**n
     alpha = (pn - 1) // (p - 1)
     quad = IntPolynomial((-(pn - 1), -(2 * pn - p - 2), 1))
@@ -614,53 +621,42 @@ def _n_cases(max_order: int, per_n: int, n_min: int = 3) -> list[dict[str, int]]
     return [{"n": n} for n in range(n_min, max_order // per_n + 1)]
 
 
+def _prime_powers(limit: int, n_min: int) -> list[tuple[int, int]]:
+    """Every ``(p, n)`` with p prime, ``n >= n_min`` and ``p**n <= limit``."""
+    exponents = range(n_min, limit.bit_length() + 1)
+    return [(p, n) for p in _primes_upto(limit) for n in exponents if p**n <= limit]
+
+
 def _product_cases(max_order: int) -> list[dict[str, int]]:
-    out = []
-    for p in _primes_upto(max_order // 2):
-        for q in _primes_upto(max_order // p):
-            if p == q:
-                continue
-            n = 1
-            while p**n * q <= max_order:
-                m = 1
-                while p**n * q**m <= max_order:
-                    out.append({"p": p, "n": n, "q": q, "m": m})
-                    m += 1
-                n += 1
+    out = [
+        {"p": p, "n": n, "q": q, "m": m}
+        for p, n in _prime_powers(max_order // 2, 1)
+        for q, m in _prime_powers(max_order // p**n, 1)
+        if p != q
+    ]
     out.sort(key=lambda d: (d["p"] ** d["n"] * d["q"] ** d["m"], d["p"], d["n"], d["q"], d["m"]))
     return out
 
 
 def _elab_cyclic_cases(max_order: int) -> list[dict[str, int]]:
-    out = []
-    for p in _primes_upto(max_order):
-        n = 2
-        while p**n * 2 <= max_order:
-            for m in range(2, max_order // p**n + 1):
-                if m % p != 0:
-                    out.append({"p": p, "n": n, "m": m})
-            n += 1
+    out = [
+        {"p": p, "n": n, "m": m}
+        for p, n in _prime_powers(max_order // 2, 2)
+        for m in range(2, max_order // p**n + 1)
+        if m % p != 0
+    ]
     out.sort(key=lambda d: (d["p"] ** d["n"] * d["m"], d["p"], d["n"], d["m"]))
     return out
 
 
 def _elab_cases(max_order: int) -> list[dict[str, int]]:
-    out = []
-    for p in _primes_upto(max_order):
-        n = 1
-        while p**n <= max_order:
-            out.append({"p": p, "n": n})
-            n += 1
+    out = [{"p": p, "n": n} for p, n in _prime_powers(max_order, 1)]
     out.sort(key=lambda d: (d["p"] ** d["n"], d["p"]))
     return out
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
-
-
-def _check_n(d: dict[str, int]) -> None:
-    _require(d["n"] >= 3, "need n >= 3")
 
 
 def _dicyclic_pg_note(params: dict[str, int]) -> str:
@@ -710,7 +706,7 @@ _THEOREM_LIST = (
         "dihedral",
         "enhanced",
         "distance",
-        check=_check_n,
+        check=lambda d: _check_n(d["n"]),
         closed_form=lambda d: cf_epg_dihedral_distance(d["n"]),
         cases=lambda mo: _n_cases(mo, 2),
     ),
@@ -719,7 +715,7 @@ _THEOREM_LIST = (
         "dihedral",
         "power",
         "distance",
-        check=_check_n,
+        check=lambda d: _check_n(d["n"]),
         closed_form=lambda d: _pg_dihedral_closed_form(d["n"]),
         cases=lambda mo: _n_cases(mo, 2),
         # Not looked up: answering would turn `spectrum` and the benchmark's
@@ -732,7 +728,7 @@ _THEOREM_LIST = (
         "dicyclic",
         "enhanced",
         "distance",
-        check=_check_n,
+        check=lambda d: _check_n(d["n"]),
         closed_form=lambda d: cf_epg_dicyclic_distance(d["n"]),
         cases=lambda mo: _n_cases(mo, 4),
     ),
@@ -741,7 +737,7 @@ _THEOREM_LIST = (
         "dicyclic",
         "power",
         "distance",
-        check=_check_n,
+        check=lambda d: _check_n(d["n"]),
         closed_form=lambda d: cf_epg_dicyclic_distance(d["n"])
         if _is_power_of_two(d["n"])
         else None,
@@ -766,7 +762,7 @@ _THEOREM_LIST = (
         "elementary-abelian",
         "enhanced",
         "distance",
-        check=lambda d: _require(is_prime(d["p"]) and d["n"] >= 1, "need prime p and n >= 1"),
+        check=lambda d: _check_elab(d["p"], d["n"]),
         closed_form=lambda d: cf_elab_distance(d["p"], d["n"]),
         cases=_elab_cases,
         note_for=lambda d: _ELAB_NOTE,

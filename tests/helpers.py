@@ -9,7 +9,8 @@ Cayley table, the named family partitions are rebuilt from the element
 index layout of each family constructor, and the family join forms are
 the per-family outer graphs (a star, a cone over a Figure-1 template, a
 cone over the divisor graph) that the general ``join_form`` replaced, over
-those index-layout cells.
+those index-layout cells, and the coarsest equitable partition comes from
+colour refinement on neighbour-colour multisets.
 """
 
 from __future__ import annotations
@@ -172,6 +173,34 @@ def floyd_warshall(graph: Graph) -> list[list[int]] | None:
     if n == 0 or any(d == inf for row in dist for d in row):
         return None
     return dist
+
+
+def coarsest_equitable_cells_oracle(graph: Graph) -> tuple[tuple[int, ...], ...]:
+    """Cells of the coarsest equitable partition, by colour refinement.
+
+    Each round recolours every vertex by its colour and the sorted multiset
+    of its neighbours' colours (one-dimensional Weisfeiler-Leman) until the
+    number of colours stops growing.  Cells are listed by least vertex.
+    """
+    n = graph.vertex_count
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in graph.edges():
+        adj[u].append(v)
+        adj[v].append(u)
+    colour = [0] * n
+    while True:
+        palette: dict[tuple, int] = {}
+        new = [
+            palette.setdefault((colour[v], tuple(sorted(colour[w] for w in adj[v]))), len(palette))
+            for v in range(n)
+        ]
+        if len(palette) == len(set(colour)):
+            break
+        colour = new
+    cells: dict[int, list[int]] = {}
+    for v in range(n):  # a colour first appears at its least vertex
+        cells.setdefault(colour[v], []).append(v)
+    return tuple(tuple(cell) for cell in cells.values())
 
 
 def catalog_groups(max_order: int) -> list[FiniteGroup]:

@@ -397,6 +397,24 @@ def test_n_range_syntax_checked(capsys):
     assert "empty" in run_err(
         capsys, ["verify", "--theorem", "epg-dihedral-distance", "--n-range", "6:3"]
     )
+    assert "integers" in run_err(
+        capsys, ["verify", "--theorem", "epg-dihedral-distance", "--n-range", "a:5"]
+    )
+
+
+def test_n_range_excludes_explicit_parameters(capsys):
+    argv = ["verify", "--theorem", "epg-dihedral-distance", "--n-range", "3:5", "--n", "4"]
+    assert "explicit parameters" in run_err(capsys, argv)
+
+
+def test_group_of_order_zero_is_a_family_error(capsys):
+    err = run_err(capsys, ["group", "--family", "cyclic", "--n", "0"])
+    assert "error[InvalidFamilyParameters]" in err
+
+
+def test_parameter_flags_are_the_family_parameters_in_first_seen_order():
+    # --help lists the flags in this order
+    assert cli._PARAMS == ("n", "p", "q", "m")
 
 
 def test_jobs_must_be_positive(capsys):

@@ -274,6 +274,10 @@ def test_make_group_dispatch():
     assert make_group(nested).order == 12
     with pytest.raises(InvalidFamilyParameters):
         make_group(GroupFamilySpec("frobnicated", (1,)))
+    with pytest.raises(InvalidFamilyParameters, match="parameter"):
+        make_group(GroupFamilySpec("dihedral", (4, 2)))
+    with pytest.raises(InvalidFamilyParameters, match="factor"):
+        make_group(GroupFamilySpec("direct-product", ()))
 
 
 def test_spec_describe():

@@ -88,6 +88,10 @@ def test_matrix_shape_validation():
         IntMatrix(2, 2, (1, 2, 3))
     with pytest.raises(DimensionMismatch):
         IntMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        IntMatrix(-1, 0, ())
+    with pytest.raises(DimensionMismatch):
+        IntMatrix(0, -2, ())
 
 
 def test_matrix_arithmetic():
@@ -376,6 +380,8 @@ def test_char_poly_star_distance_matrix():
 def test_char_poly_requires_square():
     with pytest.raises(NotSquare):
         char_poly(ones(2, 3))
+    with pytest.raises(NotSquare):
+        dense_char_poly(ones(1, 2))
 
 
 def test_char_poly_matches_oracle_on_seeded_matrices():

@@ -2,19 +2,20 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import json
-from itertools import combinations
+import re
+from itertools import accumulate, combinations
 from pathlib import Path
 
 import pytest
-from helpers import catalog_groups, family_partition_oracle
-from hypothesis import given
+from helpers import catalog_groups, coarsest_equitable_cells_oracle, family_partition_oracle
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from pgspectra import (
     FAMILY_PARTITIONS,
     GroupFamilySpec,
     Graph,
+    IntMatrix,
     Partition,
     coarsest_equitable_partition,
     complete_graph,
@@ -36,6 +37,7 @@ from pgspectra import (
     make_gpq,
     maximal_cyclic_subgroups,
     power_graph,
+    proper_power_graph,
     quotient_matrix,
     star_partition,
 )
@@ -45,9 +47,9 @@ from pgspectra.errors import (
     FamilyMismatch,
     NotAPartition,
     NotEquitable,
+    NotSquare,
 )
 from pgspectra.groups import is_prime
-from pgspectra.partitions import partition_from_json, partition_to_json_obj
 
 
 def path_graph(n: int) -> Graph:
@@ -64,6 +66,49 @@ def graphs_st(draw, max_n: int = 7) -> Graph:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep])
+
+
+def _shuffled_cells(rng, sizes: list[int]) -> list[list[int]]:
+    """Cells of the given sizes over a random relabelling of 0..sum(sizes)-1."""
+    order = rng.sample(range(sum(sizes)), sum(sizes))
+    return [sorted(order[end - size : end]) for end, size in zip(accumulate(sizes), sizes)]
+
+
+@st.composite
+def blown_up_graphs_st(draw) -> Graph:
+    """A random outer graph whose vertices become cliques or cocliques, relabelled at random."""
+    outer = draw(graphs_st(max_n=5))
+    k = outer.vertex_count
+    sizes = draw(st.lists(st.integers(1, 4), min_size=k, max_size=k))
+    complete = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    parts = _shuffled_cells(draw(st.randoms(use_true_random=False)), sizes)
+    edges = []
+    for i, part in enumerate(parts):
+        if complete[i]:
+            edges += combinations(part, 2)
+        edges += [(u, v) for j in outer.neighbors[i] for u in part for v in parts[j]]
+    return Graph.from_edges(sum(sizes), edges)
+
+
+@st.composite
+def planted_quotients_st(draw) -> tuple[IntMatrix, list[list[int]], list[list[int]]]:
+    """A random, generally non-symmetric integer matrix, cells and the planted quotient.
+
+    Every row of a vertex of cell i sums to ``quotient[i][j]`` over cell j.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    k = len(sizes)
+    quotient = [[rng.randint(-20, 20) for _ in range(k)] for _ in range(k)]
+    cells = _shuffled_cells(rng, sizes)
+    rows = [[0] * sum(sizes) for _ in range(sum(sizes))]
+    for i, cell in enumerate(cells):
+        for v in cell:
+            for j, target in enumerate(cells):
+                free = [rng.randint(-9, 9) for _ in target[1:]]
+                for w, x in zip(target, [quotient[i][j] - sum(free)] + free):
+                    rows[v][w] = x
+    return IntMatrix.from_rows(rows), cells, quotient
 
 
 # ---------------------------------------------------------------------------
@@ -99,32 +144,9 @@ def test_partition_must_cover_vertex_range():
         p.cell_index(3)
     with pytest.raises(NotAPartition):
         Partition.of([[0], [1]]).cell_index(3)
-
-
-def test_partition_json_roundtrip():
-    p = Partition.of([[0, 2], [1]])
-    obj = partition_to_json_obj(p)
-    assert obj == {"cells": [[0, 2], [1]]}
-    assert partition_from_json(json.dumps(obj)) == p
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "not json",
-        "[]",
-        "{}",
-        '{"cells": 5}',
-        '{"cells": [5]}',
-        '{"cells": [["a"]]}',
-        '{"cells": [[1.5]]}',
-        '{"cells": [[true]]}',
-        '{"cells": [[0, 1], [1]]}',
-    ],
-)
-def test_partition_json_rejects_non_partitions(text):
-    with pytest.raises(NotAPartition):
-        partition_from_json(text)
+    for outside in (-1, 2):
+        with pytest.raises(NotAPartition, match="outside"):
+            Partition.of([sorted((0, outside))]).cell_index(2)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +172,7 @@ def test_quotient_matrix_examples():
 
 def test_quotient_matrix_rejects_inequitable():
     star = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    with pytest.raises(NotEquitable):
+    with pytest.raises(NotEquitable, match="vertices 1 and 0 disagree"):
         quotient_matrix(star, Partition.of([[0, 1], [2, 3]]))
 
 
@@ -246,6 +268,40 @@ def test_distance_row_sums_detect_inequitable_cells():
     dm = distance_matrix(path_graph(4))
     with pytest.raises(NotEquitable):
         distance_quotient_from_matrix(dm, Partition.of([[0, 1, 2, 3]]))
+    with pytest.raises(NotSquare):
+        distance_quotient_from_matrix(IntMatrix(1, 2, (0, 1)), Partition.of([[0]]))
+
+
+@st.composite
+def square_matrices_st(draw) -> IntMatrix:
+    k = draw(st.integers(1, 6))
+    return IntMatrix(k, k, tuple(draw(st.lists(st.integers(-50, 50), min_size=k * k, max_size=k * k))))
+
+
+@given(square_matrices_st())
+def test_singleton_cells_give_back_the_matrix(m: IntMatrix):
+    assert distance_quotient_from_matrix(m, Partition.of([[v] for v in range(m.rows)])) == m
+
+
+@given(planted_quotients_st())
+def test_cell_sums_recover_a_planted_quotient(planted):
+    m, cells, quotient = planted
+    assert distance_quotient_from_matrix(m, Partition.of(cells)).to_rows() == quotient
+
+
+@given(planted_quotients_st(), st.randoms(use_true_random=False))
+def test_one_broken_cell_is_not_equitable(planted, rng):
+    m, cells, _ = planted
+    big = [cell for cell in cells if len(cell) > 1]
+    assume(big)
+    cell = rng.choice(big)
+    v, w = rng.choice(cell), rng.randrange(m.cols)
+    rows = m.to_rows()
+    rows[v][w] += rng.choice((-1, 1))
+    with pytest.raises(NotEquitable) as info:
+        distance_quotient_from_matrix(IntMatrix.from_rows(rows), Partition.of(cells))
+    named = {int(x) for x in re.search(r"vertices (\d+) and (\d+)", str(info.value)).groups()}
+    assert v in named and named <= set(cell) and len(named) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +329,20 @@ def test_coarsest_partition_is_equitable(graph: Graph):
     part = coarsest_equitable_partition(graph)
     assert is_equitable(graph, part)
     assert sorted(part.flatten()) == list(range(graph.vertex_count))
+
+
+@given(st.one_of(graphs_st(max_n=10), blown_up_graphs_st()))
+def test_coarsest_partition_matches_the_colour_refinement_oracle(graph: Graph):
+    assert coarsest_equitable_partition(graph).cells == coarsest_equitable_cells_oracle(graph)
+
+
+def test_coarsest_partition_matches_the_oracle_on_catalog_graphs():
+    for g in catalog_groups(32):
+        for build in (power_graph, enhanced_power_graph, proper_power_graph):
+            graph = build(g)
+            assert coarsest_equitable_partition(graph).cells == coarsest_equitable_cells_oracle(
+                graph
+            ), (g.spec.describe(), build.__name__)
 
 
 @given(graphs_st())

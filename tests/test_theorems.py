@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -607,6 +609,22 @@ def test_enumerate_cases_covers_all_theorems():
     ]
     with pytest.raises(HypothesisViolated):
         enumerate_cases(24, theorem_ids=["nope"])
+
+
+@pytest.mark.parametrize(
+    "max_order, count, digest",
+    [
+        (40, 240, "d7186ea0e31308c1406c9fade150f5ca2a6e6b5af459eaf63d4a9bf8335a5aa5"),
+        (64, 410, "383f6fd03789c52c0e837f840a754f5d7637bff4c5c74284519bba9ad042331e"),
+        (256, 1713, "b326a25dd839c743969b2e1b38efddc557ba0507b4e2fd9982a1af581cf77ec2"),
+        (1024, 6426, "cd7589ad25fe7e9f5ad41f737ff2c091fdb4ef283ea035f15deb1bd556640b6f"),
+    ],
+)
+def test_enumerated_case_lists_are_pinned(max_order, count, digest):
+    # a change to how the case lists are generated must not change the lists
+    cases = enumerate_cases(max_order)
+    text = "\n".join(f"{c.describe()} {c.graph_kind} {c.matrix_kind}" for c in cases)
+    assert (len(cases), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
 def test_case_orders_above_the_cap_are_refused():
