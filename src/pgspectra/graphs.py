@@ -88,41 +88,45 @@ class JoinSpec:
 # ---------------------------------------------------------------------------
 
 
+def _without_loops(adj: list[set[int]]) -> Graph:
+    """The graph whose neighbor sets are ``adj``, each vertex dropped from its own."""
+    for v, s in enumerate(adj):
+        s.discard(v)
+    return Graph(len(adj), tuple(map(frozenset, adj)))
+
+
 def power_graph(g: FiniteGroup) -> Graph:
     """Distinct elements are adjacent when one is a power of the other.
 
-    Built in one pass: each element ``x`` is joined to the rest of its
-    cyclic subgroup ``<x>``.
+    Built straight into neighbor sets: each element ``x`` starts from its
+    cyclic subgroup ``<x>`` and is added to the set of every element of it.
     """
-    edges = ((x, y) for x in range(g.order) for y in cyclic_subgroup(g, x))
-    return Graph.from_edges(g.order, edges)
+    subs = [cyclic_subgroup(g, x) for x in range(g.order)]
+    adj = [set(sub) for sub in subs]
+    for x, sub in enumerate(subs):
+        for y in sub:
+            adj[y].add(x)
+    return _without_loops(adj)
 
 
 def enhanced_power_graph(g: FiniteGroup) -> Graph:
     """Distinct elements are adjacent when some cyclic subgroup contains both.
 
-    Built by marking all pairs inside each cyclic subgroup of the group; the
-    elementwise three-way membership scan is kept as an independent test
-    oracle, not used here.
+    Each element of each cyclic subgroup of the group takes in the whole
+    subgroup; the elementwise three-way membership scan is kept as an
+    independent test oracle, not used here.
     """
     adj: list[set[int]] = [set() for _ in range(g.order)]
     for sub in cyclic_subgroups(g):
-        for i, u in enumerate(sub):
-            adj_u = adj[u]
-            for v in sub[i + 1 :]:
-                adj_u.add(v)
-                adj[v].add(u)
-    return Graph(g.order, tuple(frozenset(s) for s in adj))
+        for u in sub:
+            adj[u].update(sub)
+    return _without_loops(adj)
 
 
 def proper_power_graph(g: FiniteGroup) -> Graph:
-    """Power graph with the identity removed; vertex ``v - 1`` is element ``v``.
-
-    Built in one pass like :func:`power_graph`, over the elements other than
-    the identity (element 0).
-    """
-    edges = ((x - 1, y - 1) for x in range(1, g.order) for y in cyclic_subgroup(g, x) if y)
-    return Graph.from_edges(g.order - 1, edges)
+    """Power graph with the identity (element 0) removed; vertex ``v - 1`` is element ``v``."""
+    rest = power_graph(g).neighbors[1:]
+    return Graph(g.order - 1, tuple(frozenset(v - 1 for v in s if v) for s in rest))
 
 
 # ---------------------------------------------------------------------------

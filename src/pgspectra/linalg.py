@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv
 import io
 import os
-import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
@@ -65,23 +64,11 @@ def _check_growth(cap: int, values: Iterable[int], context: str) -> None:
             )
 
 
-_DECIMAL = re.compile(r"-?[0-9]+")
-
-
 def _exact_int(v: object) -> int:
-    """An entering ``int`` or decimal string as an int; anything else raises, never truncates."""
-    if type(v) is int:
-        return v
-    if type(v) is str and _DECIMAL.fullmatch(v):
-        return int(v)
-    raise DimensionMismatch(f"need an integer or its decimal string, got {v!r}")
-
-
-def _json_list(obj: object, key: str) -> list:
-    """The list under ``key`` of a loaded JSON object; anything else raises."""
-    if type(obj) is not dict or type(obj.get(key)) is not list:
-        raise DimensionMismatch(f"need a JSON object with a list under {key!r}")
-    return obj[key]
+    """An entering ``int``; anything else (bool, float, string) raises, never truncates."""
+    if type(v) is not int:
+        raise DimensionMismatch(f"need an integer, got {v!r}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +94,7 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> IntMatrix:
-        """Rows as lists or tuples of ints or decimal strings (never one string of digits)."""
+        """Rows as lists or tuples of ints (never one string of digits)."""
         flat: list[int] = []
         for row in rows:
             if type(row) not in (list, tuple) or len(row) != len(rows[0]):
@@ -193,15 +180,6 @@ class IntMatrix:
             "entries": [[str(v) for v in self.row(i)] for i in range(self.rows)],
         }
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> IntMatrix:
-        rows = _json_list(obj, "entries")
-        shape = (_exact_int(obj.get("rows")), _exact_int(obj.get("cols")))
-        m = IntMatrix.from_rows(rows) if rows else IntMatrix(0, shape[1], ())
-        if (m.rows, m.cols) != shape:
-            raise DimensionMismatch("declared shape disagrees with entries")
-        return m
-
 
 def identity(n: int) -> IntMatrix:
     return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
@@ -273,9 +251,13 @@ class IntPolynomial:
 
     coeffs: tuple[int, ...] = ()
 
+    def __post_init__(self) -> None:
+        if self.coeffs and not self.coeffs[-1]:
+            raise DimensionMismatch(f"leading coefficient must be nonzero, got {self.coeffs!r}")
+
     @staticmethod
     def from_coeffs(coeffs: Iterable[int]) -> IntPolynomial:
-        """Coefficients given as ints or decimal strings; trailing zeros are dropped."""
+        """Coefficients given as ints; trailing zeros are dropped."""
         return IntPolynomial(_normalize(map(_exact_int, coeffs)))
 
     @property
@@ -346,15 +328,8 @@ class IntPolynomial:
             acc = acc * x + c
         return acc
 
-    def exact_div(self, divisor: IntPolynomial) -> IntPolynomial:
-        return poly_exact_div(self, divisor)
-
     def to_json_obj(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> IntPolynomial:
-        return IntPolynomial.from_coeffs(_json_list(obj, "coeffs"))
 
     def pretty(self, var: str = "x") -> str:
         """Human-readable rendering, highest power first."""
@@ -454,15 +429,6 @@ class FactoredPoly:
             ]
         }
 
-    @staticmethod
-    def from_json_obj(obj: dict) -> FactoredPoly:
-        return FactoredPoly(
-            tuple(
-                (IntPolynomial.from_json_obj(f), _exact_int(f.get("mult")))
-                for f in _json_list(obj, "factors")
-            )
-        )
-
     def pretty(self, var: str = "x") -> str:
         if not self.factors:
             return "1"
@@ -526,6 +492,20 @@ def _hessenberg_char_poly(rows: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
+def _square_rows(m: IntMatrix, what: str) -> list[list[int]]:
+    """The rows of ``m`` as lists, once ``m`` is square with ``int`` entries only.
+
+    ``IntMatrix`` does not check its entries' types; a bool or float would
+    otherwise be read as a number and a string fail deep in the arithmetic.
+    """
+    if m.rows != m.cols:
+        raise NotSquare(f"{what} needs a square matrix, got {m.rows}x{m.cols}")
+    if not set(map(type, m.entries)) <= {int}:
+        bad = next(v for v in m.entries if type(v) is not int)
+        raise DimensionMismatch(f"{what} needs integer entries, got {bad!r}")
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
 def _certificate_point(rows: list[list[int]]) -> int:
     """``R + 1`` with ``R`` the largest absolute row sum: Gershgorin's bound."""
     return max(sum(map(abs, row)) for row in rows) + 1
@@ -547,13 +527,11 @@ def dense_char_poly(m: IntMatrix) -> IntPolynomial:
     closed-form predictions call it directly, so they never share the
     reduction with the brute force that checks them.
     """
-    if m.rows != m.cols:
-        raise NotSquare(f"characteristic polynomial needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
+    rows = _square_rows(m, "characteristic polynomial")
+    n = len(rows)
     if n == 0:
         return IntPolynomial((1,))
     cap = _bit_cap()
-    rows = [list(m.row(i)) for i in range(n)]
     x0 = _certificate_point(rows)
     bound = 2 * x0**n
     p = next((2**e - 1 for e in MERSENNE_EXPONENTS if 2**e - 1 > bound), None)
@@ -705,9 +683,7 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     ``PGSPECTRA_MAX_BITS`` cap covers every output coefficient and every
     Bareiss pivot.
     """
-    if m.rows != m.cols:
-        raise NotSquare(f"characteristic polynomial needs a square matrix, got {m.rows}x{m.cols}")
-    rows = [list(m.row(i)) for i in range(m.rows)]
+    rows = _square_rows(m, "characteristic polynomial")
     cells, q, merges = _twin_reduction(rows)
     if not merges:
         return dense_char_poly(m)
@@ -728,13 +704,11 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
 
 def determinant(m: IntMatrix) -> int:
     """Determinant by fraction-free Bareiss elimination with row pivoting."""
-    if m.rows != m.cols:
-        raise NotSquare(f"determinant needs a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
+    a = _square_rows(m, "determinant")
+    n = len(a)
     if n == 0:
         return 1
     cap = _bit_cap()
-    a = [list(m.row(i)) for i in range(n)]
     sign = 1
     prev = 1
     for k in range(n - 1):
