@@ -85,6 +85,10 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.rows) is not int or type(self.cols) is not int:
+            raise DimensionMismatch(
+                f"matrix dimensions must be integers, got {self.rows!r}x{self.cols!r}"
+            )
         if self.rows < 0 or self.cols < 0:
             raise DimensionMismatch("matrix dimensions must be nonnegative")
         if len(self.entries) != self.rows * self.cols:
@@ -403,8 +407,10 @@ class FactoredPoly:
     factors: tuple[tuple[IntPolynomial, int], ...]
 
     def __post_init__(self) -> None:
-        if any(mult < 1 or not base for base, mult in self.factors):
-            raise DimensionMismatch("each factor needs a nonzero base and a multiplicity >= 1")
+        if any(type(mult) is not int or mult < 1 or not base for base, mult in self.factors):
+            raise DimensionMismatch(
+                "each factor needs a nonzero base and an integer multiplicity >= 1"
+            )
 
     @staticmethod
     def of(*pairs: tuple[IntPolynomial, int]) -> FactoredPoly:

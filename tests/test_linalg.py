@@ -3,6 +3,7 @@ from __future__ import annotations
 import contextlib
 import json
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -202,10 +203,10 @@ def test_poly_leading_and_monic():
     assert IntPolynomial((1, 2)).leading == 2
 
 
-def test_poly_rejects_a_zero_leading_coefficient():
-    for coeffs in ((0,), (3, 0), (1, 2, 0)):
-        with pytest.raises(DimensionMismatch, match="leading coefficient"):
-            IntPolynomial(coeffs)
+@pytest.mark.parametrize("coeffs", [(0,), (3, 0), (1, 2, 0)])
+def test_poly_rejects_a_zero_leading_coefficient(coeffs):
+    with pytest.raises(DimensionMismatch, match="leading coefficient"):
+        IntPolynomial(coeffs)
 
 
 def test_exact_div_examples():
@@ -269,12 +270,6 @@ def test_factored_of_drops_zero_multiplicity():
     assert expand(f) == x_plus(5)
 
 
-def test_factored_rejects_zero_bases_and_multiplicities_below_one():
-    for base, mult in ((x_plus(1), -1), (x_plus(1), 0), (IntPolynomial(), 1)):
-        with pytest.raises(DimensionMismatch):
-            FactoredPoly(((base, mult),))
-
-
 def test_factored_pretty_and_json():
     f = FactoredPoly.of((x_plus(1), 2), (IntPolynomial((-3, -4, 1)), 1))
     assert f.pretty() == "(x + 1)^2 * (x^2 - 4*x - 3)"
@@ -290,29 +285,52 @@ def test_factored_pretty_and_json():
 # exact integers where values enter
 # ---------------------------------------------------------------------------
 
-# Each loader takes an int and nothing else: int() would read 1.5 or True as 1
-# (char_poly of [[1.5]] came out as x - 1), and a string is not a number.
+# Each loader takes an int and nothing else, in every position: int() would
+# read 1.5 or True as 1 (char_poly of [[1.5]] came out as x - 1), and a string
+# is not a number. A matrix shape and a factor's multiplicity are ints too.
 LOADERS = {
     "from_rows": lambda v: IntMatrix.from_rows([[v]]),
+    "from_rows_later_entry": lambda v: IntMatrix.from_rows([[1, 2], [3, v]]),
     "from_coeffs": lambda v: IntPolynomial.from_coeffs([v, 1]),
+    "from_coeffs_leading": lambda v: IntPolynomial.from_coeffs([1, v]),
+    "matrix_shape_rows": lambda v: IntMatrix(v, 1, (1,)),
+    "matrix_shape_cols": lambda v: IntMatrix(1, v, (1,)),
+    "factored_mult": lambda v: FactoredPoly(((x_plus(1), v),)),
 }
 
 
-@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1", "x", "1.5", " 1", None])
+@pytest.mark.parametrize(
+    "bad", [1.5, 1.0, True, False, "1", "x", "1.5", " 1", None, Fraction(1)]
+)
 @pytest.mark.parametrize("load", LOADERS.values(), ids=LOADERS.keys())
 def test_loaders_reject_values_that_are_not_exact_integers(load, bad):
     with pytest.raises(DimensionMismatch, match="integer"):
         load(bad)
 
 
-# A row is a list or tuple: a string is not the list of its digits.
-MALFORMED_ROWS = {"rows_are_strings": ["12", "34"], "rows_are_ints": [1, 2]}
+# Malformed input is a named error, not a bare TypeError or a wrong value: a
+# row is a list or tuple of one length (a string is not the list of its
+# digits), a shape matches its entries, and a factor is a nonzero base with a
+# multiplicity of at least one.
+MALFORMED = {
+    "rows_are_strings": lambda: IntMatrix.from_rows(["12", "34"]),
+    "rows_are_ints": lambda: IntMatrix.from_rows([1, 2]),
+    "rows_one_string": lambda: IntMatrix.from_rows("12"),
+    "rows_ragged": lambda: IntMatrix.from_rows([[1, 2], [3]]),
+    "rows_list_then_string": lambda: IntMatrix.from_rows([[1], "2"]),
+    "coeffs_one_string": lambda: IntPolynomial.from_coeffs("12"),
+    "matrix_negative_shape": lambda: IntMatrix(-1, 0, ()),
+    "matrix_shape_disagrees_with_entries": lambda: IntMatrix(3, 2, (1, 2)),
+    "factored_mult_zero": lambda: FactoredPoly(((x_plus(1), 0),)),
+    "factored_mult_negative": lambda: FactoredPoly(((x_plus(1), -1),)),
+    "factored_zero_base": lambda: FactoredPoly(((IntPolynomial(), 1),)),
+}
 
 
-@pytest.mark.parametrize("rows", MALFORMED_ROWS.values(), ids=MALFORMED_ROWS.keys())
-def test_from_rows_rejects_rows_that_are_not_lists_or_tuples(rows):
+@pytest.mark.parametrize("load", MALFORMED.values(), ids=MALFORMED.keys())
+def test_constructors_reject_malformed_input_with_a_named_error(load):
     with pytest.raises(DimensionMismatch):
-        IntMatrix.from_rows(rows)
+        load()
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +366,7 @@ def test_char_poly_requires_square():
 
 # IntMatrix does not check its entries' types, so the routes that start the
 # linear algebra do: True read as 1 gave x - 1, 1.5 an exactness violation.
-@pytest.mark.parametrize("bad", [True, 1.5, "7"])
+@pytest.mark.parametrize("bad", [True, False, 1.5, 1.0, "7", None, Fraction(1)])
 @pytest.mark.parametrize("route", [char_poly, dense_char_poly, determinant])
 def test_linear_algebra_rejects_entries_that_are_not_ints(route, bad):
     with pytest.raises(DimensionMismatch, match="integer"):
