@@ -44,19 +44,15 @@ def main(argv: list[str] | None = None) -> int:
         print(f"Dic_{4 * n} (order {4 * n:3d})  {cf_epg_dicyclic_distance(n).pretty()}")
 
     print("\n# elementary abelian groups")
-    for p in (2, 3, 5):
-        n = 1
-        while p ** (n + 1) <= mo:
-            n += 1
-            print(f"El({p}^{n}) (order {p**n:3d})  {cf_elab_distance(p, n).pretty()}")
+    for d in THEOREMS["epg-elab-distance"].cases(mo):
+        p, n = d["p"], d["n"]
+        print(f"El({p}^{n}) (order {p**n:3d})  {cf_elab_distance(p, n).pretty()}")
 
     print("\n# El(p^n) x Z_m, enhanced power graph")
-    for p, n in ((2, 2), (2, 3), (3, 2)):
-        for m in range(2, mo // p**n + 1):
-            if m % p == 0:
-                continue
-            f = cf_elab_times_cyclic_distance(p, n, m)
-            print(f"El({p}^{n}) x Z_{m} (order {p**n * m:3d})  {f.pretty()}")
+    for d in THEOREMS["epg-elab-cyclic-distance"].cases(mo):
+        p, n, m = d["p"], d["n"], d["m"]
+        f = cf_elab_times_cyclic_distance(p, n, m)
+        print(f"El({p}^{n}) x Z_{m} (order {p**n * m:3d})  {f.pretty()}")
     return 0
 
 

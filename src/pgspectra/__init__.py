@@ -66,7 +66,6 @@ from .linalg import (
     char_poly,
     dense_char_poly,
     determinant,
-    expand,
     identity,
     kron,
     ones,

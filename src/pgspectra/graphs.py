@@ -20,10 +20,13 @@ from .linalg import IntMatrix
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable simple graph with set-of-neighbor-sets semantics."""
+    """Immutable simple graph: vertex ``v`` of ``0..n-1`` has neighbor set ``neighbors[v]``."""
 
-    vertex_count: int
     neighbors: tuple[frozenset[int], ...]
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.neighbors)
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -35,7 +38,7 @@ class Graph:
                 continue  # simple graph: ignore loops
             adj[u].add(v)
             adj[v].add(u)
-        return Graph(n, tuple(frozenset(s) for s in adj))
+        return Graph(tuple(frozenset(s) for s in adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.neighbors[u]
@@ -57,11 +60,11 @@ class Graph:
 
 def complete_graph(n: int) -> Graph:
     full = frozenset(range(n))
-    return Graph(n, tuple(full - {v} for v in range(n)))
+    return Graph(tuple(full - {v} for v in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph(n, (frozenset(),) * n)
+    return Graph((frozenset(),) * n)
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ def _without_loops(adj: list[set[int]]) -> Graph:
     """The graph whose neighbor sets are ``adj``, each vertex dropped from its own."""
     for v, s in enumerate(adj):
         s.discard(v)
-    return Graph(len(adj), tuple(map(frozenset, adj)))
+    return Graph(tuple(map(frozenset, adj)))
 
 
 def power_graph(g: FiniteGroup) -> Graph:
@@ -125,8 +128,7 @@ def enhanced_power_graph(g: FiniteGroup) -> Graph:
 
 def proper_power_graph(g: FiniteGroup) -> Graph:
     """Power graph with the identity (element 0) removed; vertex ``v - 1`` is element ``v``."""
-    rest = power_graph(g).neighbors[1:]
-    return Graph(g.order - 1, tuple(frozenset(v - 1 for v in s if v) for s in rest))
+    return Graph(tuple(frozenset(v - 1 for v in s if v) for s in power_graph(g).neighbors[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +157,7 @@ def graph_join(spec: JoinSpec) -> Graph:
             adj[ou].update(offsets[j] + w for w in range(spec.parts[j].vertex_count))
         for w in range(spec.parts[j].vertex_count):
             adj[offsets[j] + w].update(offsets[i] + u for u in range(spec.parts[i].vertex_count))
-    return Graph(total, tuple(frozenset(s) for s in adj))
+    return Graph(tuple(frozenset(s) for s in adj))
 
 
 def verify_join_form(graph: Graph, spec: JoinSpec, bijection: Sequence[int]) -> bool:

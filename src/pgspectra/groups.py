@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import ClassVar, Mapping, Sequence
 
 from .errors import InvalidFamilyParameters
 
@@ -64,29 +64,30 @@ class GroupFamilySpec:
 class FiniteGroup:
     """A finite group as an explicit multiplication table.
 
-    ``table[a][b]`` is the product ``a*b``; element 0 is the identity.
-    ``spec`` records which family constructor produced the group (used by
-    family-specific partitions); hand-built tables may leave it ``None``.
+    ``table[a][b]`` is the product ``a*b``; element 0 is the identity and the
+    order is the table's length.  ``spec`` names the family constructor that
+    built the group (for family-specific partitions), or is ``None``.
     """
 
-    order: int
     table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
     labels: tuple[str, ...]
     spec: GroupFamilySpec | None = None
+    identity: ClassVar[int] = 0
+
+    @property
+    def order(self) -> int:
+        return len(self.table)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
     def inv(self, a: int) -> int:
-        return self.inverse[a]
+        return self.table[a].index(0)  # every row is a permutation
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
-            return self.power(self.inverse[a], -k)
-        acc = self.identity
-        base = a
+            return self.power(self.inv(a), -k)
+        acc, base = 0, a
         while k:
             if k & 1:
                 acc = self.table[acc][base]
@@ -96,14 +97,9 @@ class FiniteGroup:
 
 
 def _finish(
-    order: int,
-    table: list[list[int]],
-    labels: Sequence[str],
-    spec: GroupFamilySpec | None,
+    table: list[list[int]], labels: Sequence[str], spec: GroupFamilySpec | None
 ) -> FiniteGroup:
-    tbl = tuple(tuple(row) for row in table)
-    inverse = tuple(row.index(0) for row in tbl)  # every row is a permutation
-    return FiniteGroup(order, tbl, 0, inverse, tuple(labels), spec)
+    return FiniteGroup(tuple(tuple(row) for row in table), tuple(labels), spec)
 
 
 # The largest order built or loaded: four times the benchmark's largest (512).
@@ -144,7 +140,7 @@ def make_cyclic(n: int) -> FiniteGroup:
         raise InvalidFamilyParameters(f"cyclic group needs order >= 1, got {n}")
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = [str(i) for i in range(n)]
-    return _finish(n, table, labels, spec)
+    return _finish(table, labels, spec)
 
 
 def make_elementary_abelian(p: int, n: int) -> FiniteGroup:
@@ -163,7 +159,7 @@ def make_elementary_abelian(p: int, n: int) -> FiniteGroup:
     for w in places:  # element d*w + i, for i < w, has top digit d
         table = [[x + (d + e) % p * w for e in digits for x in r] for d in digits for r in table]
     labels = ["(" + ",".join(str(i // w % p) for w in places) + ")" for i in range(p**n)]
-    return _finish(p**n, table, labels, spec)
+    return _finish(table, labels, spec)
 
 
 def _power(letter: str, k: int) -> str:
@@ -184,7 +180,7 @@ def _dihedral_type(m: int, t: int, letter: str, spec: GroupFamilySpec) -> Finite
         for i in range(m)
     ]
     labels = [_power("a", i) or "e" for i in range(m)] + [_power("a", i) + letter for i in range(m)]
-    return _finish(2 * m, table, labels, spec)
+    return _finish(table, labels, spec)
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -237,20 +233,19 @@ def make_gpq(p: int, q: int) -> FiniteGroup:
         for j in range(p)
     ]
     labels = [(_power("a", i) + _power("b", j)) or "e" for i in range(q) for j in range(p)]
-    return _finish(p * q, table, labels, spec)
+    return _finish(table, labels, spec)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with the row-major pairing ``(a, b) -> a*|H| + b``."""
-    order = g.order * h.order
-    _check_order(order, "the direct product")
+    _check_order(g.order * h.order, "the direct product")
     hn = h.order
     table = [[x * hn + y for x in ga for y in hb] for ga in g.table for hb in h.table]
     labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
     spec = None
     if g.spec is not None and h.spec is not None:
         spec = GroupFamilySpec("direct-product", (), (g.spec, h.spec))
-    return _finish(order, table, labels, spec)
+    return _finish(table, labels, spec)
 
 
 # The family catalog.  Each command-line family name maps to its factors: a
@@ -331,9 +326,9 @@ def element_order(g: FiniteGroup, x: int) -> int:
 
 def cyclic_subgroup(g: FiniteGroup, x: int) -> tuple[int, ...]:
     """The subgroup generated by ``x``, as an ascending element tuple."""
-    seen = [g.identity]
+    seen = [0]
     acc = x
-    while acc != g.identity:
+    while acc != 0:  # until the powers return to the identity
         seen.append(acc)
         acc = g.table[acc][x]
     return tuple(sorted(seen))
@@ -419,4 +414,4 @@ def group_from_json(text: str) -> FiniteGroup:
         raise InvalidFamilyParameters(
             "table is not a Latin square with element 0 as its identity row and column"
         )
-    return _finish(order, table, labels, None)
+    return _finish(table, labels, None)

@@ -445,10 +445,6 @@ class FactoredPoly:
         return " * ".join(parts)
 
 
-def expand(f: FactoredPoly) -> IntPolynomial:
-    return f.expand()
-
-
 # ---------------------------------------------------------------------------
 # Characteristic polynomial and determinant
 # ---------------------------------------------------------------------------

@@ -526,12 +526,28 @@ def family_partition(g: FiniteGroup, which: str) -> Partition:
 
 @dataclass(frozen=True)
 class TheoremCase:
-    """One parameter tuple of one catalogued theorem."""
+    """One int per parameter of a catalogued theorem, which fixes the graph and matrix kinds."""
 
     theorem_id: str
     params: tuple[tuple[str, int], ...]
-    graph_kind: str
-    matrix_kind: str
+
+    def __post_init__(self) -> None:
+        names, pairs = _theorem(self.theorem_id).param_names, self.params
+        well_formed = type(pairs) is tuple and all(
+            type(kv) is tuple and len(kv) == 2 and type(kv[1]) is int for kv in pairs
+        )
+        if not well_formed or tuple(k for k, _v in pairs) != names:
+            raise HypothesisViolated(
+                f"{self.theorem_id} takes integer parameters {names}, got {pairs}"
+            )
+
+    @property
+    def graph_kind(self) -> str:
+        return THEOREMS[self.theorem_id].graph_kind
+
+    @property
+    def matrix_kind(self) -> str:
+        return THEOREMS[self.theorem_id].matrix_kind
 
     def params_dict(self) -> dict[str, int]:
         return dict(self.params)
@@ -791,18 +807,10 @@ def _theorem(theorem_id: str) -> _Theorem:
 
 
 def make_case(theorem_id: str, **params: int) -> TheoremCase:
-    """Build a case for a catalogued theorem, checking parameter names and that each is an int."""
-    thm = _theorem(theorem_id)
-    if set(params) != set(thm.param_names) or any(type(v) is not int for v in params.values()):
-        raise HypothesisViolated(
-            f"{theorem_id} takes integer parameters {thm.param_names}, got {params}"
-        )
-    return TheoremCase(
-        theorem_id,
-        tuple((k, params[k]) for k in thm.param_names),
-        thm.graph_kind,
-        thm.matrix_kind,
-    )
+    """The case of a catalogued theorem with ``params`` in the theorem's parameter order."""
+    rank = {k: i for i, k in enumerate(_theorem(theorem_id).param_names)}
+    ordered = sorted(params.items(), key=lambda kv: rank.get(kv[0], len(rank)))
+    return TheoremCase(theorem_id, tuple(ordered))
 
 
 def check_case(case: TheoremCase) -> None:

@@ -47,7 +47,6 @@ from pgspectra import (
     distance_quotient_matrix,
     elab_product_BC,
     enhanced_power_graph,
-    expand,
     family_partition,
     join_form,
     make_cyclic,
@@ -132,7 +131,7 @@ def distance_poly(graph: Graph):
 def test_criterion_01_gpq_distance_spectra(criterion):
     with criterion(1, budget=5.0):
         for p, q in GPQ_PAIRS:
-            got = expand(cf_epg_gpq_distance(p, q))
+            got = cf_epg_gpq_distance(p, q).expand()
             assert got == distance_poly(gpq_enhanced(p, q)), (p, q)
 
 
@@ -154,7 +153,7 @@ def test_criterion_03_dihedral_enhanced_distance_spectra(criterion):
     with criterion(3, budget=10.0):
         for n in DIHEDRAL_NS:
             graph = enhanced_power_graph(make_dihedral(n))
-            assert expand(cf_epg_dihedral_distance(n)) == distance_poly(graph), n
+            assert cf_epg_dihedral_distance(n).expand() == distance_poly(graph), n
 
 
 def test_criterion_04_dihedral_power_graph_recursion(criterion):
@@ -170,7 +169,7 @@ def test_criterion_04_dihedral_power_graph_recursion(criterion):
 def test_criterion_05_dicyclic_distance_spectra(criterion):
     with criterion(5, budget=20.0):
         for n in DICYCLIC_NS:
-            closed = expand(cf_epg_dicyclic_distance(n))
+            closed = cf_epg_dicyclic_distance(n).expand()
             assert closed == distance_poly(enhanced_power_graph(make_dicyclic(n))), n
             if n in (4, 8):  # power graph coincides when n is a power of two
                 assert closed == distance_poly(power_graph(make_dicyclic(n))), n
@@ -188,7 +187,7 @@ def test_criterion_06_elab_product_all_four_theorems(criterion):
                         brute = char_poly(adjacency_matrix(graph))
                     else:
                         brute = distance_poly(graph)
-                    closed = expand(cf_elab_product(p, n, q, m, graph_kind, matrix_kind))
+                    closed = cf_elab_product(p, n, q, m, graph_kind, matrix_kind).expand()
                     assert closed == brute, (p, n, q, m, graph_kind, matrix_kind)
 
 
@@ -249,11 +248,11 @@ def test_criterion_09_elab_cyclic_and_bare_elab_spectra(criterion):
     with criterion(9, budget=30.0):
         for p, n, m in ELAB_CYCLIC_TUPLES:
             g = direct_product(make_elementary_abelian(p, n), make_cyclic(m))
-            closed = expand(cf_elab_times_cyclic_distance(p, n, m))
+            closed = cf_elab_times_cyclic_distance(p, n, m).expand()
             assert closed == distance_poly(enhanced_power_graph(g)), (p, n, m)
         for p, n in ELAB_TUPLES:
             g = make_elementary_abelian(p, n)
-            closed = expand(cf_elab_distance(p, n))
+            closed = cf_elab_distance(p, n).expand()
             assert closed == distance_poly(enhanced_power_graph(g)), (p, n)
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -69,6 +71,14 @@ def test_from_edges_basics():
     assert g.edge_count == 2
     assert g.has_edge(1, 0)
     assert g.degree(0) == 1
+
+
+def test_a_graph_is_its_neighbor_sets():
+    assert [f.name for f in dataclasses.fields(Graph)] == ["neighbors"]
+    lone = Graph((frozenset(),))
+    assert lone.vertex_count == 1
+    assert adjacency_matrix(lone).rows == 1
+    assert diameter(lone) == 0
 
 
 def test_from_edges_ignores_loops_and_checks_range():

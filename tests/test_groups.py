@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -96,6 +97,12 @@ def test_group_axioms(g: FiniteGroup):
         assert g.mul(a, e) == a
         assert g.mul(a, g.inv(a)) == e
         assert g.mul(g.inv(a), a) == e
+
+
+def test_a_group_stores_its_table_labels_and_spec():
+    g = make_dihedral(4)
+    assert [f.name for f in dataclasses.fields(FiniteGroup)] == ["table", "labels", "spec"]
+    assert (g.order, g.identity) == (len(g.table), 0) == (8, 0)
 
 
 def test_associativity_scales_to_order_200():
@@ -373,7 +380,7 @@ def test_group_json_roundtrip():
     assert back.order == g.order
     assert back.table == g.table
     assert back.labels == g.labels
-    assert back.inverse == g.inverse
+    assert [back.inv(a) for a in range(6)] == [g.inv(a) for a in range(6)] == [0, 1, 4, 3, 2, 5]
     assert back.spec is None  # provenance is not serialized
 
 

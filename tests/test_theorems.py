@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from pgspectra import (
     IntPolynomial,
     JoinSpec,
     THEOREM_IDS,
+    TheoremCase,
     adjacency_matrix,
     build_T1_T2,
     cf_elab_distance,
@@ -41,7 +44,6 @@ from pgspectra import (
     empty_graph,
     enhanced_power_graph,
     enumerate_cases,
-    expand,
     family_partition,
     graph_join,
     group_from_json,
@@ -88,7 +90,7 @@ def brute_distance_poly(graph) -> IntPolynomial:
 
 def test_gpq_distance_smallest_case():
     f = cf_epg_gpq_distance(2, 3)
-    assert expand(f).coeffs == (-52, -204, -285, -174, -42, 0, 1)
+    assert f.expand().coeffs == (-52, -204, -285, -174, -42, 0, 1)
     assert f.degree == 6
     # factor structure: (x+1)^1 (x+2)^2 (x^3 - 5x^2 - 25x - 13)
     assert (x_plus(1), 1) in f.factors
@@ -107,7 +109,7 @@ def test_gpq_distance_next_odd_case():
 def test_gpq_distance_matches_brute_force():
     for p, q in [(2, 3), (2, 5)]:
         g = make_gpq(p, q)
-        assert expand(cf_epg_gpq_distance(p, q)) == brute_distance_poly(
+        assert cf_epg_gpq_distance(p, q).expand() == brute_distance_poly(
             enhanced_power_graph(g)
         )
 
@@ -137,7 +139,7 @@ def test_dihedral_distance_closed_form():
     assert (x_plus(2), 3) in f.factors
     assert (x_plus(1), 2) in f.factors
     assert (IntPolynomial((-22, -43, -8, 1)), 1) in f.factors
-    assert expand(f) == brute_distance_poly(enhanced_power_graph(make_dihedral(4)))
+    assert f.expand() == brute_distance_poly(enhanced_power_graph(make_dihedral(4)))
     with pytest.raises(HypothesisViolated):
         cf_epg_dihedral_distance(2)
 
@@ -145,7 +147,7 @@ def test_dihedral_distance_closed_form():
 @pytest.mark.parametrize("q", [3, 5, 7])
 def test_dihedral_and_gpq_closed_forms_agree_for_p_two(q: int):
     # D_{2q} is the nonabelian group of order 2q
-    assert expand(cf_epg_dihedral_distance(q)) == expand(cf_epg_gpq_distance(2, q))
+    assert cf_epg_dihedral_distance(q).expand() == cf_epg_gpq_distance(2, q).expand()
 
 
 def test_dihedral_power_graph_recursion():
@@ -188,7 +190,7 @@ def test_dicyclic_distance_closed_form():
     assert (x_plus(1), 7) in f.factors
     assert (x_plus(3), 2) in f.factors
     assert (IntPolynomial((-15, -77, -13, 1)), 1) in f.factors
-    assert expand(f) == brute_distance_poly(enhanced_power_graph(make_dicyclic(3)))
+    assert f.expand() == brute_distance_poly(enhanced_power_graph(make_dicyclic(3)))
     with pytest.raises(HypothesisViolated):
         cf_epg_dicyclic_distance(2)
 
@@ -208,10 +210,10 @@ def test_dicyclic_power_graph_agrees_only_in_the_two_power_case():
 
 def test_elab_product_collapses_to_z6_for_trivial_exponents():
     g = direct_product(make_elementary_abelian(2, 1), make_elementary_abelian(3, 1))
-    assert expand(cf_elab_product(2, 1, 3, 1, "enhanced", "adjacency")) == char_poly(
+    assert cf_elab_product(2, 1, 3, 1, "enhanced", "adjacency").expand() == char_poly(
         adjacency_matrix(enhanced_power_graph(g))
     )
-    assert expand(cf_elab_product(2, 1, 3, 1, "power", "distance")) == brute_distance_poly(
+    assert cf_elab_product(2, 1, 3, 1, "power", "distance").expand() == brute_distance_poly(
         power_graph(g)
     )
 
@@ -223,7 +225,7 @@ def test_elab_product_closed_form_matches_brute_force(graph_kind: str, matrix_ki
     g = direct_product(make_elementary_abelian(p, n), make_elementary_abelian(q, m))
     graph = power_graph(g) if graph_kind == "power" else enhanced_power_graph(g)
     matrix = adjacency_matrix(graph) if matrix_kind == "adjacency" else distance_matrix(graph)
-    assert expand(cf_elab_product(p, n, q, m, graph_kind, matrix_kind)) == char_poly(matrix)
+    assert cf_elab_product(p, n, q, m, graph_kind, matrix_kind).expand() == char_poly(matrix)
 
 
 def test_elab_product_rejects_bad_parameters():
@@ -329,7 +331,7 @@ def test_elab_times_cyclic_closed_form():
     assert (x_plus(1), 8) in f.factors
     assert (IntPolynomial((1, -16, 1)), 1) in f.factors
     g = direct_product(make_elementary_abelian(2, 2), make_cyclic(3))
-    assert expand(f) == brute_distance_poly(enhanced_power_graph(g))
+    assert f.expand() == brute_distance_poly(enhanced_power_graph(g))
 
 
 def test_elab_times_cyclic_hypotheses():
@@ -343,16 +345,16 @@ def test_elab_times_cyclic_hypotheses():
 
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
 def test_trivial_cyclic_factor_reduces_to_the_bare_form(p: int, n: int):
-    assert expand(cf_elab_times_cyclic_distance(p, n, 1)) == expand(cf_elab_distance(p, n))
+    assert cf_elab_times_cyclic_distance(p, n, 1).expand() == cf_elab_distance(p, n).expand()
 
 
 def test_elab_distance_closed_form():
     f = cf_elab_distance(2, 2)
-    assert expand(f).coeffs == (-12, -28, -15, 0, 1)  # the star on four vertices
+    assert f.expand().coeffs == (-12, -28, -15, 0, 1)  # the star on four vertices
     g = make_elementary_abelian(3, 2)
-    assert expand(cf_elab_distance(3, 2)) == brute_distance_poly(enhanced_power_graph(g))
+    assert cf_elab_distance(3, 2).expand() == brute_distance_poly(enhanced_power_graph(g))
     # n = 1 gives a complete graph on p vertices
-    assert expand(cf_elab_distance(5, 1)) == brute_distance_poly(complete_graph(5))
+    assert cf_elab_distance(5, 1).expand() == brute_distance_poly(complete_graph(5))
     with pytest.raises(HypothesisViolated):
         cf_elab_distance(9, 2)
 
@@ -551,6 +553,34 @@ def test_make_case_needs_integer_parameters(n):
         make_case("epg-dihedral-distance", n=n)
 
 
+def test_a_directly_built_case_takes_its_kinds_from_its_theorem():
+    assert [f.name for f in dataclasses.fields(TheoremCase)] == ["theorem_id", "params"]
+    case = TheoremCase("epg-dihedral-distance", (("n", 4),))
+    assert (case.graph_kind, case.matrix_kind) == ("enhanced", "distance")
+    assert case == make_case("epg-dihedral-distance", n=4)
+    assert verify(case).equal is True
+
+
+@pytest.mark.parametrize(
+    "theorem_id, params",
+    [
+        ("no-such-theorem", (("n", 4),)),
+        ("epg-dihedral-distance", (("p", 4),)),
+        ("epg-dihedral-distance", (("n", 3.0),)),
+        ("epg-dihedral-distance", (("n", True),)),
+        ("epg-dihedral-distance", (("n", "3"),)),
+        ("epg-dihedral-distance", (("n", 3), ("n", 3))),
+        ("epg-gpq-distance", (("q", 3), ("p", 2))),  # names out of order
+        ("epg-gpq-distance", (("p", 2),)),
+        ("epg-dihedral-distance", [("n", 3)]),  # not a tuple
+        ("epg-dihedral-distance", ("n", 3)),  # not a tuple of pairs
+    ],
+)
+def test_a_case_is_checked_when_it_is_built(theorem_id, params):
+    with pytest.raises(HypothesisViolated):
+        TheoremCase(theorem_id, params)
+
+
 def test_verify_single_case():
     report = verify(make_case("epg-gpq-distance", p=2, q=3))
     assert report.equal is True
@@ -625,6 +655,19 @@ def test_enumerated_case_lists_are_pinned(max_order, count, digest):
     cases = enumerate_cases(max_order)
     text = "\n".join(f"{c.describe()} {c.graph_kind} {c.matrix_kind}" for c in cases)
     assert (len(cases), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
+
+
+def test_sweep_reports_are_pinned():
+    # every field of every report up to order 40 except the timing; a change
+    # meant to keep the verifier's output must keep this digest
+    objs = [report.to_json_obj() for report in verify_sweep(max_order=40)]
+    for obj in objs:
+        del obj["elapsed_ms"]
+    text = "\n".join(json.dumps(obj, sort_keys=True) for obj in objs)
+    assert (len(objs), hashlib.sha256(text.encode()).hexdigest()) == (
+        240,
+        "d2c9b5e2e4e218ebc51bfb1914ee9ce650372d34e3ed4b891a63f8daa37f8235",
+    )
 
 
 def test_case_orders_above_the_cap_are_refused():
