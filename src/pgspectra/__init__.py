@@ -47,6 +47,7 @@ from .groups import (
     cyclic_subgroups,
     direct_product,
     element_order,
+    element_subgroups,
     group_from_json,
     group_to_json,
     make_cyclic,

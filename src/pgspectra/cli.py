@@ -22,7 +22,7 @@ from .groups import (
     FiniteGroup,
     GroupFamilySpec,
     family_spec,
-    group_to_json_obj,
+    group_to_json,
     make_group,
     order_census,
 )
@@ -232,7 +232,7 @@ def _spectrum_text(args: argparse.Namespace) -> str:
 # (artifact, format) -> renderer.  Each artifact's first format is the
 # default of the command named after it.
 _RENDERERS: dict[tuple[str, str], Callable[[argparse.Namespace], str]] = {
-    ("group", "json"): lambda args: json.dumps(group_to_json_obj(_group(args))),
+    ("group", "json"): lambda args: group_to_json(_group(args)),
     ("group", "text"): _group_text,
     ("graph", "dot"): lambda args: to_dot(*_graph(args)[1:]),
     ("graph", "csv"): _matrix_renderer("adjacency", "csv"),

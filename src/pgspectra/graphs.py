@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DisconnectedGraph, SizeMismatch
-from .groups import FiniteGroup, cyclic_subgroup, cyclic_subgroups
+from .groups import FiniteGroup, cyclic_subgroups, element_subgroups
 from .linalg import IntMatrix
 
 
@@ -104,7 +104,7 @@ def power_graph(g: FiniteGroup) -> Graph:
     Built straight into neighbor sets: each element ``x`` starts from its
     cyclic subgroup ``<x>`` and is added to the set of every element of it.
     """
-    subs = [cyclic_subgroup(g, x) for x in range(g.order)]
+    subs = element_subgroups(g)
     adj = [set(sub) for sub in subs]
     for x, sub in enumerate(subs):
         for y in sub:

@@ -12,7 +12,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from typing import ClassVar, Mapping, Sequence
+from operator import itemgetter
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .errors import InvalidFamilyParameters
 
@@ -97,13 +98,15 @@ class FiniteGroup:
 
 
 def _finish(
-    table: list[list[int]], labels: Sequence[str], spec: GroupFamilySpec | None
+    table: Iterable[Sequence[int]], labels: Sequence[str], spec: GroupFamilySpec | None
 ) -> FiniteGroup:
-    return FiniteGroup(tuple(tuple(row) for row in table), tuple(labels), spec)
+    return FiniteGroup(tuple(map(tuple, table)), tuple(labels), spec)
 
 
 # The largest order built or loaded: four times the benchmark's largest (512).
-# A cyclic table of this order peaks near 200 MB.
+# Building the cyclic table of this order peaks near 50 MB resident (19 MB of
+# it the interpreter), and its JSON round trip near 255 MB, most of that the
+# separate int objects ``json.loads`` makes for the table's entries.
 MAX_ORDER = 2048
 
 
@@ -129,6 +132,36 @@ def admit(spec: GroupFamilySpec) -> GroupFamilySpec:
 
 
 # ---------------------------------------------------------------------------
+# Table kernels
+# ---------------------------------------------------------------------------
+#
+# Rows are cut from shared tuples by slicing, picking and chaining, so no
+# entry is computed on its own and every table of order n shares one int
+# object per element.
+
+
+def _cyclic_rows(n: int) -> list[tuple[int, ...]]:
+    """The table of Z_n: row ``i`` is ``(i + j) % n`` for ``j < n``."""
+    up = tuple(range(n)) * 2
+    return [up[i : i + n] for i in range(n)]
+
+
+def _product_rows(
+    gt: Sequence[Sequence[int]], ht: Sequence[Sequence[int]]
+) -> list[tuple[int, ...]]:
+    """The table of G x H under the row-major pairing ``(a, b) -> a*|H| + b``.
+
+    Row ``(a, b)`` is row ``b`` of H shifted by ``x*|H|``, for each ``x`` of
+    row ``a`` of G in turn; the shifted rows are made once each.
+    """
+    hn = len(ht)
+    ids = tuple(range(len(gt) * hn))
+    blocks = [ids[x : x + hn] for x in range(0, len(ids), hn)]
+    shifted = [[tuple(map(block.__getitem__, hb)) for block in blocks] for hb in ht]
+    return [tuple(chain.from_iterable(map(sb.__getitem__, ga))) for ga in gt for sb in shifted]
+
+
+# ---------------------------------------------------------------------------
 # Family constructors
 # ---------------------------------------------------------------------------
 
@@ -138,26 +171,27 @@ def make_cyclic(n: int) -> FiniteGroup:
     spec = admit(GroupFamilySpec("cyclic", (n,)))
     if n < 1:
         raise InvalidFamilyParameters(f"cyclic group needs order >= 1, got {n}")
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
     labels = [str(i) for i in range(n)]
-    return _finish(table, labels, spec)
+    return _finish(_cyclic_rows(n), labels, spec)
 
 
 def make_elementary_abelian(p: int, n: int) -> FiniteGroup:
     """The elementary abelian group of order ``p**n`` (vectors over GF(p)).
 
     Element ``i`` is the base-``p`` digit vector of ``i``; addition is
-    digitwise mod ``p``.
+    digitwise mod ``p``.  Element ``d*p**k + i``, for ``i < p**k``, has top
+    digit ``d``: that is the pairing of Z_p x El(p**k), so the table is the
+    product kernel applied ``n`` times.
     """
     spec = admit(GroupFamilySpec("elementary-abelian", (p, n)))
     if not is_prime(p):
         raise InvalidFamilyParameters(f"elementary abelian group needs a prime p, got {p}")
     if n < 1:
         raise InvalidFamilyParameters(f"elementary abelian group needs n >= 1, got {n}")
-    places, digits = [p**k for k in range(n)], range(p)
-    table = [[0]]
-    for w in places:  # element d*w + i, for i < w, has top digit d
-        table = [[x + (d + e) % p * w for e in digits for x in r] for d in digits for r in table]
+    zp, table = _cyclic_rows(p), [(0,)]
+    for _ in range(n):
+        table = _product_rows(zp, table)
+    places = [p**k for k in range(n)]
     labels = ["(" + ",".join(str(i // w % p) for w in places) + ")" for i in range(p**n)]
     return _finish(table, labels, spec)
 
@@ -173,14 +207,19 @@ def _dihedral_type(m: int, t: int, letter: str, spec: GroupFamilySpec) -> Finite
     Element ``i < m`` is ``a**i``; element ``m + i`` is ``a**i * b``, its
     label spelling ``b`` as ``letter``.  Products follow from the relations:
     ``(a**i b**e)(a**j b**f) = a**(i + (-1)**e * j + t*e*f) b**(e + f)``.
+    Each row is two length-``m`` slices of ``up`` (``up[i + j]`` is
+    ``(i + j) % m``), ``down`` (``down[k + j]`` is ``(-1 - k - j) % m``),
+    ``down`` turned ``t`` places, or the copies of these on the ``b`` half.
     """
-    table = [
-        [(e ^ f) * m + (i + (-j if e else j) + t * (e & f)) % m for f in (0, 1) for j in range(m)]
-        for e in (0, 1)
-        for i in range(m)
-    ]
+    ids = tuple(range(2 * m))
+    up, up_b = ids[:m] * 2, ids[m:] * 2
+    down, down_b = up[::-1], up_b[::-1]
+    turned = down[m - t :] + down[: m - t]  # turned[k + j] is (t - 1 - k - j) % m
+    rotations = [up[i : i + m] + up_b[i : i + m] for i in range(m)]
+    # Row a**i b, with k = m - 1 - i: m + (i - j) % m, then (i + t - j) % m.
+    reflections = [down_b[k : k + m] + turned[k : k + m] for k in reversed(range(m))]
     labels = [_power("a", i) or "e" for i in range(m)] + [_power("a", i) + letter for i in range(m)]
-    return _finish(table, labels, spec)
+    return _finish(rotations + reflections, labels, spec)
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -225,12 +264,16 @@ def make_gpq(p: int, q: int) -> FiniteGroup:
             f"gpq needs p | q-1 for a nonabelian group, got p={p}, q={q}"
         )
     r = next(r for r in range(2, q) if pow(r, p, q) == 1)
-    rj = [pow(r, j, q) for j in range(p)]
-    # (a^i b^j)(a^k b^l) = a^(i + r^j * k) b^(j + l)
+    # (a^i b^j)(a^k b^l) = a^(i + r^j * k) b^(j + l).  blocks[j][c] is the
+    # run a^c b^(j + l) for l < p, listed twice so that blocks[j][i : i + q]
+    # starts at a^i; steps[j] picks its runs c = r^j * k mod q for k < q.
+    ids = tuple(range(p * q))
+    blocks = [
+        [ids[s + j : s + p] + ids[s : s + j] for s in range(0, p * q, p)] * 2 for j in range(p)
+    ]
+    steps = [itemgetter(*(pow(r, j, q) * k % q for k in range(q))) for j in range(p)]
     table = [
-        [(i + rj[j] * k) % q * p + (j + l) % p for k in range(q) for l in range(p)]
-        for i in range(q)
-        for j in range(p)
+        tuple(chain.from_iterable(steps[j](blocks[j][i : i + q]))) for i in range(q) for j in range(p)
     ]
     labels = [(_power("a", i) + _power("b", j)) or "e" for i in range(q) for j in range(p)]
     return _finish(table, labels, spec)
@@ -239,8 +282,7 @@ def make_gpq(p: int, q: int) -> FiniteGroup:
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with the row-major pairing ``(a, b) -> a*|H| + b``."""
     _check_order(g.order * h.order, "the direct product")
-    hn = h.order
-    table = [[x * hn + y for x in ga for y in hb] for ga in g.table for hb in h.table]
+    table = _product_rows(g.table, h.table)
     labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
     spec = None
     if g.spec is not None and h.spec is not None:
@@ -324,19 +366,41 @@ def element_order(g: FiniteGroup, x: int) -> int:
     return len(cyclic_subgroup(g, x))
 
 
-def cyclic_subgroup(g: FiniteGroup, x: int) -> tuple[int, ...]:
-    """The subgroup generated by ``x``, as an ascending element tuple."""
+def _powers(g: FiniteGroup, x: int) -> list[int]:
+    """``x**0, x**1, ...``, up to the last power before the identity returns."""
     seen = [0]
     acc = x
-    while acc != 0:  # until the powers return to the identity
+    while acc != 0:
         seen.append(acc)
         acc = g.table[acc][x]
-    return tuple(sorted(seen))
+    return seen
+
+
+def cyclic_subgroup(g: FiniteGroup, x: int) -> tuple[int, ...]:
+    """The subgroup generated by ``x``, as an ascending element tuple."""
+    return tuple(sorted(_powers(g, x)))
+
+
+def element_subgroups(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
+    """``cyclic_subgroup(g, x)`` for every element ``x``, each subgroup walked once.
+
+    ``x**k`` generates ``<x>`` exactly when ``gcd(k, |<x>|) = 1``, so one
+    walk of ``<x>`` gives the shared tuple to all of those generators.
+    """
+    subs: list[tuple[int, ...] | None] = [None] * g.order
+    for x in range(g.order):
+        if subs[x] is None:
+            powers = _powers(g, x)
+            sub, n = tuple(sorted(powers)), len(powers)
+            for k, y in enumerate(powers):
+                if math.gcd(k, n) == 1:
+                    subs[y] = sub
+    return tuple(subs)
 
 
 def cyclic_subgroups(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """All distinct cyclic subgroups, deduplicated, in lexicographic order."""
-    return tuple(sorted({cyclic_subgroup(g, x) for x in range(g.order)}))
+    return tuple(sorted(set(element_subgroups(g))))
 
 
 def maximal_cyclic_subgroups(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
@@ -352,7 +416,7 @@ def maximal_cyclic_subgroups(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 
 def order_census(g: FiniteGroup) -> dict[int, int]:
     """Map from element order to the number of elements of that order."""
-    return dict(sorted(Counter(element_order(g, x) for x in range(g.order)).items()))
+    return dict(sorted(Counter(map(len, element_subgroups(g))).items()))
 
 
 def check_associative(g: FiniteGroup) -> bool:
@@ -372,17 +436,18 @@ def check_associative(g: FiniteGroup) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def group_to_json_obj(g: FiniteGroup) -> dict:
-    return {
-        "order": g.order,
-        "identity": g.identity,
-        "table": [list(row) for row in g.table],
-        "labels": list(g.labels),
-    }
-
-
 def group_to_json(g: FiniteGroup) -> str:
-    return json.dumps(group_to_json_obj(g))
+    """The group as JSON text: ``order``, ``identity``, ``table`` and ``labels``.
+
+    An entry outside ``0..order-1`` raises ``KeyError``; it is never written
+    as some other element.
+    """
+    names = {x: str(x) for x in range(g.order)}
+    rows = "], [".join(", ".join(map(names.__getitem__, row)) for row in g.table)
+    return (
+        f'{{"order": {g.order}, "identity": {g.identity}, "table": [[{rows}]], '
+        f'"labels": {json.dumps(list(g.labels))}}}'
+    )
 
 
 def group_from_json(text: str) -> FiniteGroup:
@@ -391,7 +456,7 @@ def group_from_json(text: str) -> FiniteGroup:
         obj = json.loads(text)
         order, identity = obj["order"], obj["identity"]
         _check_order(order, "the serialized group")
-        table = [list(row) for row in obj["table"]]
+        table = [tuple(row) for row in obj["table"]]
         labels = obj.get("labels", [str(i) for i in range(order)])
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidFamilyParameters(f"not a serialized group: {exc!r}") from None
@@ -404,11 +469,11 @@ def group_from_json(text: str) -> FiniteGroup:
     # A Latin square whose row 0 and column 0 are the identity map: right
     # multiplication by any x is then a permutation sending 0 to x, so every
     # power loop returns to the identity within ``order`` steps.
-    identity_map = list(range(order))
+    identity_map = tuple(range(order))
     elements = set(identity_map)
     if (
         table[:1] != [identity_map]
-        or [row[0] for row in table] != identity_map
+        or tuple(row[0] for row in table) != identity_map
         or any(set(line) != elements for line in chain(table, zip(*table)))
     ):
         raise InvalidFamilyParameters(

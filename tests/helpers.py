@@ -10,7 +10,10 @@ index layout of each family constructor, and the family join forms are
 the per-family outer graphs (a star, a cone over a Figure-1 template, a
 cone over the divisor graph) that the general ``join_form`` replaced, over
 those index-layout cells, and the coarsest equitable partition comes from
-colour refinement on neighbour-colour multisets.
+colour refinement on neighbour-colour multisets.  The Cayley tables and
+the group JSON object are written entry by entry, as the constructors and
+the writer did before they cut rows from shared slices; the tables come
+one row at a time, so the largest stay small in memory.
 """
 
 from __future__ import annotations
@@ -18,10 +21,12 @@ from __future__ import annotations
 import itertools
 import math
 from operator import mul
+from typing import Iterator
 
 from pgspectra import (
     FiniteGroup,
     Graph,
+    GroupFamilySpec,
     IntMatrix,
     JoinSpec,
     Partition,
@@ -29,9 +34,10 @@ from pgspectra import (
     cyclic_subgroups,
     graph_join,
     make_elementary_abelian,
+    make_group,
 )
 from pgspectra.errors import InvalidFamilyParameters, SizeMismatch
-from pgspectra.groups import family_of
+from pgspectra.groups import family_of, family_spec
 from pgspectra.theorems import THEOREMS, enumerate_cases
 
 
@@ -203,13 +209,15 @@ def coarsest_equitable_cells_oracle(graph: Graph) -> tuple[tuple[int, ...], ...]
     return tuple(tuple(cell) for cell in cells.values())
 
 
+def catalog_specs(max_order: int) -> list[GroupFamilySpec]:
+    """The distinct family specs among the catalog cases up to ``max_order``, first seen first."""
+    cases = enumerate_cases(max_order)
+    return list(dict.fromkeys(family_spec(THEOREMS[c.theorem_id].family, c.params_dict()) for c in cases))
+
+
 def catalog_groups(max_order: int) -> list[FiniteGroup]:
     """One group per distinct family spec among the catalog cases up to ``max_order``."""
-    groups = {}
-    for case in enumerate_cases(max_order):
-        group = THEOREMS[case.theorem_id].build_group(case.params_dict())
-        groups.setdefault(group.spec, group)
-    return list(groups.values())
+    return [make_group(spec) for spec in catalog_specs(max_order)]
 
 
 def record_worker_pools(monkeypatch, cpus: int | None) -> list[int]:
@@ -427,3 +435,54 @@ def same_blow_up(form: tuple[JoinSpec, Partition], oracle: tuple[JoinSpec, Parti
     return edges == set(map(frozenset, ospec.outer.edges())) and all(
         spec.parts[i] == ospec.parts[match[i]] for i in range(part.cell_count)
     )
+
+
+# ---------------------------------------------------------------------------
+# Cayley tables and group JSON, entry by entry
+# ---------------------------------------------------------------------------
+
+
+def dihedral_type_rows_oracle(m: int, t: int) -> Iterator[tuple[int, ...]]:
+    """The rows of ``<a, b | a**m, b**2 = a**t, b a b**-1 = a**-1>``; element ``e*m + i`` is ``a**i b**e``."""
+    for e in (0, 1):
+        for i in range(m):
+            yield tuple(
+                (e ^ f) * m + (i + (-j if e else j) + t * (e & f)) % m
+                for f in (0, 1)
+                for j in range(m)
+            )
+
+
+def gpq_rows_oracle(p: int, q: int) -> Iterator[tuple[int, ...]]:
+    """The rows of ``(a^i b^j)(a^k b^l) = a^(i + r^j k) b^(j + l)``; element ``i*p + j`` is ``a^i b^j``."""
+    r = next(r for r in range(2, q) if pow(r, p, q) == 1)
+    rj = [pow(r, j, q) for j in range(p)]
+    for i in range(q):
+        for j in range(p):
+            yield tuple((i + rj[j] * k) % q * p + (j + l) % p for k in range(q) for l in range(p))
+
+
+def direct_product_rows_oracle(g: FiniteGroup, h: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """The rows of G x H under the pairing ``(a, b) -> a*|H| + b``."""
+    hn = h.order
+    for ga in g.table:
+        for hb in h.table:
+            yield tuple(x * hn + y for x in ga for y in hb)
+
+
+def elementary_abelian_rows_oracle(p: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The rows of digitwise addition mod ``p`` of base-``p`` digit vectors, one digit at a time."""
+    table = [[0]]
+    for w in (p**k for k in range(n)):  # element d*w + i, for i < w, has top digit d
+        table = [[x + (d + e) % p * w for e in range(p) for x in r] for d in range(p) for r in table]
+    return map(tuple, table)
+
+
+def group_to_json_obj_oracle(g: FiniteGroup) -> dict:
+    """The object whose ``json.dumps`` is the group's JSON text."""
+    return {
+        "order": g.order,
+        "identity": g.identity,
+        "table": [list(row) for row in g.table],
+        "labels": list(g.labels),
+    }

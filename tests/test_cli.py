@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import time
 
@@ -39,6 +40,13 @@ def test_group_json(capsys):
     assert obj["identity"] == 0
     assert len(obj["table"]) == 8
     assert obj["labels"][1] == "a"
+
+
+def test_group_json_output_is_pinned(capsys):
+    out = run_ok(capsys, ["group", "--family", "gpq", "--p", "3", "--q", "7"])
+    # SHA-256 of this command's output as the per-entry JSON writer printed it
+    digest = "c8a2454aafa1ec54a3a1aa1bd1497c33aee9de334d795a45839749f08d3094f9"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_group_text(capsys):

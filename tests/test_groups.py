@@ -6,7 +6,17 @@ import json
 from pathlib import Path
 
 import pytest
-from helpers import prime_power_base, totient_and_divisors
+from helpers import (
+    catalog_groups,
+    catalog_specs,
+    dihedral_type_rows_oracle,
+    direct_product_rows_oracle,
+    elementary_abelian_rows_oracle,
+    gpq_rows_oracle,
+    group_to_json_obj_oracle,
+    prime_power_base,
+    totient_and_divisors,
+)
 
 from pgspectra import (
     FiniteGroup,
@@ -15,6 +25,7 @@ from pgspectra import (
     cyclic_subgroups,
     direct_product,
     element_order,
+    element_subgroups,
     group_from_json,
     group_to_json,
     make_cyclic,
@@ -246,6 +257,52 @@ def test_element_layout_is_pinned(spec: GroupFamilySpec):
     assert digest == LAYOUT_DIGESTS[spec.describe()]
 
 
+# ---------------------------------------------------------------------------
+# row kernels against the per-entry tables
+# ---------------------------------------------------------------------------
+
+
+def assert_same_rows(table, rows) -> None:
+    for a, (row, want) in enumerate(zip(table, rows, strict=True)):
+        assert row == want, f"row {a}"
+
+
+@pytest.mark.parametrize("m", range(1, 65))
+def test_dihedral_type_rows_match_the_oracle(m: int):
+    for t in range(m):
+        table = groups._dihedral_type(m, t, "b", None).table
+        assert_same_rows(table, dihedral_type_rows_oracle(m, t))
+
+
+GPQ_PAIRS = [
+    (p, q)
+    for q in range(3, 200)
+    for p in range(2, q)
+    if is_prime(p) and is_prime(q) and (q - 1) % p == 0 and p * q <= MAX_ORDER
+]
+
+
+@pytest.mark.parametrize("p, q", GPQ_PAIRS)
+def test_gpq_rows_match_the_oracle(p: int, q: int):
+    assert_same_rows(make_gpq(p, q).table, gpq_rows_oracle(p, q))
+
+
+SMALL_CATALOG = catalog_groups(12)
+
+
+@pytest.mark.parametrize("g", SMALL_CATALOG, ids=lambda g: g.spec.describe())
+def test_direct_product_rows_match_the_oracle(g: FiniteGroup):
+    for h in SMALL_CATALOG:
+        assert_same_rows(direct_product(g, h).table, direct_product_rows_oracle(g, h))
+
+
+@pytest.mark.parametrize(
+    "p, n", [(p, n) for p in range(2, 257) if is_prime(p) for n in range(1, 9) if p**n <= 256]
+)
+def test_elementary_abelian_rows_match_the_oracle(p: int, n: int):
+    assert_same_rows(make_elementary_abelian(p, n).table, elementary_abelian_rows_oracle(p, n))
+
+
 def test_direct_product_with_trivial_factor():
     d = make_dihedral(3)
     prod = direct_product(make_cyclic(1), d)
@@ -319,6 +376,29 @@ def test_cyclic_subgroups_deduplicated():
     assert len(set(subs)) == len(subs)
 
 
+# The groups of the benchmark's structure workload, order 417-512.
+STRUCTURE_SPECS = [
+    GroupFamilySpec("dihedral", (256,)),
+    GroupFamilySpec("dicyclic", (128,)),
+    _product(_el(2, 3), GroupFamilySpec("cyclic", (63,))),
+    GroupFamilySpec("gpq", (3, 139)),
+    _product(_el(2, 4), _el(3, 3)),
+]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*catalog_specs(128), *STRUCTURE_SPECS, None],
+    ids=lambda spec: spec.describe() if spec else "from-json",
+)
+def test_element_subgroups_walk_each_element(spec: GroupFamilySpec | None):
+    if spec is None:  # no spec, and outside the catalog: Dic_12 x Z_4
+        g = group_from_json(group_to_json(direct_product(make_dicyclic(3), make_cyclic(4))))
+    else:
+        g = make_group(spec)
+    assert list(element_subgroups(g)) == [cyclic_subgroup(g, x) for x in range(g.order)]
+
+
 @pytest.mark.parametrize("p,n", [(2, 2), (2, 3), (3, 2)])
 def test_elementary_abelian_subgroup_count(p: int, n: int):
     g = make_elementary_abelian(p, n)
@@ -382,6 +462,27 @@ def test_group_json_roundtrip():
     assert back.labels == g.labels
     assert [back.inv(a) for a in range(6)] == [g.inv(a) for a in range(6)] == [0, 1, 4, 3, 2, 5]
     assert back.spec is None  # provenance is not serialized
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*LAYOUT_SPECS, GroupFamilySpec("cyclic", (1,)), None],
+    ids=lambda spec: spec.describe() if spec else "from-json",
+)
+def test_group_to_json_writes_what_json_dumps_writes(spec: GroupFamilySpec | None):
+    if spec is None:  # labels that JSON must escape
+        table = [[0, 1], [1, 0]]
+        text = json.dumps({"order": 2, "identity": 0, "table": table, "labels": ['"e"', "\\ü"]})
+        g = group_from_json(text)
+    else:
+        g = make_group(spec)
+    assert group_to_json(g) == json.dumps(group_to_json_obj_oracle(g))
+
+
+@pytest.mark.parametrize("entry", [-1, 2])
+def test_group_to_json_refuses_entries_that_are_not_elements(entry: int):
+    with pytest.raises(KeyError):
+        group_to_json(FiniteGroup(((0, 1), (1, entry)), ("e", "a")))
 
 
 def test_group_json_shape():
