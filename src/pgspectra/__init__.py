@@ -79,7 +79,6 @@ from .partitions import (
     coarsest_equitable_partition,
     distance_quotient_from_matrix,
     distance_quotient_matrix,
-    is_equitable,
     quotient_matrix,
 )
 from .theorems import (

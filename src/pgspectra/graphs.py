@@ -24,6 +24,16 @@ class Graph:
 
     neighbors: tuple[frozenset[int], ...]
 
+    def __post_init__(self) -> None:
+        """:class:`SizeMismatch` unless each neighbor is another vertex listing this one."""
+        nbrs, n = self.neighbors, len(self.neighbors)
+        for v, s in enumerate(nbrs):
+            if v in s:
+                raise SizeMismatch(f"vertex {v} is its own neighbor")
+            for w in s:
+                if not 0 <= w < n or v not in nbrs[w]:
+                    raise SizeMismatch(f"vertex {v} lists {w}, which is not a vertex listing {v}")
+
     @property
     def vertex_count(self) -> int:
         return len(self.neighbors)

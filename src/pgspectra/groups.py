@@ -115,10 +115,10 @@ def _check_order(order: int, what: str) -> None:
         raise InvalidFamilyParameters(f"{what} has order above MAX_ORDER = {MAX_ORDER}")
 
 
-def _bounded_order(spec: GroupFamilySpec) -> int:
+def bounded_order(spec: GroupFamilySpec) -> int:
     """The order ``spec`` names, or some number above MAX_ORDER; never a huge power."""
     if spec.family == "direct-product":
-        return math.prod(map(_bounded_order, spec.factors or ()))
+        return math.prod(map(bounded_order, spec.factors or ()))
     sizes = [max(v, 0) for v in spec.params]  # the constructors reject bad values
     if spec.family == "elementary-abelian" and len(sizes) == 2:
         return min(sizes[0], MAX_ORDER + 1) ** min(sizes[1], MAX_ORDER.bit_length())
@@ -127,7 +127,7 @@ def _bounded_order(spec: GroupFamilySpec) -> int:
 
 def admit(spec: GroupFamilySpec) -> GroupFamilySpec:
     """``spec``, once its group's order is at most MAX_ORDER; builds and tests nothing."""
-    _check_order(_bounded_order(spec), spec.describe())
+    _check_order(bounded_order(spec), spec.describe())
     return spec
 
 
@@ -417,18 +417,6 @@ def maximal_cyclic_subgroups(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
 def order_census(g: FiniteGroup) -> dict[int, int]:
     """Map from element order to the number of elements of that order."""
     return dict(sorted(Counter(map(len, element_subgroups(g))).items()))
-
-
-def check_associative(g: FiniteGroup) -> bool:
-    """Full triple-scan associativity check; O(order**3), for tests."""
-    t = g.table
-    rng = range(g.order)
-    for a in rng:
-        ta = t[a]
-        for b in rng:
-            if t[ta[b]] != tuple(ta[x] for x in t[b]):
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

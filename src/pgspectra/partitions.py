@@ -108,15 +108,6 @@ def _cell_counts(graph: Graph, idx: list[int], v: int, ncells: int) -> tuple[int
     return tuple(counts)
 
 
-def is_equitable(graph: Graph, p: Partition) -> bool:
-    """True when all vertices of a cell agree on per-cell neighbor counts."""
-    try:
-        quotient_matrix(graph, p)
-    except NotEquitable:
-        return False
-    return True
-
-
 def quotient_matrix(graph: Graph, p: Partition) -> IntMatrix:
     """Adjacency quotient: entry (i, j) counts cell-j neighbors of a cell-i vertex."""
     idx = p.cell_index(graph.vertex_count)

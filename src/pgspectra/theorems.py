@@ -4,10 +4,12 @@ Each ``cf_*`` function rebuilds a published closed-form characteristic
 polynomial from its printed formula.  :func:`join_form` writes any group's
 power graphs as blow-ups of complete parts; the named family partitions are
 its cells in the published order (the enhanced core then its arms, or the
-power cells ranked by element order).  The harness turns the catalog into
-:class:`TheoremCase` objects, recomputes the same polynomial from scratch
-(group table -> graph -> exact matrix -> characteristic polynomial), and
-reports whether the two routes agree exactly.
+power cells ranked by element order).  A catalogued theorem is one row: id,
+family, graph and matrix kinds, and its ``cf_*`` function.  Each family states
+its hypothesis once; its cases meet it with group order at most a bound, by
+``(order, *params)`` (El(p^n) x Z_m from m = 2).  The harness recomputes each
+case's polynomial from scratch (group table -> graph -> exact matrix ->
+characteristic polynomial) and reports whether the two routes agree exactly.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cache, lru_cache, partial
+from itertools import combinations, takewhile
 from typing import Callable, Sequence
 
 from .errors import (
@@ -40,11 +44,13 @@ from .graphs import (
     proper_power_graph,
 )
 from .groups import (
+    FAMILIES,
     FAMILY_PARAMS,
     MAX_ORDER,
     FiniteGroup,
     GroupFamilySpec,
     admit,
+    bounded_order,
     cyclic_subgroup,
     element_order,
     family_of,
@@ -588,28 +594,80 @@ class VerificationReport:
         }
 
 
+# Family name -> its hypothesis, stated once for every theorem about the family.
+_HYPOTHESES: dict[str, Callable[..., None]] = {
+    "gpq": _check_gpq,
+    "dihedral": _check_n,
+    "dicyclic": _check_n,
+    "elab-product": _check_product,
+    "elab-cyclic": _check_elab_cyclic,
+    "elementary-abelian": _check_elab,
+}
+
+# Base family -> the kinds of its parameters, where not a single size.  Sizes
+# start at 2, so El(p^n) x Z_m has m >= 2: m = 1 is the bare El(p^n) case.
+_PARAM_KINDS = {"elementary-abelian": ("prime", "exponent"), "gpq": ("prime", "prime")}
+
+
+@lru_cache(maxsize=8)  # a sweep asks for each family, at one bound, once per theorem
+def _family_cases(family: str, max_order: int) -> tuple[tuple[int, ...], ...]:
+    """The values of each parameter set of ``family`` that meets its hypothesis
+    with group order at most ``max_order``, by ``(order, *params)``.  Values are
+    chosen in turn, the rest at 1; the order grows with each, so a value over
+    the bound ends its run."""
+    names, sizes = FAMILY_PARAMS[family], range(2, max_order + 1)
+    ranges = {"size": sizes, "prime": [*filter(is_prime, sizes)], "exponent": range(1, max_order)}
+
+    @cache
+    def order(values: tuple[int, ...]) -> int:
+        padded = values + (1,) * (len(names) - len(values))
+        return bounded_order(family_spec(family, dict(zip(names, padded))))
+
+    found: list[tuple[int, ...]] = [()]
+    kinds = (k for base, _keys in FAMILIES[family] for k in _PARAM_KINDS.get(base, ("size",)))
+    for kind in kinds:
+        found = [
+            head + (v,)
+            for head in found
+            for v in takewhile(lambda v: order(head + (v,)) <= max_order, ranges[kind])
+        ]
+    cases = []
+    for values in found:
+        with suppress(HypothesisViolated):
+            _HYPOTHESES[family](**dict(zip(names, values)))
+            cases.append(values)
+    return tuple(sorted(cases, key=lambda values: (order(values), values)))
+
+
 @dataclass(frozen=True)
 class _Theorem:
     """One catalogued theorem about a family of the ``groups.FAMILIES`` table.
 
-    ``lookup_kinds`` are the graph kinds for which :func:`closed_form_for`
-    answers with this theorem: by default its own kind, more when two graphs
-    coincide on the family, none when the theorem is verified but not looked up.
+    ``form`` (a function of this module, or a ``partial`` of one) and
+    ``note_for`` take a case's named parameters.  ``lookup_kinds`` are the
+    graph kinds :func:`closed_form_for` answers for: by default its own, more
+    when two graphs coincide on the family, none when it is not looked up.
     """
 
     theorem_id: str
     family: str
     graph_kind: str
     matrix_kind: str
-    check: Callable[[dict[str, int]], None]
-    closed_form: Callable[[dict[str, int]], FactoredPoly | None]
-    cases: Callable[[int], list[dict[str, int]]]
-    note_for: Callable[[dict[str, int]], str] | None = None
+    form: Callable[..., FactoredPoly | None]
+    note_for: Callable[..., str] | None = None
     lookup_kinds: tuple[str, ...] | None = None
 
     @property
     def param_names(self) -> tuple[str, ...]:
         return FAMILY_PARAMS[self.family]
+
+    def closed_form(self, **params: int) -> FactoredPoly | None:
+        # through this module's name for the function, which the benchmark's tracer rebinds
+        form = self.form if isinstance(self.form, partial) else partial(self.form)
+        return globals()[form.func.__name__](*form.args, **form.keywords, **params)
+
+    def cases(self, max_order: int) -> list[dict[str, int]]:
+        return [dict(zip(self.param_names, v)) for v in _family_cases(self.family, max_order)]
 
     def build_group(self, params: dict[str, int]) -> FiniteGroup:
         return make_group(family_spec(self.family, params))
@@ -619,65 +677,14 @@ class _Theorem:
         return graph_kind in kinds
 
 
-def _primes_upto(k: int) -> list[int]:
-    return [v for v in range(2, k + 1) if is_prime(v)]
+def _pg_dihedral_closed_form(n: int) -> FactoredPoly:
+    zn = make_cyclic(n)
+    pz, pzstar = (cf_join_distance(join_form(zn, kind)[0]) for kind in ("power", "proper-power"))
+    return FactoredPoly.of((cf_pg_dihedral_distance_rhs(n, pz, pzstar), 1))
 
 
-def _gpq_cases(max_order: int) -> list[dict[str, int]]:
-    out = []
-    for q in _primes_upto(max_order // 2):
-        for p in _primes_upto(q - 1):
-            if (q - 1) % p == 0 and p * q <= max_order:
-                out.append({"p": p, "q": q})
-    out.sort(key=lambda d: (d["p"] * d["q"], d["p"]))
-    return out
-
-
-def _n_cases(max_order: int, per_n: int, n_min: int = 3) -> list[dict[str, int]]:
-    return [{"n": n} for n in range(n_min, max_order // per_n + 1)]
-
-
-def _prime_powers(limit: int, n_min: int) -> list[tuple[int, int]]:
-    """Every ``(p, n)`` with p prime, ``n >= n_min`` and ``p**n <= limit``."""
-    exponents = range(n_min, limit.bit_length() + 1)
-    return [(p, n) for p in _primes_upto(limit) for n in exponents if p**n <= limit]
-
-
-def _product_cases(max_order: int) -> list[dict[str, int]]:
-    out = [
-        {"p": p, "n": n, "q": q, "m": m}
-        for p, n in _prime_powers(max_order // 2, 1)
-        for q, m in _prime_powers(max_order // p**n, 1)
-        if p != q
-    ]
-    out.sort(key=lambda d: (d["p"] ** d["n"] * d["q"] ** d["m"], d["p"], d["n"], d["q"], d["m"]))
-    return out
-
-
-def _elab_cyclic_cases(max_order: int) -> list[dict[str, int]]:
-    out = [
-        {"p": p, "n": n, "m": m}
-        for p, n in _prime_powers(max_order // 2, 2)
-        for m in range(2, max_order // p**n + 1)
-        if m % p != 0
-    ]
-    out.sort(key=lambda d: (d["p"] ** d["n"] * d["m"], d["p"], d["n"], d["m"]))
-    return out
-
-
-def _elab_cases(max_order: int) -> list[dict[str, int]]:
-    out = [{"p": p, "n": n} for p, n in _prime_powers(max_order, 1)]
-    out.sort(key=lambda d: (d["p"] ** d["n"], d["p"]))
-    return out
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and n & (n - 1) == 0
-
-
-def _dicyclic_pg_note(params: dict[str, int]) -> str:
-    n = params["n"]
-    if _is_power_of_two(n):
+def _pg_dicyclic_note(n: int) -> str:
+    if n >= 1 and n & (n - 1) == 0:
         return ""
     return (
         "informational: the power graph differs from the enhanced power graph "
@@ -685,103 +692,54 @@ def _dicyclic_pg_note(params: dict[str, int]) -> str:
     )
 
 
-_ELAB_NOTE = (
-    "all-ones linear factor carries multiplicity (p-2)*alpha from the displayed "
-    "formula; the surrounding prose's (n-2)*alpha reading is treated as a typo"
-)
-
-
-def _product_theorem(graph_kind: str, matrix_kind: str) -> _Theorem:
-    short = {"power": "pg", "enhanced": "epg"}[graph_kind]
-    return _Theorem(
-        theorem_id=f"{short}-elab-product-{matrix_kind}",
-        family="elab-product",
-        graph_kind=graph_kind,
-        matrix_kind=matrix_kind,
-        check=lambda d: _check_product(d["p"], d["n"], d["q"], d["m"]),
-        closed_form=lambda d: cf_elab_product(
-            d["p"], d["n"], d["q"], d["m"], graph_kind, matrix_kind
-        ),
-        cases=_product_cases,
-    )
+def _pg_dicyclic_closed_form(n: int) -> FactoredPoly | None:
+    return None if _pg_dicyclic_note(n) else cf_epg_dicyclic_distance(n)
 
 
 _THEOREM_LIST = (
     _Theorem(
-        "epg-gpq-distance",
-        "gpq",
-        "enhanced",
-        "distance",
-        check=lambda d: _check_gpq(d["p"], d["q"]),
-        closed_form=lambda d: cf_epg_gpq_distance(d["p"], d["q"]),
-        cases=_gpq_cases,
+        "epg-gpq-distance", "gpq", "enhanced", "distance", cf_epg_gpq_distance,
         lookup_kinds=("enhanced", "power"),  # the two graphs coincide
     ),
+    _Theorem("epg-dihedral-distance", "dihedral", "enhanced", "distance", cf_epg_dihedral_distance),
     _Theorem(
-        "epg-dihedral-distance",
-        "dihedral",
-        "enhanced",
-        "distance",
-        check=lambda d: _check_n(d["n"]),
-        closed_form=lambda d: cf_epg_dihedral_distance(d["n"]),
-        cases=lambda mo: _n_cases(mo, 2),
-    ),
-    _Theorem(
-        "pg-dihedral-distance",
-        "dihedral",
-        "power",
-        "distance",
-        check=lambda d: _check_n(d["n"]),
-        closed_form=lambda d: _pg_dihedral_closed_form(d["n"]),
-        cases=lambda mo: _n_cases(mo, 2),
+        "pg-dihedral-distance", "dihedral", "power", "distance", _pg_dihedral_closed_form,
         # Not looked up: answering would turn `spectrum` and the benchmark's
         # recorded "D_64 pg distance" item from "no closed form" (equal: null)
         # into a comparison, so it waits for a benchmark change.
         lookup_kinds=(),
     ),
+    _Theorem("epg-dicyclic-distance", "dicyclic", "enhanced", "distance", cf_epg_dicyclic_distance),
     _Theorem(
-        "epg-dicyclic-distance",
-        "dicyclic",
-        "enhanced",
-        "distance",
-        check=lambda d: _check_n(d["n"]),
-        closed_form=lambda d: cf_epg_dicyclic_distance(d["n"]),
-        cases=lambda mo: _n_cases(mo, 4),
+        "pg-dicyclic-distance", "dicyclic", "power", "distance", _pg_dicyclic_closed_form,
+        note_for=_pg_dicyclic_note,
     ),
     _Theorem(
-        "pg-dicyclic-distance",
-        "dicyclic",
-        "power",
-        "distance",
-        check=lambda d: _check_n(d["n"]),
-        closed_form=lambda d: cf_epg_dicyclic_distance(d["n"])
-        if _is_power_of_two(d["n"])
-        else None,
-        cases=lambda mo: _n_cases(mo, 4),
-        note_for=_dicyclic_pg_note,
-    ),
-    _product_theorem("power", "adjacency"),
-    _product_theorem("power", "distance"),
-    _product_theorem("enhanced", "adjacency"),
-    _product_theorem("enhanced", "distance"),
-    _Theorem(
-        "epg-elab-cyclic-distance",
-        "elab-cyclic",
-        "enhanced",
-        "distance",
-        check=lambda d: _check_elab_cyclic(d["p"], d["n"], d["m"]),
-        closed_form=lambda d: cf_elab_times_cyclic_distance(d["p"], d["n"], d["m"]),
-        cases=_elab_cyclic_cases,
+        "pg-elab-product-adjacency", "elab-product", "power", "adjacency",
+        partial(cf_elab_product, graph_kind="power", matrix_kind="adjacency"),
     ),
     _Theorem(
-        "epg-elab-distance",
-        "elementary-abelian",
-        "enhanced",
-        "distance",
-        check=lambda d: _check_elab(d["p"], d["n"]),
-        closed_form=lambda d: cf_elab_distance(d["p"], d["n"]),
-        cases=_elab_cases,
-        note_for=lambda d: _ELAB_NOTE,
+        "pg-elab-product-distance", "elab-product", "power", "distance",
+        partial(cf_elab_product, graph_kind="power", matrix_kind="distance"),
+    ),
+    _Theorem(
+        "epg-elab-product-adjacency", "elab-product", "enhanced", "adjacency",
+        partial(cf_elab_product, graph_kind="enhanced", matrix_kind="adjacency"),
+    ),
+    _Theorem(
+        "epg-elab-product-distance", "elab-product", "enhanced", "distance",
+        partial(cf_elab_product, graph_kind="enhanced", matrix_kind="distance"),
+    ),
+    _Theorem(
+        "epg-elab-cyclic-distance", "elab-cyclic", "enhanced", "distance",
+        cf_elab_times_cyclic_distance,
+    ),
+    _Theorem(
+        "epg-elab-distance", "elementary-abelian", "enhanced", "distance", cf_elab_distance,
+        note_for=lambda **_: (
+            "all-ones linear factor carries multiplicity (p-2)*alpha from the displayed "
+            "formula; the surrounding prose's (n-2)*alpha reading is treated as a typo"
+        ),
         lookup_kinds=("enhanced", "power"),  # the two graphs coincide
     ),
 )
@@ -789,12 +747,6 @@ _THEOREM_LIST = (
 THEOREMS: dict[str, _Theorem] = {t.theorem_id: t for t in _THEOREM_LIST}
 
 THEOREM_IDS: tuple[str, ...] = tuple(t.theorem_id for t in _THEOREM_LIST)
-
-
-def _pg_dihedral_closed_form(n: int) -> FactoredPoly:
-    zn = make_cyclic(n)
-    pz, pzstar = (cf_join_distance(join_form(zn, kind)[0]) for kind in ("power", "proper-power"))
-    return FactoredPoly.of((cf_pg_dihedral_distance_rhs(n, pz, pzstar), 1))
 
 
 def _theorem(theorem_id: str) -> _Theorem:
@@ -817,7 +769,7 @@ def check_case(case: TheoremCase) -> None:
     """Raise :class:`HypothesisViolated` (or, first, a too-large order)."""
     thm = THEOREMS[case.theorem_id]
     admit(family_spec(thm.family, case.params_dict()))
-    thm.check(case.params_dict())
+    _HYPOTHESES[thm.family](**case.params_dict())
 
 
 def verify(case: TheoremCase) -> VerificationReport:
@@ -829,13 +781,13 @@ def verify(case: TheoremCase) -> VerificationReport:
     start = time.perf_counter()
     thm = THEOREMS[case.theorem_id]
     params = case.params_dict()
-    note = thm.note_for(params) if thm.note_for is not None else ""
+    note = thm.note_for(**params) if thm.note_for is not None else ""
     try:
         check_case(case)
         group = thm.build_group(params)
         graph = GRAPH_BUILDERS[case.graph_kind](group)
         brute = char_poly(graph_matrix(graph, case.matrix_kind))
-        closed = thm.closed_form(params)
+        closed = thm.closed_form(**params)
         equal: bool | None = closed.expand() == brute if closed is not None else None
         order = group.order
     except SpectraError as exc:
@@ -853,14 +805,12 @@ def enumerate_cases(
     max_order: int = DEFAULT_MAX_ORDER, theorem_ids: Sequence[str] | None = None
 ) -> list[TheoremCase]:
     """All catalogued cases with group order at most ``max_order``."""
+    if max_order < 1:
+        raise InvalidFamilyParameters(f"max order {max_order} is below 1")
     if max_order > MAX_ORDER:
         raise InvalidFamilyParameters(f"max order {max_order} is above MAX_ORDER = {MAX_ORDER}")
     ids = THEOREM_IDS if theorem_ids is None else tuple(theorem_ids)
-    out = []
-    for tid in ids:
-        for params in _theorem(tid).cases(max_order):
-            out.append(make_case(tid, **params))
-    return out
+    return [make_case(tid, **params) for tid in ids for params in _theorem(tid).cases(max_order)]
 
 
 def verify_sweep(
@@ -900,7 +850,7 @@ def closed_form_for(
     for thm in _THEOREM_LIST:
         if (thm.family, thm.matrix_kind) == (family, matrix_kind) and thm.answers(graph_kind):
             try:
-                return thm.closed_form(params)
+                return thm.closed_form(**params)
             except HypothesisViolated:
                 return None
     return None

@@ -13,13 +13,16 @@ those index-layout cells, and the coarsest equitable partition comes from
 colour refinement on neighbour-colour multisets.  The Cayley tables and
 the group JSON object are written entry by entry, as the constructors and
 the writer did before they cut rows from shared slices; the tables come
-one row at a time, so the largest stay small in memory.
+one row at a time, so the largest stay small in memory.  Equitability is
+checked by counting each vertex's neighbours per cell, and associativity
+by a full triple scan.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from operator import mul
 from typing import Iterator
 
@@ -207,6 +210,28 @@ def coarsest_equitable_cells_oracle(graph: Graph) -> tuple[tuple[int, ...], ...]
     for v in range(n):  # a colour first appears at its least vertex
         cells.setdefault(colour[v], []).append(v)
     return tuple(tuple(cell) for cell in cells.values())
+
+
+def is_equitable(graph: Graph, p: Partition) -> bool:
+    """True when all vertices of a cell have the same neighbour count in each cell."""
+    cell_of = {v: i for i, cell in enumerate(p.cells) for v in cell}
+
+    def counts(v: int) -> tuple[tuple[int, int], ...]:
+        return tuple(sorted(Counter(cell_of[w] for w in graph.neighbors[v]).items()))
+
+    return all(len({counts(v) for v in cell}) == 1 for cell in p.cells)
+
+
+def check_associative(g: FiniteGroup) -> bool:
+    """Full triple-scan associativity check; O(order**3)."""
+    t = g.table
+    rng = range(g.order)
+    for a in rng:
+        ta = t[a]
+        for b in rng:
+            if t[ta[b]] != tuple(ta[x] for x in t[b]):
+                return False
+    return True
 
 
 def catalog_specs(max_order: int) -> list[GroupFamilySpec]:

@@ -273,6 +273,19 @@ def test_verify_all_small_order(capsys):
     assert "0 falsified" in out
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+def test_verify_refuses_a_max_order_below_one(capsys, bound):
+    for argv in (["--all"], ["--theorem", "epg-dihedral-distance"]):
+        err = run_err(capsys, ["verify", *argv, "--max-order", bound])
+        assert "error[InvalidFamilyParameters]" in err and "below 1" in err
+
+
+def test_verify_takes_a_trivial_cyclic_factor_given_by_hand(capsys):
+    argv = ["verify", "--theorem", "epg-elab-cyclic-distance", "--p", "2", "--n", "2", "--m", "1"]
+    out = run_ok(capsys, [*argv, "--format", "text"])
+    assert out.startswith("ok   epg-elab-cyclic-distance(p=2, n=2, m=1) order=4 ")
+
+
 def test_verify_informational_case(capsys):
     out = run_ok(
         capsys,

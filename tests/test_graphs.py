@@ -88,6 +88,21 @@ def test_from_edges_ignores_loops_and_checks_range():
         Graph.from_edges(2, [(0, 2)])
 
 
+@pytest.mark.parametrize(
+    "neighbors",
+    [
+        (frozenset({1}), frozenset()),  # not listed back
+        (frozenset({2}), frozenset({0})),  # past the last vertex
+        (frozenset({-1}), frozenset({0})),  # before the first
+        (frozenset({0, 1}), frozenset({0})),  # a loop
+    ],
+    ids=["asymmetric", "above-range", "below-range", "loop"],
+)
+def test_inconsistent_neighbor_sets_are_refused(neighbors):
+    with pytest.raises(SizeMismatch):
+        Graph(neighbors)
+
+
 def test_complete_and_empty():
     assert complete_graph(4).edge_count == 6
     assert complete_graph(4).is_complete()

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     catalog_groups,
     catalog_specs,
+    check_associative,
     dihedral_type_rows_oracle,
     direct_product_rows_oracle,
     elementary_abelian_rows_oracle,
@@ -44,7 +45,6 @@ from pgspectra.groups import (
     FAMILY_PARAMS,
     MAX_ORDER,
     admit,
-    check_associative,
     family_of,
     family_spec,
     is_prime,

@@ -7,7 +7,12 @@ from itertools import accumulate, combinations
 from pathlib import Path
 
 import pytest
-from helpers import catalog_groups, coarsest_equitable_cells_oracle, family_partition_oracle
+from helpers import (
+    catalog_groups,
+    coarsest_equitable_cells_oracle,
+    family_partition_oracle,
+    is_equitable,
+)
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -28,7 +33,6 @@ from pgspectra import (
     family_partition,
     group_from_json,
     group_to_json,
-    is_equitable,
     join_form,
     make_cyclic,
     make_dicyclic,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -172,7 +173,7 @@ def test_pg_dihedral_prediction_matches_the_brute_force_zn_route():
         pz = brute_distance_poly(power_graph(zn))
         pzstar = brute_distance_poly(proper_power_graph(zn))
         expected = FactoredPoly.of((cf_pg_dihedral_distance_rhs(n, pz, pzstar), 1))
-        assert THEOREMS["pg-dihedral-distance"].closed_form({"n": n}) == expected, n
+        assert THEOREMS["pg-dihedral-distance"].closed_form(n=n) == expected, n
 
 
 def test_predictions_build_no_graph_and_take_no_reduced_char_poly(monkeypatch):
@@ -182,7 +183,7 @@ def test_predictions_build_no_graph_and_take_no_reduced_char_poly(monkeypatch):
     for name in ("char_poly", "power_graph", "proper_power_graph", "enhanced_power_graph"):
         monkeypatch.setattr(theorems, name, forbidden)
     for case in enumerate_cases(40):
-        THEOREMS[case.theorem_id].closed_form(case.params_dict())
+        THEOREMS[case.theorem_id].closed_form(**case.params_dict())
 
 
 def test_dicyclic_distance_closed_form():
@@ -680,22 +681,76 @@ def test_case_orders_above_the_cap_are_refused():
     assert report.equal is False and "InvalidFamilyParameters" in report.note
 
 
+# Each catalog family's group order, written out here so that the enumerator
+# is checked against formulas of its own.
+FAMILY_ORDERS = {
+    "gpq": lambda p, q: p * q,
+    "dihedral": lambda n: 2 * n,
+    "dicyclic": lambda n: 4 * n,
+    "elementary-abelian": lambda p, n: p**n,
+    "elab-product": lambda p, n, q, m: p**n * q**m,
+    "elab-cyclic": lambda p, n, m: p**n * m,
+}
+
+
 def test_enumerated_orders_respect_the_bound():
-    orders = {
-        "epg-gpq-distance": lambda d: d["p"] * d["q"],
-        "epg-dihedral-distance": lambda d: 2 * d["n"],
-        "pg-dihedral-distance": lambda d: 2 * d["n"],
-        "epg-dicyclic-distance": lambda d: 4 * d["n"],
-        "pg-dicyclic-distance": lambda d: 4 * d["n"],
-        "pg-elab-product-adjacency": lambda d: d["p"] ** d["n"] * d["q"] ** d["m"],
-        "pg-elab-product-distance": lambda d: d["p"] ** d["n"] * d["q"] ** d["m"],
-        "epg-elab-product-adjacency": lambda d: d["p"] ** d["n"] * d["q"] ** d["m"],
-        "epg-elab-product-distance": lambda d: d["p"] ** d["n"] * d["q"] ** d["m"],
-        "epg-elab-cyclic-distance": lambda d: d["p"] ** d["n"] * d["m"],
-        "epg-elab-distance": lambda d: d["p"] ** d["n"],
+    cases = enumerate_cases(128)
+    assert {THEOREMS[c.theorem_id].family for c in cases} == set(FAMILY_ORDERS)
+    for case in cases:
+        order = FAMILY_ORDERS[THEOREMS[case.theorem_id].family](**case.params_dict())
+        assert order <= 128, case
+
+
+# Every value a parameter can take in a group of order at most 32: sizes up
+# to 32, exponents up to log2(32) = 5; 0 is there to be refused.
+_SIZES, _EXPONENTS = range(33), range(6)
+FAMILY_RANGES = {
+    "gpq": (_SIZES, _SIZES),
+    "dihedral": (_SIZES,),
+    "dicyclic": (_SIZES,),
+    "elementary-abelian": (_SIZES, _EXPONENTS),
+    "elab-product": (_SIZES, _EXPONENTS, _SIZES, _EXPONENTS),
+    "elab-cyclic": (_SIZES, _EXPONENTS, _SIZES),
+}
+
+
+def _checks(case: TheoremCase) -> bool:
+    try:
+        check_case(case)
+    except HypothesisViolated:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("theorem_id", THEOREM_IDS)
+def test_enumerated_cases_are_every_checked_case_up_to_order_32(theorem_id):
+    # complete as well as sound: every tuple check_case accepts is listed,
+    # bar the trivial cyclic factor m = 1 of El(p^n) x Z_m (pinned below)
+    thm = THEOREMS[theorem_id]
+    order = FAMILY_ORDERS[thm.family]
+    accepted = {
+        values
+        for values in itertools.product(*FAMILY_RANGES[thm.family])
+        if order(*values) <= 32
+        and _checks(make_case(theorem_id, **dict(zip(thm.param_names, values))))
+        and (thm.family != "elab-cyclic" or values[-1] != 1)
     }
-    for case in enumerate_cases(30):
-        assert orders[case.theorem_id](case.params_dict()) <= 30
+    listed = [tuple(case.params_dict().values()) for case in enumerate_cases(32, [theorem_id])]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == accepted
+
+
+def test_a_trivial_cyclic_factor_is_never_enumerated_but_verifies_by_hand():
+    cases = enumerate_cases(128, ["epg-elab-cyclic-distance"])
+    assert min(case.params_dict()["m"] for case in cases) == 2
+    report = verify(make_case("epg-elab-cyclic-distance", p=2, n=2, m=1))
+    assert (report.equal, report.group_order) == (True, 4)
+
+
+@pytest.mark.parametrize("max_order", [0, -3])
+def test_case_orders_below_one_are_refused(max_order):
+    with pytest.raises(InvalidFamilyParameters, match="below 1"):
+        enumerate_cases(max_order)
 
 
 def test_verify_sweep_small_orders_all_hold():
@@ -813,7 +868,7 @@ def test_closed_form_for_contract(label, graph_kind, matrix_kind):
     if theorem_id is None:
         assert closed is None
         return
-    assert closed == THEOREMS[theorem_id].closed_form(params)
+    assert closed == THEOREMS[theorem_id].closed_form(**params)
     graph = GRAPH_BUILDERS[graph_kind](make_group(spec))
     matrix = distance_matrix(graph) if matrix_kind == "distance" else adjacency_matrix(graph)
     assert closed.expand() == char_poly(matrix)
