@@ -5,7 +5,8 @@ Every catalogued theorem case with group order up to --max-order is
 re-derived from an explicit Cayley table: build the group, build the graph,
 take the exact characteristic polynomial, and compare with the closed form.
 One JSON line per case goes to --output (same schema as ``pgspectra verify``);
-a per-theorem summary lands on stdout.  Exit code 2 if anything is falsified.
+a per-theorem summary lands on stdout.  Exit code 2 if anything is falsified,
+1 on a bad argument (``--jobs`` below 1, an out-of-range ``--max-order``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from pgspectra import THEOREM_IDS, verify_sweep
+from pgspectra import THEOREM_IDS, SpectraError, verify_sweep
 from pgspectra.theorems import DEFAULT_MAX_ORDER
 
 
@@ -30,8 +31,15 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--output", type=Path, default=Path("verification.jsonl"))
     args = ap.parse_args(argv)
 
+    if args.jobs < 1:
+        print("error: --jobs must be >= 1", file=sys.stderr)
+        return 1
     t0 = time.perf_counter()
-    reports = verify_sweep(max_order=args.max_order, jobs=args.jobs)
+    try:
+        reports = verify_sweep(max_order=args.max_order, jobs=args.jobs)
+    except SpectraError as exc:
+        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 1
     wall = time.perf_counter() - t0
 
     with args.output.open("w", encoding="utf-8") as fh:

@@ -73,11 +73,9 @@ class PartNotComplete(SpectraError):
 
 
 class BitGrowthExceeded(SpectraError):
-    """An integer outgrew a bit budget.
+    """A characteristic-polynomial coefficient bound outgrew the prime table.
 
-    Either a ``char_poly`` output coefficient or a Bareiss pivot exceeded the
-    ``PGSPECTRA_MAX_BITS`` cap, or a characteristic-polynomial coefficient
-    bound exceeded the largest prime ``dense_char_poly`` can work modulo.
-    ``char_poly`` applies that prime bound to its twin-reduced quotient, not
-    to the whole matrix.
+    The bound exceeded the largest prime ``dense_char_poly`` can work modulo.
+    ``char_poly`` applies that bound to its twin-reduced quotient, not to the
+    whole matrix.
     """

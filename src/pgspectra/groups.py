@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 from .errors import InvalidFamilyParameters
 
@@ -119,15 +119,48 @@ def bounded_order(spec: GroupFamilySpec) -> int:
     """The order ``spec`` names, or some number above MAX_ORDER; never a huge power."""
     if spec.family == "direct-product":
         return math.prod(map(bounded_order, spec.factors or ()))
-    sizes = [max(v, 0) for v in spec.params]  # the constructors reject bad values
+    sizes = [max(v, 0) for v in spec.params]  # rule_error refuses the values cut here
     if spec.family == "elementary-abelian" and len(sizes) == 2:
         return min(sizes[0], MAX_ORDER + 1) ** min(sizes[1], MAX_ORDER.bit_length())
     return {"dihedral": 2, "dicyclic": 4}.get(spec.family, 1) * math.prod(sizes)
 
 
-def admit(spec: GroupFamilySpec) -> GroupFamilySpec:
-    """``spec``, once its group's order is at most MAX_ORDER; builds and tests nothing."""
-    _check_order(bounded_order(spec), spec.describe())
+def rule_error(spec: GroupFamilySpec, shape_only: bool = False) -> str | None:
+    """Why ``spec`` names no group, whatever its order; None when it names one.
+
+    Either ``spec`` is malformed (not a base family with that many int
+    parameters, nor a direct product of two such specs) or, unless
+    ``shape_only``, it breaks a base family's rule.
+    """
+    if spec.family == "direct-product":
+        factors = spec.factors or ()
+        if len(factors) != 2:
+            return f"a direct product needs two factor specs, got {len(factors)}"
+        return rule_error(factors[0], shape_only) or rule_error(factors[1], shape_only)
+    family = BASE_FAMILIES.get(spec.family)
+    if family is None:
+        return f"unknown family {spec.family!r}"
+    arity = len(FAMILY_PARAMS[spec.family])
+    if len(spec.params) != arity or any(type(v) is not int for v in spec.params):
+        return f"family {spec.family!r} takes {arity} int parameter(s), got {list(spec.params)}"
+    if not shape_only and not family.holds(*spec.params):
+        return f"{spec.family} needs {family.rule}, got {spec.describe()}"
+    return None
+
+
+def admit(spec: GroupFamilySpec, rule: bool = False) -> GroupFamilySpec:
+    """``spec``, once well formed, of order at most MAX_ORDER and, with ``rule``,
+    naming a group; builds nothing.  Raises :class:`InvalidFamilyParameters`.
+
+    The order is checked before the rule, so no huge value is tested for
+    primality.
+    """
+    error = rule_error(spec, shape_only=True)
+    if error is None:
+        _check_order(bounded_order(spec), spec.describe())
+        error = rule_error(spec) if rule else None
+    if error is not None:
+        raise InvalidFamilyParameters(error)
     return spec
 
 
@@ -168,9 +201,7 @@ def _product_rows(
 
 def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order ``n`` on ``{0..n-1}`` under addition mod n."""
-    spec = admit(GroupFamilySpec("cyclic", (n,)))
-    if n < 1:
-        raise InvalidFamilyParameters(f"cyclic group needs order >= 1, got {n}")
+    spec = admit(GroupFamilySpec("cyclic", (n,)), rule=True)
     labels = [str(i) for i in range(n)]
     return _finish(_cyclic_rows(n), labels, spec)
 
@@ -183,11 +214,7 @@ def make_elementary_abelian(p: int, n: int) -> FiniteGroup:
     digit ``d``: that is the pairing of Z_p x El(p**k), so the table is the
     product kernel applied ``n`` times.
     """
-    spec = admit(GroupFamilySpec("elementary-abelian", (p, n)))
-    if not is_prime(p):
-        raise InvalidFamilyParameters(f"elementary abelian group needs a prime p, got {p}")
-    if n < 1:
-        raise InvalidFamilyParameters(f"elementary abelian group needs n >= 1, got {n}")
+    spec = admit(GroupFamilySpec("elementary-abelian", (p, n)), rule=True)
     zp, table = _cyclic_rows(p), [(0,)]
     for _ in range(n):
         table = _product_rows(zp, table)
@@ -228,9 +255,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     Element ``i < n`` is the rotation ``a**i``; element ``n + i`` is the
     reflection ``a**i * b``.
     """
-    spec = admit(GroupFamilySpec("dihedral", (n,)))
-    if n < 3:
-        raise InvalidFamilyParameters(f"dihedral group needs n >= 3, got {n}")
+    spec = admit(GroupFamilySpec("dihedral", (n,)), rule=True)
     return _dihedral_type(n, 0, "b", spec)
 
 
@@ -241,9 +266,7 @@ def make_dicyclic(n: int) -> FiniteGroup:
     ``x a x**-1 = a**-1``.  Element ``i < 2n`` is ``a**i``; element
     ``2n + i`` is ``a**i * x``.
     """
-    spec = admit(GroupFamilySpec("dicyclic", (n,)))
-    if n < 3:
-        raise InvalidFamilyParameters(f"dicyclic group needs n >= 3, got {n}")
+    spec = admit(GroupFamilySpec("dicyclic", (n,)), rule=True)
     return _dihedral_type(2 * n, n, "x", spec)
 
 
@@ -254,15 +277,7 @@ def make_gpq(p: int, q: int) -> FiniteGroup:
     least integer above 1 satisfying ``r**p = 1 (mod q)``.  Element
     ``i*p + j`` is ``a**i * b**j``.
     """
-    spec = admit(GroupFamilySpec("gpq", (p, q)))
-    if not is_prime(p) or not is_prime(q):
-        raise InvalidFamilyParameters(f"gpq needs primes, got p={p}, q={q}")
-    if p >= q:
-        raise InvalidFamilyParameters(f"gpq needs p < q, got p={p}, q={q}")
-    if (q - 1) % p != 0:
-        raise InvalidFamilyParameters(
-            f"gpq needs p | q-1 for a nonabelian group, got p={p}, q={q}"
-        )
+    spec = admit(GroupFamilySpec("gpq", (p, q)), rule=True)
     r = next(r for r in range(2, q) if pow(r, p, q) == 1)
     # (a^i b^j)(a^k b^l) = a^(i + r^j * k) b^(j + l).  blocks[j][c] is the
     # run a^c b^(j + l) for l < p, listed twice so that blocks[j][i : i + q]
@@ -308,12 +323,29 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
     name: tuple(k for _base, keys in factors for k in keys) for name, factors in FAMILIES.items()
 }
 
-_CONSTRUCTORS = {
-    "cyclic": make_cyclic,
-    "elementary-abelian": make_elementary_abelian,
-    "dihedral": make_dihedral,
-    "dicyclic": make_dicyclic,
-    "gpq": make_gpq,
+
+@dataclass(frozen=True)
+class BaseFamily:
+    """A base family's constructor, and the rule its int parameters must meet:
+    stated in ``rule``, tested by ``holds``."""
+
+    make: Callable[..., FiniteGroup]
+    rule: str
+    holds: Callable[..., bool]
+
+
+BASE_FAMILIES: dict[str, BaseFamily] = {
+    "cyclic": BaseFamily(make_cyclic, "n >= 1", lambda n: n >= 1),
+    "elementary-abelian": BaseFamily(
+        make_elementary_abelian, "a prime p and n >= 1", lambda p, n: is_prime(p) and n >= 1
+    ),
+    "dihedral": BaseFamily(make_dihedral, "n >= 3", lambda n: n >= 3),
+    "dicyclic": BaseFamily(make_dicyclic, "n >= 3", lambda n: n >= 3),
+    "gpq": BaseFamily(
+        make_gpq,
+        "primes p < q with p | q-1",
+        lambda p, q: is_prime(p) and is_prime(q) and p < q and (q - 1) % p == 0,
+    ),
 }
 
 
@@ -340,21 +372,10 @@ def family_of(spec: GroupFamilySpec) -> tuple[str, dict[str, int]] | None:
 
 def make_group(spec: GroupFamilySpec) -> FiniteGroup:
     """Build the group a :class:`GroupFamilySpec` describes."""
+    admit(spec)  # before any factor is built; each constructor tests its rule
     if spec.family == "direct-product":
-        if spec.factors is None:
-            raise InvalidFamilyParameters("direct-product spec needs two factor specs")
-        admit(spec)  # before either factor is built
-        return direct_product(make_group(spec.factors[0]), make_group(spec.factors[1]))
-    try:
-        ctor = _CONSTRUCTORS[spec.family]
-    except KeyError:
-        raise InvalidFamilyParameters(f"unknown family {spec.family!r}") from None
-    arity = len(FAMILY_PARAMS[spec.family])
-    if len(spec.params) != arity:
-        raise InvalidFamilyParameters(
-            f"family {spec.family!r} takes {arity} parameter(s), got {list(spec.params)}"
-        )
-    return ctor(*spec.params)
+        return direct_product(*map(make_group, spec.factors))
+    return BASE_FAMILIES[spec.family].make(*spec.params)
 
 
 # ---------------------------------------------------------------------------

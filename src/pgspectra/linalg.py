@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import csv
 import io
-import os
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
@@ -33,36 +32,6 @@ from .errors import (
     InternalExactnessViolation,
     NotSquare,
 )
-
-#: Environment variable holding the optional bit-size safety cap.  When set to
-#: a positive integer, any ``char_poly`` output coefficient or Bareiss pivot
-#: (the last pivot, which is the determinant, and the pivots of ``char_poly``'s
-#: certificate included) longer than the cap aborts the computation with
-#: :class:`BitGrowthExceeded`; values are never silently truncated.
-MAX_BITS_ENV = "PGSPECTRA_MAX_BITS"
-
-
-def _bit_cap() -> int:
-    raw = os.environ.get(MAX_BITS_ENV, "").strip()
-    if not raw:
-        return 0
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise BitGrowthExceeded(f"{MAX_BITS_ENV} must be an integer, got {raw!r}") from exc
-    return max(cap, 0)
-
-
-def _check_growth(cap: int, values: Iterable[int], context: str) -> None:
-    if not cap:
-        return
-    for v in values:
-        if v.bit_length() > cap:
-            raise BitGrowthExceeded(
-                f"{context}: value needs {v.bit_length()} bits, "
-                f"cap is {cap} ({MAX_BITS_ENV})"
-            )
-
 
 def _exact_int(v: object) -> int:
     """An entering ``int``; anything else (bool, float, string) raises, never truncates."""
@@ -533,7 +502,6 @@ def dense_char_poly(m: IntMatrix) -> IntPolynomial:
     n = len(rows)
     if n == 0:
         return IntPolynomial((1,))
-    cap = _bit_cap()
     x0 = _certificate_point(rows)
     bound = 2 * x0**n
     p = next((2**e - 1 for e in MERSENNE_EXPONENTS if 2**e - 1 > bound), None)
@@ -543,7 +511,6 @@ def dense_char_poly(m: IntMatrix) -> IntPolynomial:
             f"the largest tabled prime has {MERSENNE_EXPONENTS[-1]}"
         )
     coeffs = [c - p if c > p // 2 else c for c in _hessenberg_char_poly(rows, p)]
-    _check_growth(cap, coeffs, "char_poly")
     poly = IntPolynomial(tuple(coeffs))
     if determinant(x0 * identity(n) - m) != poly(x0):
         raise InternalExactnessViolation(f"char_poly: det({x0}I - A) != poly({x0})")
@@ -681,9 +648,7 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     equitable, every merge vector is an eigenvector, the merges and ``Q``
     account for all ``n`` dimensions, and the product agrees with
     ``det(x0 I - Q) * prod(x0 - lam)`` at the kernel's certificate point
-    ``x0``.  A failure raises :class:`InternalExactnessViolation`.  The
-    ``PGSPECTRA_MAX_BITS`` cap covers every output coefficient and every
-    Bareiss pivot.
+    ``x0``.  A failure raises :class:`InternalExactnessViolation`.
     """
     rows = _square_rows(m, "characteristic polynomial")
     cells, q, merges = _twin_reduction(rows)
@@ -700,7 +665,6 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     x0 = _certificate_point(q)
     if poly(x0) != kernel(x0) * prod((x0 - lam) ** mult for lam, mult in lams.items()):
         raise InternalExactnessViolation(f"char_poly: twin product disagrees at {x0}")
-    _check_growth(_bit_cap(), poly.coeffs, "char_poly")
     return poly
 
 
@@ -710,7 +674,6 @@ def determinant(m: IntMatrix) -> int:
     n = len(a)
     if n == 0:
         return 1
-    cap = _bit_cap()
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -736,8 +699,6 @@ def determinant(m: IntMatrix) -> int:
                     )
                 row_i[j] = q
             row_i[k] = 0
-        _check_growth(cap, (pivot,), "determinant")
         prev = pivot
     # The last pivot is the determinant itself.
-    _check_growth(cap, (a[n - 1][n - 1],), "determinant")
     return sign * a[n - 1][n - 1]

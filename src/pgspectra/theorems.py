@@ -5,11 +5,14 @@ polynomial from its printed formula.  :func:`join_form` writes any group's
 power graphs as blow-ups of complete parts; the named family partitions are
 its cells in the published order (the enhanced core then its arms, or the
 power cells ranked by element order).  A catalogued theorem is one row: id,
-family, graph and matrix kinds, and its ``cf_*`` function.  Each family states
-its hypothesis once; its cases meet it with group order at most a bound, by
-``(order, *params)`` (El(p^n) x Z_m from m = 2).  The harness recomputes each
-case's polynomial from scratch (group table -> graph -> exact matrix ->
-characteristic polynomial) and reports whether the two routes agree exactly.
+family, graph and matrix kinds, and its ``cf_*`` function.  A family's
+hypothesis is the rule of ``groups.BASE_FAMILIES`` (its parameters name a
+group) plus what its theorems add, stated once: p != q for El(p^n) x El(q^m),
+n >= 2 and gcd(m, p) = 1 for El(p^n) x Z_m.  Its cases meet it with group
+order at most a bound, by ``(order, *params)`` (El(p^n) x Z_m from m = 2).
+The harness recomputes each case's polynomial from scratch (group table ->
+graph -> exact matrix -> characteristic polynomial) and reports whether the
+two routes agree exactly.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .groups import (
     make_cyclic,
     make_group,
     maximal_cyclic_subgroups,
+    rule_error,
 )
 from .linalg import (
     FactoredPoly,
@@ -90,25 +94,44 @@ def _require(cond: bool, message: str) -> None:
         raise HypothesisViolated(message)
 
 
+# What each family's theorems add to "the group exists" (the rule of
+# groups.BASE_FAMILIES): a statement, its test on the named parameters, and
+# whether the named partitions assume it too.
+_ADDED_HYPOTHESES: dict[str, tuple[tuple[str, Callable[..., bool], bool], ...]] = {
+    "elab-product": (("p != q", lambda p, q, **_: p != q, True),),
+    "elab-cyclic": (
+        ("gcd(m, p) = 1", lambda p, m, **_: m % p != 0, True),
+        ("n >= 2", lambda n, **_: n >= 2, False),  # El(p) x Z_m is cyclic: one cell
+    ),
+}
+
+
+def _unmet(family: str, params: dict[str, int], partitions: bool = False) -> str | None:
+    """The first condition ``family``'s theorems add that ``params`` fail, or None;
+    with ``partitions``, only those the named partitions assume."""
+    for statement, holds, shared in _ADDED_HYPOTHESES.get(family, ()):
+        if (shared or not partitions) and not holds(**params):
+            return f"{family} needs {statement}, got {params}"
+    return None
+
+
+def _check_hypothesis(family: str, **params: int) -> None:
+    """Raise :class:`HypothesisViolated` unless ``params`` name a group of
+    ``family`` that meets what the family's theorems add."""
+    error = rule_error(family_spec(family, params)) or _unmet(family, params)
+    if error is not None:
+        raise HypothesisViolated(error)
+
+
 # ---------------------------------------------------------------------------
 # Closed forms: nonabelian order p*q, dihedral, dicyclic
 # ---------------------------------------------------------------------------
 
 
-def _check_n(n: int) -> None:
-    _require(n >= 3, f"need n >= 3, got n={n}")
-
-
-def _check_gpq(p: int, q: int) -> None:
-    _require(is_prime(p) and is_prime(q), f"p and q must be prime, got {p}, {q}")
-    _require(p < q, f"need p < q, got p={p}, q={q}")
-    _require((q - 1) % p == 0, f"need p | q-1, got p={p}, q={q}")
-
-
 def cf_epg_gpq_distance(p: int, q: int) -> FactoredPoly:
     """Distance characteristic polynomial of the enhanced power graph of the
     nonabelian group of order p*q (equal to its power graph's as well)."""
-    _check_gpq(p, q)
+    _check_hypothesis("gpq", p=p, q=q)
     cubic = IntPolynomial(
         (
             -(p * q * q + p * q - p - q * q),
@@ -126,14 +149,14 @@ def cf_epg_gpq_distance(p: int, q: int) -> FactoredPoly:
 
 def cf_epg_gpq_determinant(p: int, q: int) -> int:
     """Magnitude of the distance-matrix determinant for the same graph."""
-    _check_gpq(p, q)
+    _check_hypothesis("gpq", p=p, q=q)
     return p ** (q - 1) * (p * (q * q + q - 1) - q * q)
 
 
 def cf_epg_dihedral_distance(n: int) -> FactoredPoly:
     """Distance characteristic polynomial of the enhanced power graph of the
     dihedral group of order 2n."""
-    _check_n(n)
+    _check_hypothesis("dihedral", n=n)
     cubic = IntPolynomial(
         (
             -(n * n + 2 * n - 2),
@@ -159,7 +182,7 @@ def cf_pg_dihedral_distance_rhs(
     (identity removed), both supplied by the caller; the catalog takes them
     from the join forms of Z_n (:func:`cf_join_distance` of :func:`join_form`).
     """
-    _check_n(n)
+    _check_hypothesis("dihedral", n=n)
     _require(pz.degree == n, f"pz must have degree n={n}, got {pz.degree}")
     _require(pzstar.degree == n - 1, f"pzstar must have degree n-1={n - 1}, got {pzstar.degree}")
     lin = IntPolynomial((2 * (n + 1), 4 * n + 1))  # (4n+1)x + 2(n+1)
@@ -170,7 +193,7 @@ def cf_pg_dihedral_distance_rhs(
 def cf_epg_dicyclic_distance(n: int) -> FactoredPoly:
     """Distance characteristic polynomial of the enhanced power graph of the
     dicyclic group of order 4n."""
-    _check_n(n)
+    _check_hypothesis("dicyclic", n=n)
     cubic = IntPolynomial(
         (
             -(6 * n - 3),
@@ -189,16 +212,6 @@ def cf_epg_dicyclic_distance(n: int) -> FactoredPoly:
 # ---------------------------------------------------------------------------
 # Closed forms: products of two elementary abelian groups
 # ---------------------------------------------------------------------------
-
-
-def _check_elab(p: int, n: int) -> None:
-    _require(is_prime(p) and n >= 1, f"El(p^n) needs a prime p and n >= 1, got El({p}^{n})")
-
-
-def _check_product(p: int, n: int, q: int, m: int) -> None:
-    _check_elab(p, n)
-    _check_elab(q, m)
-    _require(p != q, f"need distinct primes, got p=q={p}")
 
 
 def _check_kinds(graph_kind: str, matrix_kind: str) -> None:
@@ -243,7 +256,7 @@ def build_T1_T2(
     products of identity/all-ones blocks), not re-derived from a graph, so
     they can be compared against actual quotient matrices.
     """
-    _check_product(p, n, q, m)
+    _check_hypothesis("elab-product", p=p, n=n, q=q, m=m)
     _check_kinds(graph_kind, matrix_kind)
     pn, qm = p**n, q**m
     alpha = (pn - 1) // (p - 1)
@@ -295,7 +308,7 @@ def build_T1_T2(
 def elab_product_BC(p: int, n: int, q: int, m: int, matrix_kind: str) -> tuple[IntMatrix, IntMatrix]:
     """The 2x2 companion matrices whose characteristic polynomials carry the
     repeated factors of the refined quotient's factorization."""
-    _check_product(p, n, q, m)
+    _check_hypothesis("elab-product", p=p, n=n, q=q, m=m)
     _require(matrix_kind in MATRIX_KINDS, f"unknown matrix kind {matrix_kind!r}")
     pn, qm = p**n, q**m
     if matrix_kind == "adjacency":
@@ -312,7 +325,7 @@ def cf_elab_product(
 ) -> FactoredPoly:
     """Characteristic polynomial (adjacency or distance) of the power graph or
     enhanced power graph of El(p^n) x El(q^m)."""
-    _check_product(p, n, q, m)
+    _check_hypothesis("elab-product", p=p, n=n, q=q, m=m)
     _check_kinds(graph_kind, matrix_kind)
     pn, qm = p**n, q**m
     alpha = (pn - 1) // (p - 1)
@@ -337,17 +350,10 @@ def cf_elab_product(
 # ---------------------------------------------------------------------------
 
 
-def _check_elab_cyclic(p: int, n: int, m: int) -> None:
-    _check_elab(p, n)
-    _require(n >= 2, f"need n >= 2, got {n}")
-    _require(m >= 1, f"need m >= 1, got {m}")
-    _require(m % p != 0, f"need gcd(m, p) = 1, got m={m}, p={p}")
-
-
 def cf_elab_times_cyclic_distance(p: int, n: int, m: int) -> FactoredPoly:
     """Distance characteristic polynomial of the enhanced power graph of
     El(p^n) x Z_m with gcd(m, p) = 1 and n >= 2."""
-    _check_elab_cyclic(p, n, m)
+    _check_hypothesis("elab-cyclic", p=p, n=n, m=m)
     pn = p**n
     alpha = (pn - 1) // (p - 1)
     quad = IntPolynomial(
@@ -367,7 +373,7 @@ def cf_elab_times_cyclic_distance(p: int, n: int, m: int) -> FactoredPoly:
 def cf_elab_distance(p: int, n: int) -> FactoredPoly:
     """Distance characteristic polynomial of the enhanced power graph of
     El(p^n) (which coincides with its power graph)."""
-    _check_elab(p, n)
+    _check_hypothesis("elementary-abelian", p=p, n=n)
     pn = p**n
     alpha = (pn - 1) // (p - 1)
     quad = IntPolynomial((-(pn - 1), -(2 * pn - p - 2), 1))
@@ -482,10 +488,8 @@ def _catalog_params(g: FiniteGroup, families: tuple[str, ...]) -> dict[str, int]
     _mismatch_unless(
         family in families, f"needs a {' or '.join(families)} group, got {g.spec.describe()}"
     )
-    if family == "elab-cyclic":
-        _mismatch_unless(d["m"] % d["p"] != 0, "the cyclic order must be coprime to the prime p")
-    if family == "elab-product":
-        _mismatch_unless(d["p"] != d["q"], "the two factor primes must differ")
+    unmet = _unmet(family, d, partitions=True)
+    _mismatch_unless(unmet is None, str(unmet))
     return d
 
 
@@ -594,16 +598,6 @@ class VerificationReport:
         }
 
 
-# Family name -> its hypothesis, stated once for every theorem about the family.
-_HYPOTHESES: dict[str, Callable[..., None]] = {
-    "gpq": _check_gpq,
-    "dihedral": _check_n,
-    "dicyclic": _check_n,
-    "elab-product": _check_product,
-    "elab-cyclic": _check_elab_cyclic,
-    "elementary-abelian": _check_elab,
-}
-
 # Base family -> the kinds of its parameters, where not a single size.  Sizes
 # start at 2, so El(p^n) x Z_m has m >= 2: m = 1 is the bare El(p^n) case.
 _PARAM_KINDS = {"elementary-abelian": ("prime", "exponent"), "gpq": ("prime", "prime")}
@@ -634,7 +628,7 @@ def _family_cases(family: str, max_order: int) -> tuple[tuple[int, ...], ...]:
     cases = []
     for values in found:
         with suppress(HypothesisViolated):
-            _HYPOTHESES[family](**dict(zip(names, values)))
+            _check_hypothesis(family, **dict(zip(names, values)))
             cases.append(values)
     return tuple(sorted(cases, key=lambda values: (order(values), values)))
 
@@ -678,6 +672,7 @@ class _Theorem:
 
 
 def _pg_dihedral_closed_form(n: int) -> FactoredPoly:
+    _check_hypothesis("dihedral", n=n)  # before Z_n is built
     zn = make_cyclic(n)
     pz, pzstar = (cf_join_distance(join_form(zn, kind)[0]) for kind in ("power", "proper-power"))
     return FactoredPoly.of((cf_pg_dihedral_distance_rhs(n, pz, pzstar), 1))
@@ -693,6 +688,7 @@ def _pg_dicyclic_note(n: int) -> str:
 
 
 def _pg_dicyclic_closed_form(n: int) -> FactoredPoly | None:
+    _check_hypothesis("dicyclic", n=n)  # before the note reads n as an int
     return None if _pg_dicyclic_note(n) else cf_epg_dicyclic_distance(n)
 
 
@@ -769,7 +765,7 @@ def check_case(case: TheoremCase) -> None:
     """Raise :class:`HypothesisViolated` (or, first, a too-large order)."""
     thm = THEOREMS[case.theorem_id]
     admit(family_spec(thm.family, case.params_dict()))
-    _HYPOTHESES[thm.family](**case.params_dict())
+    _check_hypothesis(thm.family, **case.params_dict())
 
 
 def verify(case: TheoremCase) -> VerificationReport:
@@ -840,12 +836,14 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
 
 
 def closed_form_for(
-    spec: GroupFamilySpec, graph_kind: str, matrix_kind: str
+    spec: GroupFamilySpec | None, graph_kind: str, matrix_kind: str
 ) -> FactoredPoly | None:
     """The catalogued closed form for a family/graph/matrix combination.
 
     Returns None when the catalog makes no claim for the combination.
     """
+    if spec is None:  # a group read from JSON names no family
+        return None
     family, params = family_of(spec) or (None, None)
     for thm in _THEOREM_LIST:
         if (thm.family, thm.matrix_kind) == (family, matrix_kind) and thm.answers(graph_kind):

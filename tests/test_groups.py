@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import itertools
 import json
 from pathlib import Path
 
@@ -344,6 +345,49 @@ def test_make_group_dispatch():
         make_group(GroupFamilySpec("direct-product", ()))
 
 
+@pytest.mark.parametrize("count", [1, 3])
+def test_make_group_needs_exactly_two_factors(count):
+    # one factor once raised IndexError; three built only the first two
+    factors = tuple(GroupFamilySpec("cyclic", (k,)) for k in (2, 3, 5)[:count])
+    with pytest.raises(InvalidFamilyParameters, match="two factor"):
+        make_group(GroupFamilySpec("direct-product", (), factors))
+
+
+# Each base family with parameters that name a group.
+GOOD_PARAMS = {
+    "cyclic": (4,),
+    "elementary-abelian": (2, 2),
+    "dihedral": (4,),
+    "dicyclic": (3,),
+    "gpq": (2, 3),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 4.0, "4", None], ids=repr)
+def test_constructors_refuse_non_int_parameters(bad):
+    assert set(GOOD_PARAMS) == set(groups.BASE_FAMILIES)
+    for name, good in GOOD_PARAMS.items():
+        for i in range(len(good)):
+            params = (*good[:i], bad, *good[i + 1 :])
+            with pytest.raises(InvalidFamilyParameters, match="int parameter"):
+                groups.BASE_FAMILIES[name].make(*params)
+            with pytest.raises(InvalidFamilyParameters, match="int parameter"):
+                make_group(GroupFamilySpec(name, params))
+
+
+@pytest.mark.parametrize("name", sorted(groups.BASE_FAMILIES))
+def test_each_constructor_builds_exactly_what_its_rule_admits(name):
+    family = groups.BASE_FAMILIES[name]
+    for values in itertools.product(range(-1, 14), repeat=len(FAMILY_PARAMS[name])):
+        spec = GroupFamilySpec(name, values)
+        admitted = family.holds(*values) and groups.bounded_order(spec) <= MAX_ORDER
+        try:
+            built = family.make(*values).spec == spec
+        except InvalidFamilyParameters:
+            built = False
+        assert built == admitted, spec
+
+
 def test_spec_describe():
     assert GroupFamilySpec("dihedral", (5,)).describe() == "dihedral[5]"
     nested = GroupFamilySpec(
@@ -572,7 +616,8 @@ def test_a_product_above_the_cap_builds_neither_factor(monkeypatch):
     def refuse(*args):
         raise AssertionError("a factor was built")
 
-    monkeypatch.setitem(groups._CONSTRUCTORS, "cyclic", refuse)
+    cyclic = dataclasses.replace(groups.BASE_FAMILIES["cyclic"], make=refuse)
+    monkeypatch.setitem(groups.BASE_FAMILIES, "cyclic", cyclic)
     spec = GroupFamilySpec(
         "direct-product", (), (GroupFamilySpec("cyclic", (64,)), GroupFamilySpec("cyclic", (64,)))
     )

@@ -6,6 +6,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from pgspectra import theorems
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -44,3 +46,20 @@ def test_spectra_table_prints_every_family(capsys):
         assert heading in out
     assert "D_6 (order   6)" in out
     assert "Dic_12 (order  12)" in out
+
+
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_verify_all_refuses_jobs_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "verification.jsonl"
+    assert load_script("verify_all").main(["--jobs", jobs, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == "error: --jobs must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("max_order", ["0", "4096"])
+def test_verify_all_reports_a_bad_max_order_in_one_line(tmp_path, capsys, max_order):
+    out = tmp_path / "verification.jsonl"
+    assert load_script("verify_all").main(["--max-order", max_order, "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error[InvalidFamilyParameters]: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -66,17 +66,21 @@ from pgspectra import (
 )
 from pgspectra.errors import (
     DisconnectedGraph,
+    FamilyMismatch,
     HypothesisViolated,
     InvalidFamilyParameters,
     PartNotComplete,
     SizeMismatch,
+    SpectraError,
 )
 from pgspectra.groups import MAX_ORDER
 from pgspectra import theorems
 from pgspectra.theorems import check_case
 from pgspectra import GroupFamilySpec, make_group
 from pgspectra.graphs import Graph
-from pgspectra.groups import FAMILIES, family_of
+from pgspectra import groups
+from pgspectra.graphs import MATRIX_KINDS
+from pgspectra.groups import FAMILIES, FAMILY_PARAMS, bounded_order, family_of, family_spec
 from pgspectra.theorems import GRAPH_BUILDERS, THEOREMS, closed_form_for, parallel_map
 
 
@@ -917,3 +921,100 @@ def test_enhanced_distance_closed_forms_at_orders_256_and_512(build, n):
     group = build(n)
     closed = closed_form_for(group.spec, "enhanced", "distance")
     assert char_poly(distance_matrix(enhanced_power_graph(group))) == closed.expand()
+
+
+# ---------------------------------------------------------------------------
+# one rule per layer: groups.py's, plus what the theorems add
+# ---------------------------------------------------------------------------
+
+
+def _raised(fn, *args, **kwargs):
+    """The class of the library error ``fn`` raises, or None."""
+    try:
+        fn(*args, **kwargs)
+    except SpectraError as exc:
+        return type(exc)
+    return None
+
+
+def _meets_hypothesis(family: str, params: dict[str, int], partitions: bool = False) -> bool:
+    """The rule of each factor's ``groups.BASE_FAMILIES`` row, then the conditions
+    the family's theorems add (those the named partitions assume, with ``partitions``)."""
+    spec = family_spec(family, params)
+    bases = spec.factors if spec.family == "direct-product" else (spec,)
+    return all(groups.BASE_FAMILIES[b.family].holds(*b.params) for b in bases) and all(
+        holds(**params)
+        for _statement, holds, shared in theorems._ADDED_HYPOTHESES.get(family, ())
+        if shared or not partitions
+    )
+
+
+def _grid(family: str) -> list[dict[str, int]]:
+    """Every value in -1..13 per parameter; the product's exponents at five of them."""
+    names = FAMILY_PARAMS[family]
+    few = (-1, 0, 1, 2, 13)
+    axes = [few if family == "elab-product" and k in "nm" else range(-1, 14) for k in names]
+    return [dict(zip(names, values)) for values in itertools.product(*axes)]
+
+
+@pytest.mark.parametrize("tid", THEOREM_IDS)
+def test_check_case_and_closed_form_agree_with_the_rule_tables(tid):
+    thm = THEOREMS[tid]
+    for params in _grid(thm.family):
+        wrong = None if _meets_hypothesis(thm.family, params) else HypothesisViolated
+        too_big = bounded_order(family_spec(thm.family, params)) > MAX_ORDER
+        assert _raised(thm.closed_form, **params) is wrong, params
+        assert _raised(check_case, make_case(tid, **params)) is (
+            InvalidFamilyParameters if too_big else wrong
+        ), params
+
+
+def test_named_partitions_assume_the_added_conditions_but_n_at_least_2():
+    rows = [
+        ("elab-cyclic", "elab-times-cyclic", itertools.product((2, 3), (1, 2), range(1, 7))),
+        ("elab-product", "elab-product-fine", [(2, 1, 2, 1), (2, 1, 3, 1), (3, 2, 3, 1)]),
+    ]
+    for family, which, grid in rows:
+        for values in grid:
+            params = dict(zip(FAMILY_PARAMS[family], values))
+            group = make_group(family_spec(family, params))
+            wrong = None if _meets_hypothesis(family, params, partitions=True) else FamilyMismatch
+            assert _raised(family_partition, group, which) is wrong, params
+
+
+# Every closed form taking family parameters, with parameters that meet its hypothesis.
+CLOSED_FORM_ARGS = [
+    (cf_epg_gpq_distance, (2, 3)),
+    (cf_epg_gpq_determinant, (2, 3)),
+    (cf_epg_dihedral_distance, (4,)),
+    (lambda n: cf_pg_dihedral_distance_rhs(n, x_plus(1) ** 4, x_plus(1) ** 3), (4,)),
+    (cf_epg_dicyclic_distance, (3,)),
+    (lambda *a: cf_elab_product(*a, "power", "adjacency"), (2, 1, 3, 1)),
+    (lambda *a: build_T1_T2(*a, "enhanced", "distance"), (2, 1, 3, 1)),
+    (lambda *a: elab_product_BC(*a, "distance"), (2, 1, 3, 1)),
+    (cf_elab_times_cyclic_distance, (2, 2, 3)),
+    (cf_elab_distance, (2, 2)),
+]
+
+
+@pytest.mark.parametrize("bad", [True, False, 4.0, "4", None], ids=repr)
+def test_closed_forms_refuse_non_int_parameters(bad):
+    for form, good in CLOSED_FORM_ARGS:
+        assert _raised(form, *good) is None
+        for i in range(len(good)):
+            assert _raised(form, *good[:i], bad, *good[i + 1 :]) is HypothesisViolated, (form, i)
+    for tid in THEOREM_IDS:
+        thm = THEOREMS[tid]
+        good = enumerate_cases(64, [tid])[0].params_dict()
+        for name in thm.param_names:
+            params = {**good, name: bad}
+            assert _raised(thm.closed_form, **params) is HypothesisViolated, (tid, name)
+            spec = family_spec(thm.family, params)
+            for graph_kind, matrix_kind in itertools.product(GRAPH_BUILDERS, MATRIX_KINDS):
+                assert closed_form_for(spec, graph_kind, matrix_kind) is None
+
+
+def test_closed_form_for_a_group_read_from_json_is_none():
+    group = group_from_json(group_to_json(make_dihedral(4)))
+    assert group.spec is None
+    assert closed_form_for(group.spec, "enhanced", "distance") is None
