@@ -128,22 +128,27 @@ def bounded_order(spec: GroupFamilySpec) -> int:
 def rule_error(spec: GroupFamilySpec, shape_only: bool = False) -> str | None:
     """Why ``spec`` names no group, whatever its order; None when it names one.
 
-    Either ``spec`` is malformed (not a base family with that many int
-    parameters, nor a direct product of two such specs) or, unless
+    Either ``spec`` is malformed (not a base family with a tuple of that many
+    int parameters, nor a direct product of a pair of such specs) or, unless
     ``shape_only``, it breaks a base family's rule.
     """
     if spec.family == "direct-product":
-        factors = spec.factors or ()
-        if len(factors) != 2:
-            return f"a direct product needs two factor specs, got {len(factors)}"
+        factors = spec.factors
+        if (
+            type(factors) is not tuple
+            or len(factors) != 2
+            or not all(isinstance(f, GroupFamilySpec) for f in factors)
+        ):
+            return f"a direct product needs a tuple of two factor specs, got {factors!r}"
         return rule_error(factors[0], shape_only) or rule_error(factors[1], shape_only)
-    family = BASE_FAMILIES.get(spec.family)
+    family = BASE_FAMILIES.get(spec.family) if type(spec.family) is str else None
     if family is None:
         return f"unknown family {spec.family!r}"
     arity = len(FAMILY_PARAMS[spec.family])
-    if len(spec.params) != arity or any(type(v) is not int for v in spec.params):
-        return f"family {spec.family!r} takes {arity} int parameter(s), got {list(spec.params)}"
-    if not shape_only and not family.holds(*spec.params):
+    params = spec.params
+    if type(params) is not tuple or len(params) != arity or any(type(v) is not int for v in params):
+        return f"family {spec.family!r} takes a tuple of {arity} int parameter(s), got {params!r}"
+    if not shape_only and not family.holds(*params):
         return f"{spec.family} needs {family.rule}, got {spec.describe()}"
     return None
 
@@ -360,10 +365,12 @@ def family_spec(name: str, params: Mapping[str, int]) -> GroupFamilySpec:
 def family_of(spec: GroupFamilySpec) -> tuple[str, dict[str, int]] | None:
     """The catalog family name and named parameters of ``spec``.
 
-    The inverse of :func:`family_spec`; None when ``spec`` is not in the
-    catalog (say a product of two cyclic groups).
+    The inverse of :func:`family_spec`; None when ``spec`` is malformed or
+    not in the catalog (say a product of two cyclic groups).
     """
-    factors = (spec.factors or ()) if spec.family == "direct-product" else (spec,)
+    if rule_error(spec, shape_only=True) is not None:
+        return None
+    factors = spec.factors if spec.family == "direct-product" else (spec,)
     for name, shape in FAMILIES.items():
         if [(f.family, len(f.params)) for f in factors] == [(b, len(k)) for b, k in shape]:
             return name, dict(zip(FAMILY_PARAMS[name], (v for f in factors for v in f.params)))

@@ -1,14 +1,16 @@
 """Exact integer matrices, polynomials, and characteristic polynomials.
 
 Everything here runs on Python's arbitrary-precision integers; no floating
-point is involved anywhere.  ``char_poly`` first splits off the eigenvalues
-of twins (classes whose rows and columns agree; each merge of two gives one
-linear factor), then runs the dense kernel ``dense_char_poly`` on the small
-quotient that remains, and certifies the factorisation on the original
-matrix.  The kernel is Hessenberg reduction modulo a Gershgorin-bounded
-prime (Cohen, *A Course in Computational Algebraic Number Theory*, Alg.
-2.2.9), certified by a Bareiss determinant; determinants come from
-fraction-free Bareiss elimination.
+point is involved anywhere.  ``char_poly`` has one route for every matrix:
+it splits off the eigenvalues of twins (classes whose rows and columns
+agree; each merge of two gives one linear factor, and a twin-free matrix
+merges nothing), certifies the reduction on the original matrix, and runs
+the dense kernel of ``dense_char_poly`` on the quotient that remains.  The
+kernel is Hessenberg reduction modulo a Gershgorin-bounded prime (Cohen, *A
+Course in Computational Algebraic Number Theory*, Alg. 2.2.9), certified by
+a Bareiss determinant; determinants come from fraction-free Bareiss
+elimination.  Each public function checks its matrix and turns it into rows
+once; the kernels behind it work on those rows.
 
 Polynomials are dense coefficient tuples in ascending order, so
 ``(c0, c1, c2)`` is ``c0 + c1*x + c2*x**2``.
@@ -103,35 +105,6 @@ class IntMatrix:
 
     def __rmul__(self, k: int) -> IntMatrix:
         return IntMatrix(self.rows, self.cols, tuple(k * v for v in self.entries))
-
-    def __matmul__(self, other: IntMatrix) -> IntMatrix:
-        if self.cols != other.rows:
-            raise DimensionMismatch(
-                f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
-            )
-        cols = [other.entries[j :: other.cols] for j in range(other.cols)]
-        flat: list[int] = []
-        for i in range(self.rows):
-            r = self.row(i)
-            flat.extend(sum(map(mul, r, c)) for c in cols)
-        return IntMatrix(self.rows, other.cols, tuple(flat))
-
-    def apply(self, vec: Sequence[int]) -> tuple[int, ...]:
-        """Matrix-vector product."""
-        if len(vec) != self.cols:
-            raise DimensionMismatch("vector length must equal column count")
-        return tuple(sum(map(mul, self.row(i), vec)) for i in range(self.rows))
-
-    def trace(self) -> int:
-        if self.rows != self.cols:
-            raise NotSquare("trace needs a square matrix")
-        return sum(self.entries[i * self.cols + i] for i in range(self.rows))
-
-    def transpose(self) -> IntMatrix:
-        flat: list[int] = []
-        for j in range(self.cols):
-            flat.extend(self.entries[j :: self.cols])
-        return IntMatrix(self.cols, self.rows, tuple(flat))
 
     def to_csv(self, labels: Sequence[str] | None = None) -> str:
         """CSV text: one header row of column labels, then integer rows."""
@@ -237,13 +210,6 @@ class IntPolynomial:
     def degree(self) -> int:
         """Degree, with the zero polynomial conventionally at -1."""
         return len(self.coeffs) - 1
-
-    @property
-    def leading(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    def is_monic(self) -> bool:
-        return self.leading == 1
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -479,7 +445,7 @@ def _square_rows(m: IntMatrix, what: str) -> list[list[int]]:
 
 def _certificate_point(rows: list[list[int]]) -> int:
     """``R + 1`` with ``R`` the largest absolute row sum: Gershgorin's bound."""
-    return max(sum(map(abs, row)) for row in rows) + 1
+    return max((sum(map(abs, row)) for row in rows), default=0) + 1
 
 
 def dense_char_poly(m: IntMatrix) -> IntPolynomial:
@@ -498,10 +464,12 @@ def dense_char_poly(m: IntMatrix) -> IntPolynomial:
     closed-form predictions call it directly, so they never share the
     reduction with the brute force that checks them.
     """
-    rows = _square_rows(m, "characteristic polynomial")
+    return _dense_char_poly(_square_rows(m, "characteristic polynomial"))
+
+
+def _dense_char_poly(rows: list[list[int]]) -> IntPolynomial:
+    """:func:`dense_char_poly` of the checked square integer ``rows``, left unchanged."""
     n = len(rows)
-    if n == 0:
-        return IntPolynomial((1,))
     x0 = _certificate_point(rows)
     bound = 2 * x0**n
     p = next((2**e - 1 for e in MERSENNE_EXPONENTS if 2**e - 1 > bound), None)
@@ -512,7 +480,10 @@ def dense_char_poly(m: IntMatrix) -> IntPolynomial:
         )
     coeffs = [c - p if c > p // 2 else c for c in _hessenberg_char_poly(rows, p)]
     poly = IntPolynomial(tuple(coeffs))
-    if determinant(x0 * identity(n) - m) != poly(x0):
+    shifted = [[-v for v in row] for row in rows]  # x0 I - rows
+    for i, row in enumerate(shifted):
+        row[i] += x0
+    if _bareiss(shifted) != poly(x0):
         raise InternalExactnessViolation(f"char_poly: det({x0}I - A) != poly({x0})")
     return poly
 
@@ -634,15 +605,16 @@ def _certify_twin_reduction(
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial ``det(xI - m)``, exactly.
 
-    Twins are split off first.  Classes X and Y of an equitable partition
-    with quotient ``Q`` are twins when their rows and columns of ``Q`` agree
-    outside {X, Y}, ``Q[X][X] = Q[Y][Y]`` and ``Q[X][Y] = Q[Y][X]``; then
-    ``1_X - 1_Y`` is an eigenvector for ``lam = Q[X][X] - Q[X][Y]``, and
-    merging X and Y keeps the partition equitable.  Starting from singletons
-    and merging until no twins remain gives ``char_poly(m) =
-    dense_char_poly(Q) * prod(x - lam)``; power graphs and enhanced power
-    graphs are blow-ups of small outer graphs, so ``Q`` is small.  A
-    twin-free matrix goes straight to :func:`dense_char_poly`.
+    One route for every matrix: reduce, certify, then run the kernel.  Classes
+    X and Y of an equitable partition with quotient ``Q`` are twins when their
+    rows and columns of ``Q`` agree outside {X, Y}, ``Q[X][X] = Q[Y][Y]`` and
+    ``Q[X][Y] = Q[Y][X]``; then ``1_X - 1_Y`` is an eigenvector for
+    ``lam = Q[X][X] - Q[X][Y]``, and merging X and Y keeps the partition
+    equitable.  Starting from singletons and merging until no twins remain
+    gives ``char_poly(m) = dense_char_poly(Q) * prod(x - lam)``; power graphs
+    and enhanced power graphs are blow-ups of small outer graphs, so ``Q`` is
+    small.  A twin-free matrix is the reduction with no merges: ``Q`` is
+    ``m`` itself.
 
     The reduction is certified on ``m`` itself: the final partition is
     equitable, every merge vector is an eigenvector, the merges and ``Q``
@@ -652,16 +624,14 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     """
     rows = _square_rows(m, "characteristic polynomial")
     cells, q, merges = _twin_reduction(rows)
-    if not merges:
-        return dense_char_poly(m)
     _certify_twin_reduction(rows, cells, q, merges)
-    kernel = dense_char_poly(IntMatrix(len(q), len(q), tuple(chain.from_iterable(q))))
+    kernel = _dense_char_poly(q)
     lams = Counter(lam for lam, group in merges for _ in group[1:])
     poly = kernel
     # Lowest degrees multiplied first.
     for lam, mult in sorted(lams.items(), key=lambda lm: lm[1]):
         poly = poly * x_plus(-lam) ** mult
-    # dense_char_poly certified kernel(x0) == det(x0 I - Q).
+    # The kernel certified kernel(x0) == det(x0 I - Q).
     x0 = _certificate_point(q)
     if poly(x0) != kernel(x0) * prod((x0 - lam) ** mult for lam, mult in lams.items()):
         raise InternalExactnessViolation(f"char_poly: twin product disagrees at {x0}")
@@ -670,7 +640,11 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
 
 def determinant(m: IntMatrix) -> int:
     """Determinant by fraction-free Bareiss elimination with row pivoting."""
-    a = _square_rows(m, "determinant")
+    return _bareiss(_square_rows(m, "determinant"))
+
+
+def _bareiss(a: list[list[int]]) -> int:
+    """:func:`determinant` of the checked square integer rows ``a``, which it overwrites."""
     n = len(a)
     if n == 0:
         return 1

@@ -800,7 +800,9 @@ def verify(case: TheoremCase) -> VerificationReport:
 def enumerate_cases(
     max_order: int = DEFAULT_MAX_ORDER, theorem_ids: Sequence[str] | None = None
 ) -> list[TheoremCase]:
-    """All catalogued cases with group order at most ``max_order``."""
+    """All catalogued cases with group order at most ``max_order``, an int."""
+    if type(max_order) is not int:
+        raise InvalidFamilyParameters(f"max order must be an int, got {max_order!r}")
     if max_order < 1:
         raise InvalidFamilyParameters(f"max order {max_order} is below 1")
     if max_order > MAX_ORDER:

@@ -38,7 +38,8 @@ from pgspectra import (
     to_dot,
     verify_join_form,
 )
-from pgspectra.errors import DisconnectedGraph, SizeMismatch
+from pgspectra.errors import DisconnectedGraph, HypothesisViolated, SizeMismatch
+from pgspectra.graphs import MATRIX_KINDS, graph_matrix
 from pgspectra.theorems import GRAPH_BUILDERS
 
 
@@ -410,7 +411,16 @@ def test_template_rejects_empty_layer():
 def test_adjacency_matrix():
     m = adjacency_matrix(path_graph(3))
     assert m.to_rows() == [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
-    assert m == m.transpose()
+
+
+def test_graph_matrix_dispatches_by_kind_and_names_an_unknown_one():
+    g = path_graph(3)
+    assert MATRIX_KINDS == ("adjacency", "distance")
+    assert graph_matrix(g, "adjacency") == adjacency_matrix(g)
+    assert graph_matrix(g, "distance").to_rows() == [[0, 1, 2], [1, 0, 1], [2, 1, 0]]
+    for kind in ("laplacian", "", None):
+        with pytest.raises(HypothesisViolated, match="unknown matrix kind"):
+            graph_matrix(g, kind)
 
 
 def test_to_dot_deterministic():

@@ -339,6 +339,8 @@ def test_make_group_dispatch():
     assert make_group(nested).order == 12
     with pytest.raises(InvalidFamilyParameters):
         make_group(GroupFamilySpec("frobnicated", (1,)))
+    with pytest.raises(InvalidFamilyParameters, match="unknown family"):
+        make_group(GroupFamilySpec(["cyclic"], (5,)))  # once a bare TypeError (unhashable)
     with pytest.raises(InvalidFamilyParameters, match="parameter"):
         make_group(GroupFamilySpec("dihedral", (4, 2)))
     with pytest.raises(InvalidFamilyParameters, match="factor"):
@@ -351,6 +353,33 @@ def test_make_group_needs_exactly_two_factors(count):
     factors = tuple(GroupFamilySpec("cyclic", (k,)) for k in (2, 3, 5)[:count])
     with pytest.raises(InvalidFamilyParameters, match="two factor"):
         make_group(GroupFamilySpec("direct-product", (), factors))
+
+
+@pytest.mark.parametrize("params", [5, [5], None, "5"], ids=repr)
+def test_parameters_that_are_not_a_tuple_are_a_family_error(params):
+    # an int once raised a bare TypeError from len()
+    spec = GroupFamilySpec("cyclic", params)
+    for call in (admit, make_group):
+        with pytest.raises(InvalidFamilyParameters, match="tuple of 1 int parameter"):
+            call(spec)
+    assert family_of(spec) is None
+
+
+_C2, _C3 = GroupFamilySpec("cyclic", (2,)), GroupFamilySpec("cyclic", (3,))
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [(_C2, 3), ("cyclic", _C3), [_C2, _C3], 7],
+    ids=["int-factor", "string-factor", "list-of-specs", "int"],
+)
+def test_factors_that_are_not_a_pair_of_specs_are_a_family_error(factors):
+    # a factor that is no spec once raised AttributeError
+    spec = GroupFamilySpec("direct-product", (), factors)
+    for call in (admit, make_group):
+        with pytest.raises(InvalidFamilyParameters, match="two factor specs"):
+            call(spec)
+    assert family_of(spec) is None
 
 
 # Each base family with parameters that name a group.
@@ -578,6 +607,12 @@ _D6 = json.loads(group_to_json(make_dihedral(3)))
         pytest.param("not json", id="not-json"),
         pytest.param(
             json.dumps({"order": MAX_ORDER + 1, "identity": 0, "table": []}), id="above-the-cap"
+        ),
+        # True == 1, so only the entry-type check refuses these two.
+        pytest.param([[0, 1], [True, 0]], id="bool-entry"),
+        pytest.param(
+            json.dumps({"order": 2, "identity": False, "table": [[0, 1], [1, 0]]}),
+            id="bool-identity",
         ),
     ],
 )

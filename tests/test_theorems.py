@@ -306,9 +306,11 @@ def test_block_factor_matrices_adjacency_case():
 
 
 def test_structured_eigenvectors_on_the_refined_quotient():
-    p, n, q, m = 2, 2, 3, 1
+    p, n, q, m = 2, 2, 3, 2
     alpha = (p**n - 1) // (p - 1)
     beta = (q**m - 1) // (q - 1)
+    assert (alpha, beta) == (3, 4)
+    checked = 0
     for matrix_kind, lam in (
         ("adjacency", p * q - p - q),
         ("distance", -((p - 1) * (q - 1) + 1)),
@@ -322,7 +324,10 @@ def test_structured_eigenvectors_on_the_refined_quotient():
                 w[j] = -1
                 grid = [v[a] * w[b] for a in range(alpha) for b in range(beta)]
                 y = [0] * (1 + alpha) + grid + [0] * beta
-                assert t2.apply(y) == tuple(lam * yk for yk in y)
+                t2y = [sum(a * b for a, b in zip(t2.row(k), y)) for k in range(t2.rows)]
+                assert t2y == [lam * yk for yk in y], (matrix_kind, i, j)
+                checked += 1
+    assert checked == 2 * (alpha - 1) * (beta - 1) == 12
 
 
 # ---------------------------------------------------------------------------
@@ -751,10 +756,14 @@ def test_a_trivial_cyclic_factor_is_never_enumerated_but_verifies_by_hand():
     assert (report.equal, report.group_order) == (True, 4)
 
 
-@pytest.mark.parametrize("max_order", [0, -3])
+@pytest.mark.parametrize("max_order", [0, -3, 64.0, None, "64", True])
 def test_case_orders_below_one_are_refused(max_order):
-    with pytest.raises(InvalidFamilyParameters, match="below 1"):
+    # 64.0, None and "64" once raised a bare TypeError; True gave no cases
+    message = "below 1" if type(max_order) is int else "must be an int"
+    with pytest.raises(InvalidFamilyParameters, match=message):
         enumerate_cases(max_order)
+    with pytest.raises(InvalidFamilyParameters, match=message):
+        verify_sweep(max_order=max_order)
 
 
 def test_verify_sweep_small_orders_all_hold():
@@ -876,6 +885,22 @@ def test_closed_form_for_contract(label, graph_kind, matrix_kind):
     graph = GRAPH_BUILDERS[graph_kind](make_group(spec))
     matrix = distance_matrix(graph) if matrix_kind == "distance" else adjacency_matrix(graph)
     assert closed.expand() == char_poly(matrix)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        GroupFamilySpec("cyclic", 5),
+        GroupFamilySpec("dihedral", [4]),
+        GroupFamilySpec("direct-product", (), (GroupFamilySpec("elementary-abelian", (2, 2)), 3)),
+    ],
+    ids=["int-params", "list-params", "int-factor"],
+)
+def test_closed_form_for_a_malformed_spec_is_none(spec):
+    # an int for the parameters once raised a bare TypeError
+    for graph_kind in GRAPH_BUILDERS:
+        for matrix_kind in MATRIX_KINDS:
+            assert closed_form_for(spec, graph_kind, matrix_kind) is None
 
 
 def test_closed_form_lookup_is_unambiguous():
