@@ -56,8 +56,20 @@ class GroupFamilySpec:
     factors: tuple[GroupFamilySpec, GroupFamilySpec] | None = None
 
     def describe(self) -> str:
+        """A readable name for any spec, malformed ones too: error messages use it.
+
+        A factor that is no spec, factors that are no pair and parameters that
+        are no tuple are shown by their ``repr``.
+        """
         if self.family == "direct-product" and self.factors is not None:
-            return f"({self.factors[0].describe()}) x ({self.factors[1].describe()})"
+            if type(self.factors) is not tuple or len(self.factors) != 2:
+                return f"{self.family}({self.factors!r})"
+            a, b = (
+                f.describe() if isinstance(f, GroupFamilySpec) else repr(f) for f in self.factors
+            )
+            return f"({a}) x ({b})"
+        if type(self.params) is not tuple:
+            return f"{self.family}({self.params!r})"
         return f"{self.family}{list(self.params)}"
 
 

@@ -24,7 +24,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import prod
-from operator import itemgetter, mul, sub
+from operator import itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -390,7 +390,7 @@ class FactoredPoly:
 MERSENNE_EXPONENTS = (61, 89, 127, 521, 607, 1279, 2203, 3217, 4253, 9689, 19937, 44497)
 
 
-def _hessenberg_char_poly(rows: list[list[int]], p: int) -> list[int]:
+def _hessenberg_char_poly(rows: Sequence[Sequence[int]], p: int) -> list[int]:
     """Ascending coefficients mod prime ``p`` of ``det(xI - A)`` (Cohen, Alg. 2.2.9)."""
     n = len(rows)
     h = [[v % p for v in row] for row in rows]
@@ -429,8 +429,8 @@ def _hessenberg_char_poly(rows: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def _square_rows(m: IntMatrix, what: str) -> list[list[int]]:
-    """The rows of ``m`` as lists, once ``m`` is square with ``int`` entries only.
+def _square_rows(m: IntMatrix, what: str) -> list[tuple[int, ...]]:
+    """The rows of ``m`` as tuples, once ``m`` is square with ``int`` entries only.
 
     ``IntMatrix`` does not check its entries' types; a bool or float would
     otherwise be read as a number and a string fail deep in the arithmetic.
@@ -440,10 +440,10 @@ def _square_rows(m: IntMatrix, what: str) -> list[list[int]]:
     if not set(map(type, m.entries)) <= {int}:
         bad = next(v for v in m.entries if type(v) is not int)
         raise DimensionMismatch(f"{what} needs integer entries, got {bad!r}")
-    return [list(m.row(i)) for i in range(m.rows)]
+    return [m.row(i) for i in range(m.rows)]
 
 
-def _certificate_point(rows: list[list[int]]) -> int:
+def _certificate_point(rows: Sequence[Sequence[int]]) -> int:
     """``R + 1`` with ``R`` the largest absolute row sum: Gershgorin's bound."""
     return max((sum(map(abs, row)) for row in rows), default=0) + 1
 
@@ -467,7 +467,7 @@ def dense_char_poly(m: IntMatrix) -> IntPolynomial:
     return _dense_char_poly(_square_rows(m, "characteristic polynomial"))
 
 
-def _dense_char_poly(rows: list[list[int]]) -> IntPolynomial:
+def _dense_char_poly(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     """:func:`dense_char_poly` of the checked square integer ``rows``, left unchanged."""
     n = len(rows)
     x0 = _certificate_point(rows)
@@ -493,19 +493,24 @@ def _dense_char_poly(rows: list[list[int]]) -> IntPolynomial:
 TwinMerge = tuple[int, tuple[tuple[int, ...], ...]]
 
 
-def _twin_groups(q: list[list[int]]) -> list[tuple[int, list[int]]]:
+def _twin_groups(q: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
     """Disjoint groups of mutual twin classes of quotient ``q``, each with its eigenvalue.
 
     Twins X and Y agree in row and column outside {X, Y} and on the diagonal,
     and ``q[X][Y] == q[Y][X] == t``.  With the diagonal entry of X's row and
     column set to ``t``, X's key (diagonal, ``t``, row, column) then equals
     Y's, so each candidate value ``t`` costs one O(k) key per class and no
-    pair is compared.  Twins also share their row and column sums, which
-    leave most classes of a twin-free matrix alone before any key is built.
+    pair is compared.  A symmetric ``q`` (every graph matrix, though rarely a
+    quotient with cells of different sizes) is keyed by its rows alone: its
+    columns repeat them, so the buckets are the same.  Twins also share their
+    row and column sums, which leave most classes of a twin-free matrix alone
+    before any key is built.
     """
-    cols = list(zip(*q))
+    rows = list(map(tuple, q))
+    cols = list(zip(*rows))
+    symmetric = rows == cols
     coarse: dict[tuple[int, int, int], list[int]] = defaultdict(list)
-    for i, row in enumerate(q):
+    for i, row in enumerate(rows):
         coarse[row[i], sum(row), sum(cols[i])].append(i)
     buckets: dict[tuple[int, ...], list[int]] = defaultdict(list)
     for members in coarse.values():
@@ -513,12 +518,15 @@ def _twin_groups(q: list[list[int]]) -> list[tuple[int, list[int]]]:
             continue
         pick = itemgetter(*members)
         for i in members:
-            row, col = q[i], cols[i]
+            row, col = rows[i], cols[i]
             values = pick(row)
             for t in set(values):
                 if t == row[i] and values.count(t) == 1:
                     continue  # row[i] itself is no twin value
-                key = (row[i], t, *row[:i], t, *row[i + 1 :], *col[:i], t, *col[i + 1 :])
+                if symmetric:
+                    key = (row[i], t, *row[:i], t, *row[i + 1 :])
+                else:
+                    key = (row[i], t, *row[:i], t, *row[i + 1 :], *col[:i], t, *col[i + 1 :])
                 buckets[key].append(i)
     groups = []
     used: set[int] = set()
@@ -531,8 +539,8 @@ def _twin_groups(q: list[list[int]]) -> list[tuple[int, list[int]]]:
 
 
 def _twin_reduction(
-    rows: list[list[int]],
-) -> tuple[list[tuple[int, ...]], list[list[int]], list[TwinMerge]]:
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[tuple[int, ...]], Sequence[Sequence[int]], list[TwinMerge]]:
     """Merge twin classes of ``rows``, starting from singletons, until none remain.
 
     Returns the final cells, their quotient and the merges in order.  Merging
@@ -558,9 +566,9 @@ def _twin_reduction(
 
 
 def _certify_twin_reduction(
-    rows: list[list[int]],
+    rows: Sequence[Sequence[int]],
     cells: list[tuple[int, ...]],
-    q: list[list[int]],
+    q: Sequence[Sequence[int]],
     merges: list[TwinMerge],
 ) -> None:
     """Check on the original matrix that ``char_poly = char_poly(q) * prod(x - lam)``.
@@ -570,7 +578,9 @@ def _certify_twin_reduction(
     indicator vectors of ``cells`` then form a basis.  ``M P = P q`` for the
     indicator matrix ``P`` of ``cells``, and ``M v = lam v`` for every merge
     vector ``v``, so in that basis ``M`` is block diagonal with blocks ``q``
-    and ``diag(lam)``.
+    and ``diag(lam)``.  A merge's vectors are checked by comparing shifted
+    column images: ``M 1_X - lam 1_X`` must be the same for every cell X of
+    the group, which is ``M (1_X - 1_Y) = lam (1_X - 1_Y)`` for every pair.
     """
     n = len(rows)
     # M @ 1_cell for every current cell of the replay; a merged cell's is the sum.
@@ -578,15 +588,14 @@ def _certify_twin_reduction(
     for lam, group in merges:
         if len(set(group)) != len(group) or not all(cell in image for cell in group):
             raise InternalExactnessViolation("twin reduction merged cells that do not exist")
-        first, *others = group
-        for cell in others:
-            diff = list(map(sub, image[first], image[cell]))
-            for i in first:
-                diff[i] -= lam
+        shifted = []
+        for cell in group:
+            col = list(image[cell])
             for i in cell:
-                diff[i] += lam
-            if any(diff):
-                raise InternalExactnessViolation(f"twin reduction: M v != {lam} v")
+                col[i] -= lam
+            shifted.append(col)
+        if shifted and shifted.count(shifted[0]) != len(shifted):
+            raise InternalExactnessViolation(f"twin reduction: M v != {lam} v")
         union = tuple(sorted(chain.from_iterable(group)))
         image[union] = list(map(sum, zip(*(image.pop(cell) for cell in group))))
     if image.keys() != set(cells) or len(q) + sum(len(g) - 1 for _, g in merges) != n:
@@ -640,7 +649,7 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
 
 def determinant(m: IntMatrix) -> int:
     """Determinant by fraction-free Bareiss elimination with row pivoting."""
-    return _bareiss(_square_rows(m, "determinant"))
+    return _bareiss(list(map(list, _square_rows(m, "determinant"))))
 
 
 def _bareiss(a: list[list[int]]) -> int:

@@ -382,6 +382,35 @@ def test_factors_that_are_not_a_pair_of_specs_are_a_family_error(factors):
     assert family_of(spec) is None
 
 
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        (GroupFamilySpec("direct-product", (), (_C2, 3)), "(cyclic[2]) x (3)"),
+        (GroupFamilySpec("direct-product", (), ("cyclic", _C3)), "('cyclic') x (cyclic[3])"),
+        (GroupFamilySpec("direct-product", (), 7), "direct-product(7)"),
+        (GroupFamilySpec("direct-product", (), (_C2,)), f"direct-product({(_C2,)!r})"),
+        (GroupFamilySpec("direct-product", (), [_C2, _C3]), f"direct-product({[_C2, _C3]!r})"),
+        (GroupFamilySpec("direct-product", ()), "direct-product[]"),
+        (
+            GroupFamilySpec("direct-product", (), (GroupFamilySpec("cyclic", 5), _C3)),
+            "(cyclic(5)) x (cyclic[3])",
+        ),
+        (GroupFamilySpec("cyclic", 5), "cyclic(5)"),
+        (GroupFamilySpec("cyclic", None), "cyclic(None)"),
+        (GroupFamilySpec("cyclic", [5]), "cyclic([5])"),
+        (GroupFamilySpec("cyclic", "5"), "cyclic('5')"),
+        (GroupFamilySpec("dihedral", (4, 2)), "dihedral[4, 2]"),
+        (GroupFamilySpec(["cyclic"], (5,)), "['cyclic'][5]"),
+    ],
+    ids=repr,
+)
+def test_describe_names_every_malformed_spec(spec, name):
+    # describe builds the error messages, so it once raised AttributeError
+    # (a factor that is no spec) or TypeError (parameters that are no tuple)
+    assert groups.rule_error(spec, shape_only=True) is not None
+    assert spec.describe() == name
+
+
 # Each base family with parameters that name a group.
 GOOD_PARAMS = {
     "cyclic": (4,),

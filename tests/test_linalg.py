@@ -550,6 +550,35 @@ def test_reduced_char_poly_matches_faddeev_oracle_on_planted_twins(m: IntMatrix)
     assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
 
 
+def _transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix.from_rows(list(zip(*(m.row(i) for i in range(m.rows)))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrices_with_planted_twins())
+def test_char_poly_matches_faddeev_oracle_on_transposes_and_symmetrized(m: IntMatrix):
+    # M + M^T is symmetric with negative entries, so it runs the rows-only
+    # keys on matrices that are no graph matrix.
+    t = _transpose(m)
+    for case in (m, t, m + t):
+        assert char_poly(case).coeffs == char_poly_faddeev_oracle(case)
+
+
+def test_rows_alone_key_only_an_exactly_symmetric_matrix():
+    # Rows 0 and 1 agree outside {0, 1}, on the diagonal and in their entry
+    # t = 1 between them, and share their row and column sums; their columns
+    # differ in rows 2 and 3, so they are no twins.
+    rows = [[0, 1, 5, 7], [1, 0, 5, 7], [2, 3, 0, 1], [3, 2, 4, 0]]
+    assert linalg._twin_groups(rows) == []
+    m = IntMatrix.from_rows(rows)
+    assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
+    # The same rows 0 and 1 with columns to match: twins with eigenvalue 0 - 1.
+    symmetric = [[0, 1, 5, 7], [1, 0, 5, 7], [5, 5, 0, 1], [7, 7, 1, 0]]
+    assert linalg._twin_groups(symmetric) == [(-1, [0, 1])]
+    m = IntMatrix.from_rows(symmetric)
+    assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
+
+
 def test_twin_reduction_splits_off_class_twins():
     # Two copies of a pair of closed twins: the pairs are twin classes only
     # after the first pass, as the arms of a star are.
@@ -575,6 +604,13 @@ def _corrupted_quotient(cells, q, merges):
     return cells, [[v + (i == 0 == j) for j, v in enumerate(row)] for i, row in enumerate(q)], merges
 
 
+def _non_twin_in_group(cells, q, merges):
+    # Swap the star's centre in for the last of the three leaves of its merge.
+    (lam, group), *rest = merges
+    assert len(group) >= 3
+    return cells, q, [(lam, (*group[:-1], (0,))), *rest]
+
+
 def _lost_merge(cells, q, merges):
     *rest, (lam, group) = merges
     return cells, q, [*rest, (lam, group[:-1])]
@@ -587,6 +623,7 @@ def _lost_merge(cells, q, merges):
         (_non_twin_merge, "M v != "),
         (_corrupted_quotient, "not equitable"),
         (_lost_merge, "do not end at"),
+        (_non_twin_in_group, "M v != "),
     ],
 )
 def test_twin_certificate_catches_a_corrupted_reduction(monkeypatch, corrupt, message):
