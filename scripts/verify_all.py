@@ -6,7 +6,8 @@ re-derived from an explicit Cayley table: build the group, build the graph,
 take the exact characteristic polynomial, and compare with the closed form.
 One JSON line per case goes to --output (same schema as ``pgspectra verify``);
 a per-theorem summary lands on stdout.  Exit code 2 if anything is falsified,
-1 on a bad argument (``--jobs`` below 1, an out-of-range ``--max-order``).
+1 on a bad argument (``--jobs`` below 1, an out-of-range ``--max-order``, an
+unwritable ``--output``).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import time
 from collections import Counter
 from pathlib import Path
 
-from pgspectra import THEOREM_IDS, SpectraError, verify_sweep
-from pgspectra.theorems import DEFAULT_MAX_ORDER
+from pgspectra import THEOREM_IDS, SpectraError, enumerate_cases, verify
+from pgspectra.theorems import DEFAULT_MAX_ORDER, parallel_map
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -34,15 +35,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 1
-    t0 = time.perf_counter()
     try:
-        reports = verify_sweep(max_order=args.max_order, jobs=args.jobs)
+        cases = enumerate_cases(args.max_order)
     except SpectraError as exc:
         print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
-    wall = time.perf_counter() - t0
-
-    with args.output.open("w", encoding="utf-8") as fh:
+    try:  # opened before the sweep, so an unwritable path fails at once
+        fh = args.output.open("w", encoding="utf-8")
+    except OSError as exc:
+        print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
+    with fh:
+        t0 = time.perf_counter()
+        reports = parallel_map(verify, cases, args.jobs)
+        wall = time.perf_counter() - t0
         for r in reports:
             fh.write(json.dumps(r.to_json_obj()) + "\n")
 

@@ -144,8 +144,11 @@ def _emit(text: str, output: str | None) -> None:
         if not text.endswith("\n"):
             sys.stdout.write("\n")
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
 def _parse_range(text: str) -> range:

@@ -286,11 +286,11 @@ def graph_matrix(graph: Graph, kind: str) -> IntMatrix:
     return globals()[builder.__name__](graph)
 
 
-def to_dot(graph: Graph, labels: Sequence[str] | None = None, name: str = "G") -> str:
+def to_dot(graph: Graph, labels: Sequence[str] | None = None) -> str:
     """Graphviz DOT text with deterministic vertex and edge order."""
     if labels is not None and len(labels) != graph.vertex_count:
         raise SizeMismatch("need one label per vertex")
-    lines = [f"graph {name} {{"]
+    lines = ["graph G {"]
     for v in range(graph.vertex_count):
         if labels is not None:
             text = labels[v].replace("\\", "\\\\").replace('"', '\\"')

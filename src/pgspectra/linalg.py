@@ -252,13 +252,11 @@ class IntPolynomial:
                 out.append(term * c_pows[k - i])
                 term = term * a * (k - i) // (i + 1)
             return IntPolynomial(tuple(out))
+        # Non-linear bases in the catalog are raised only to the first power
+        # or are quadratics, where a plain k-fold product is the cheapest.
         result = IntPolynomial((1,))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for _ in range(k):
+            result = result * self
         return result
 
     def __call__(self, x: int) -> int:
@@ -270,8 +268,8 @@ class IntPolynomial:
     def to_json_obj(self) -> dict:
         return {"coeffs": [str(c) for c in self.coeffs]}
 
-    def pretty(self, var: str = "x") -> str:
-        """Human-readable rendering, highest power first."""
+    def pretty(self) -> str:
+        """Human-readable rendering in x, highest power first."""
         if not self.coeffs:
             return "0"
         parts: list[str] = []
@@ -284,17 +282,13 @@ class IntPolynomial:
             if k == 0:
                 body = str(mag)
             else:
-                xk = var if k == 1 else f"{var}^{k}"
+                xk = "x" if k == 1 else f"x^{k}"
                 body = xk if mag == 1 else f"{mag}*{xk}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
                 parts.append(f"{sign} {body}")
         return " ".join(parts)
-
-
-def poly_constant(c: int) -> IntPolynomial:
-    return IntPolynomial.from_coeffs((c,))
 
 
 def x_plus(c: int) -> IntPolynomial:
@@ -370,13 +364,12 @@ class FactoredPoly:
             ]
         }
 
-    def pretty(self, var: str = "x") -> str:
+    def pretty(self) -> str:
         if not self.factors:
             return "1"
         parts = []
         for base, mult in self.factors:
-            inner = base.pretty(var)
-            parts.append(f"({inner})" + (f"^{mult}" if mult != 1 else ""))
+            parts.append(f"({base.pretty()})" + (f"^{mult}" if mult != 1 else ""))
         return " * ".join(parts)
 
 

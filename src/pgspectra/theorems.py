@@ -74,7 +74,6 @@ from .linalg import (
     identity,
     kron,
     ones,
-    poly_constant,
     x_plus,
     zeros,
 )
@@ -186,7 +185,7 @@ def cf_pg_dihedral_distance_rhs(
     _require(pz.degree == n, f"pz must have degree n={n}, got {pz.degree}")
     _require(pzstar.degree == n - 1, f"pzstar must have degree n-1={n - 1}, got {pzstar.degree}")
     lin = IntPolynomial((2 * (n + 1), 4 * n + 1))  # (4n+1)x + 2(n+1)
-    bracket = lin * pz - poly_constant(n) * IntPolynomial((1, 2)) ** 2 * pzstar
+    bracket = lin * pz - IntPolynomial((n, 4 * n, 4 * n)) * pzstar  # n(2x+1)^2
     return x_plus(2) ** (n - 1) * bracket
 
 
@@ -420,10 +419,10 @@ def cf_join_distance(spec: JoinSpec) -> IntPolynomial:
     td = [[n_j * d for n_j, d in zip(sizes, row)] for row in outer]
     for i, lam in enumerate(lams):
         td[i][i] = lam * (sizes[i] - 1)
-    out = dense_char_poly(IntMatrix.from_rows(td))
-    for n_i, lam in zip(sizes, lams):
-        out = out * x_plus(lam) ** (n_i - 1)
-    return out
+    # One power per distinct lambda, as char_poly merges twin factors.
+    a = sum(n_i - 1 for n_i, lam in zip(sizes, lams) if lam == 1)
+    b = sum(n_i - 1 for n_i, lam in zip(sizes, lams) if lam == 2)
+    return dense_char_poly(IntMatrix.from_rows(td)) * x_plus(1) ** a * x_plus(2) ** b
 
 
 # ---------------------------------------------------------------------------

@@ -542,6 +542,15 @@ def test_export_format_restrictions(tmp_path, capsys):
     assert "json" in err
 
 
+@pytest.mark.parametrize("target", ["missing/x.json", "."], ids=["missing-dir", "a-dir"])
+@pytest.mark.parametrize("command", [["group"], ["export", "--what", "group"]], ids=lambda c: c[0])
+def test_an_unwritable_output_is_one_named_error_line(tmp_path, capsys, command, target):
+    path = tmp_path / target
+    err = run_err(capsys, [*command, "--family", "cyclic", "--n", "3", "--output", str(path)])
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
 # ---------------------------------------------------------------------------
 # single tables
 # ---------------------------------------------------------------------------

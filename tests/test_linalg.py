@@ -178,6 +178,45 @@ def test_power_of_constants_zero_and_negative_exponents():
             base**-1
 
 
+@example(p=IntPolynomial(), k=0)
+@example(p=IntPolynomial(), k=5)
+@given(
+    p=st.builds(IntPolynomial.from_coeffs, st.lists(st.integers(-4, 4), max_size=5)),
+    k=st.integers(0, 8),
+)
+def test_power_agrees_with_the_power_of_each_value(p: IntPolynomial, k: int):
+    # The degree and k*deg(p) + 1 values pin p**k down; evaluating them
+    # checks it by a route that shares nothing with __mul__ or __pow__.
+    power = p**k
+    assert power.degree == (k * p.degree if p or not k else -1)
+    m = k * max(p.degree, 0)
+    for x in range(-m // 2, m // 2 + 1):  # m + 1 distinct points
+        assert power(x) == p(x) ** k
+
+
+@pytest.mark.parametrize(
+    "coeffs", [(5,), (1, 0, 1), (-3, 1, 0, 2), tuple(range(1, 9))], ids=lambda c: f"deg{len(c) - 1}"
+)
+def test_powers_make_no_product_above_the_degree_they_return(monkeypatch, coeffs):
+    p = IntPolynomial(coeffs)
+    degrees = []
+    mul = IntPolynomial.__mul__
+
+    def recording_mul(a, b):
+        out = mul(a, b)
+        degrees.append(out.degree)
+        return out
+
+    monkeypatch.setattr(IntPolynomial, "__mul__", recording_mul)
+    for k in range(7):
+        degrees.clear()
+        p**k
+        assert max(degrees, default=0) <= k * p.degree, k
+    degrees.clear()
+    FactoredPoly.of((p, 1)).expand()
+    assert max(degrees) <= p.degree
+
+
 @pytest.mark.parametrize("coeffs", [(0,), (3, 0), (1, 2, 0)])
 def test_poly_rejects_a_zero_leading_coefficient(coeffs):
     with pytest.raises(DimensionMismatch, match="leading coefficient"):
@@ -218,7 +257,6 @@ def test_poly_pretty():
     assert IntPolynomial((-13, -25, -5, 1)).pretty() == "x^3 - 5*x^2 - 25*x - 13"
     assert IntPolynomial(()).pretty() == "0"
     assert IntPolynomial((0, -1)).pretty() == "-x"
-    assert x_plus(2).pretty("t") == "t + 2"
 
 
 def test_poly_json_roundtrip():

@@ -63,3 +63,20 @@ def test_verify_all_reports_a_bad_max_order_in_one_line(tmp_path, capsys, max_or
     err = capsys.readouterr().err
     assert err.startswith("error[InvalidFamilyParameters]: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/x.jsonl", "."], ids=["missing-dir", "a-dir"])
+def test_verify_all_reports_an_unwritable_output_in_one_line_before_the_sweep(
+    tmp_path, capsys, monkeypatch, target
+):
+    script = load_script("verify_all")
+
+    def forbidden(case):
+        raise AssertionError("the sweep ran before the output was opened")
+
+    monkeypatch.setattr(script, "verify", forbidden)
+    out = tmp_path / target
+    assert script.main(["--max-order", "12", "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()

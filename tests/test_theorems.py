@@ -180,6 +180,10 @@ def test_pg_dihedral_prediction_matches_the_brute_force_zn_route():
         assert THEOREMS["pg-dihedral-distance"].closed_form(n=n) == expected, n
 
 
+def test_pg_dihedral_distance_holds_at_order_1024():
+    assert verify(make_case("pg-dihedral-distance", n=512)).equal is True
+
+
 def test_predictions_build_no_graph_and_take_no_reduced_char_poly(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a prediction reached the brute-force pipeline")
