@@ -12,8 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence, TextIO
 
 from .errors import DisconnectedGraph, SpectraError
 from .graphs import MATRIX_KINDS, Graph, diameter, graph_matrix, to_dot
@@ -33,6 +34,7 @@ from .theorems import (
     THEOREMS,
     THEOREM_IDS,
     TheoremCase,
+    VerificationReport,
     check_case,
     closed_form_for,
     enumerate_cases,
@@ -138,17 +140,28 @@ def _family_spec(args: argparse.Namespace) -> GroupFamilySpec:
     return family_spec(family, values)
 
 
-def _emit(text: str, output: str | None) -> None:
+@contextmanager
+def _opened(output: str | None) -> Iterator[TextIO]:
+    """``output`` open for writing, or stdout; a path that cannot be opened is a usage error."""
     if output is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from None
+        yield sys.stdout
+        return
+    try:
+        with open(output, "w", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from None
+
+
+def _write(text: str, fh: TextIO) -> None:
+    fh.write(text)
+    if fh is sys.stdout and not text.endswith("\n"):
+        fh.write("\n")
+
+
+def _emit(text: str, output: str | None) -> None:
+    with _opened(output) as fh:
+        _write(text, fh)
 
 
 def _parse_range(text: str) -> range:
@@ -299,25 +312,28 @@ def _verify_cases(args: argparse.Namespace) -> list[TheoremCase]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
-    reports = parallel_map(verify, _verify_cases(args), args.jobs)
-    if args.format == "jsonl":
-        text = "\n".join(json.dumps(r.to_json_obj()) for r in reports)
-    else:
-        lines = []
-        for r in reports:
-            status = {True: "ok  ", False: "FAIL", None: "info"}[r.equal]
-            line = f"{status} {r.case.describe()} order={r.group_order} {r.elapsed_ms}ms"
-            if r.note:
-                line += f"  # {r.note}"
-            lines.append(line)
-        falsified = sum(1 for r in reports if r.equal is False)
-        informational = sum(1 for r in reports if r.equal is None)
-        lines.append(
-            f"{len(reports)} case(s): {falsified} falsified, {informational} informational"
-        )
-        text = "\n".join(lines)
-    _emit(text, args.output)
+    cases = _verify_cases(args)
+    # Opened before the sweep, so an unwritable path fails at once.
+    with _opened(args.output) as fh:
+        reports = parallel_map(verify, cases, args.jobs)
+        _write(_verify_text(reports, args.format), fh)
     return 2 if any(r.equal is False for r in reports) else 0
+
+
+def _verify_text(reports: list[VerificationReport], fmt: str) -> str:
+    if fmt == "jsonl":
+        return "\n".join(json.dumps(r.to_json_obj()) for r in reports)
+    lines = []
+    for r in reports:
+        status = {True: "ok  ", False: "FAIL", None: "info"}[r.equal]
+        line = f"{status} {r.case.describe()} order={r.group_order} {r.elapsed_ms}ms"
+        if r.note:
+            line += f"  # {r.note}"
+        lines.append(line)
+    falsified = sum(1 for r in reports if r.equal is False)
+    informational = sum(1 for r in reports if r.equal is None)
+    lines.append(f"{len(reports)} case(s): {falsified} falsified, {informational} informational")
+    return "\n".join(lines)
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

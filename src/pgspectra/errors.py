@@ -76,6 +76,6 @@ class BitGrowthExceeded(SpectraError):
     """A characteristic-polynomial coefficient bound outgrew the prime table.
 
     The bound exceeded the largest prime ``dense_char_poly`` can work modulo.
-    ``char_poly`` applies that bound to its twin-reduced quotient, not to the
-    whole matrix.
+    ``char_poly`` applies that bound to each leaf of its twin reduction and
+    twin-module split, not to the whole matrix.
     """

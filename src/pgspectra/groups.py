@@ -122,9 +122,10 @@ def _finish(
 MAX_ORDER = 2048
 
 
-def _check_order(order: int, what: str) -> None:
+def _check_order(order: int, what: Callable[[], str]) -> None:
+    """Refuse an order above MAX_ORDER; ``what`` names the group only when it is refused."""
     if order > MAX_ORDER:
-        raise InvalidFamilyParameters(f"{what} has order above MAX_ORDER = {MAX_ORDER}")
+        raise InvalidFamilyParameters(f"{what()} has order above MAX_ORDER = {MAX_ORDER}")
 
 
 def bounded_order(spec: GroupFamilySpec) -> int:
@@ -174,7 +175,7 @@ def admit(spec: GroupFamilySpec, rule: bool = False) -> GroupFamilySpec:
     """
     error = rule_error(spec, shape_only=True)
     if error is None:
-        _check_order(bounded_order(spec), spec.describe())
+        _check_order(bounded_order(spec), spec.describe)
         error = rule_error(spec) if rule else None
     if error is not None:
         raise InvalidFamilyParameters(error)
@@ -313,7 +314,7 @@ def make_gpq(p: int, q: int) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with the row-major pairing ``(a, b) -> a*|H| + b``."""
-    _check_order(g.order * h.order, "the direct product")
+    _check_order(g.order * h.order, lambda: "the direct product")
     table = _product_rows(g.table, h.table)
     labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
     spec = None
@@ -483,7 +484,7 @@ def group_from_json(text: str) -> FiniteGroup:
     try:
         obj = json.loads(text)
         order, identity = obj["order"], obj["identity"]
-        _check_order(order, "the serialized group")
+        _check_order(order, lambda: "the serialized group")
         table = [tuple(row) for row in obj["table"]]
         labels = obj.get("labels", [str(i) for i in range(order)])
     except (ValueError, KeyError, TypeError) as exc:

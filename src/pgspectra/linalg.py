@@ -2,15 +2,19 @@
 
 Everything here runs on Python's arbitrary-precision integers; no floating
 point is involved anywhere.  ``char_poly`` has one route for every matrix:
-it splits off the eigenvalues of twins (classes whose rows and columns
-agree; each merge of two gives one linear factor, and a twin-free matrix
-merges nothing), certifies the reduction on the original matrix, and runs
-the dense kernel of ``dense_char_poly`` on the quotient that remains.  The
-kernel is Hessenberg reduction modulo a Gershgorin-bounded prime (Cohen, *A
-Course in Computational Algebraic Number Theory*, Alg. 2.2.9), certified by
-a Bareiss determinant; determinants come from fraction-free Bareiss
-elimination.  Each public function checks its matrix and turns it into rows
-once; the kernels behind it work on those rows.
+reduce, certify, split, then the kernel on the leaves.  It splits off the
+eigenvalues of twins (classes whose rows and columns agree; each merge of
+two gives one linear factor, and a twin-free matrix merges nothing) and
+certifies the reduction on the matrix it reduces.  It then splits a twin
+module (blocks of classes that an automorphism of the quotient swaps) into
+two smaller pieces, certifies the split on the quotient, and reduces and
+splits each piece the same way.  The dense kernel of ``dense_char_poly``
+runs on the leaves that remain.  The kernel is Hessenberg reduction modulo
+a Gershgorin-bounded prime (Cohen, *A Course in Computational Algebraic
+Number Theory*, Alg. 2.2.9), certified by a Bareiss determinant;
+determinants come from fraction-free Bareiss elimination.  Each public
+function checks its matrix and turns it into rows once; the kernels behind
+it work on those rows.
 
 Polynomials are dense coefficient tuples in ascending order, so
 ``(c0, c1, c2)`` is ``c0 + c1*x + c2*x**2``.
@@ -24,7 +28,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from math import prod
-from operator import itemgetter, mul
+from operator import itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -252,8 +256,10 @@ class IntPolynomial:
                 out.append(term * c_pows[k - i])
                 term = term * a * (k - i) // (i + 1)
             return IntPolynomial(tuple(out))
-        # Non-linear bases in the catalog are raised only to the first power
-        # or are quadratics, where a plain k-fold product is the cheapest.
+        # Non-linear bases are raised only to the first power or are small:
+        # the catalog's quadratics, and brute-force leaves of at most a few
+        # classes raised to r - 1 for a twin module of r blocks.  A plain
+        # k-fold product is the cheapest there.
         result = IntPolynomial((1,))
         for _ in range(k):
             result = result * self
@@ -453,7 +459,7 @@ def dense_char_poly(m: IntMatrix) -> IntPolynomial:
     :class:`InternalExactnessViolation`.  A bound beyond the largest tabled
     prime raises :class:`BitGrowthExceeded`.
 
-    This is the kernel :func:`char_poly` runs on its twin-reduced quotient;
+    This is the kernel :func:`char_poly` runs on its leaves;
     closed-form predictions call it directly, so they never share the
     reduction with the brute force that checks them.
     """
@@ -604,39 +610,261 @@ def _certify_twin_reduction(
             raise InternalExactnessViolation("twin reduction: partition is not equitable")
 
 
+#: A twin module: blocks of classes aligned member by member, the first
+#: block's ``t``-th member matched to every other block's ``t``-th member.
+Module = list[tuple[int, ...]]
+
+
+def _odd_one_out(values: tuple[int, ...]) -> int | None:
+    """``None`` if all ``values`` agree, the index of the one that differs, else ``-1``."""
+    distinct = set(values)
+    if len(distinct) == 1:
+        return None
+    if len(distinct) == 2:
+        for v in distinct:
+            if values.count(v) == 1:
+                return values.index(v)
+    return -1
+
+
+def _is_module(
+    rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]], module: Module
+) -> bool:
+    """Whether swapping the first block of ``module`` with any other is an automorphism.
+
+    All swaps hold exactly when every class outside the blocks sees each
+    block alike (in its row and its column), the blocks' diagonal
+    submatrices are all equal and so are their off-diagonal ones.  A row
+    read at the blocks' members, block after block, is then one run of
+    ``s`` values repeated ``r`` times, or for a member of block ``i`` the
+    run it sees in the other blocks with its own block's run in place ``i``.
+    """
+    r, s = len(module), len(module[0])
+    pick = itemgetter(*chain.from_iterable(module))
+    place = {x: (i * s, t) for i, block in enumerate(module) for t, x in enumerate(block)}
+    first = [pick(rows[x]) for x in module[0]]
+    own, cross = [v[:s] for v in first], [v[s : 2 * s] for v in first]
+    for x, row in enumerate(rows):
+        seen = pick(row)
+        if x not in place:
+            if seen != seen[:s] * r or pick(cols[x]) != pick(cols[x])[:s] * r:
+                return False
+            continue
+        at, t = place[x]
+        if seen[at : at + s] != own[t] or seen[:at] + seen[at + s :] != cross[t] * (r - 1):
+            return False
+    return True
+
+
+def _module_with_heads(
+    rows: Sequence[tuple[int, ...]],
+    cols: Sequence[tuple[int, ...]],
+    colour: Sequence[object],
+    heads: list[int],
+) -> Module | None:
+    """The twin module whose blocks each hold one of ``heads``, if there is one.
+
+    Every class outside ``heads`` must treat all heads alike (in its row and
+    its column) or treat exactly one head differently, which then owns it.
+    A block is a head and the classes it owns.  Members are aligned by their
+    colour and their row and column on the classes no head owns.
+    """
+    pick = itemgetter(*heads)
+    blocks = {h: [h] for h in heads}
+    fixed = []
+    for x, (row, col) in enumerate(zip(rows, cols)):
+        if x in blocks:
+            continue
+        owners = {_odd_one_out(pick(row)), _odd_one_out(pick(col))} - {None}
+        if not owners:
+            fixed.append(x)
+        elif len(owners) > 1 or -1 in owners:
+            return None
+        else:
+            blocks[heads[owners.pop()]].append(x)
+    if len({len(b) for b in blocks.values()}) != 1 or len(blocks[heads[0]]) < 2:
+        return None
+
+    def signature(x: int) -> tuple:
+        return colour[x], [rows[x][f] for f in fixed], [cols[x][f] for f in fixed]
+
+    module = [(h, *sorted(b[1:], key=signature)) for h, b in blocks.items()]
+    return module if _is_module(rows, cols, module) else None
+
+
+def _twin_module(q: Sequence[Sequence[int]]) -> Module | None:
+    """A twin module of the twin-free quotient ``q``, or ``None``.
+
+    A class's colour is its diagonal entry, row sum and column sum; classes
+    that an automorphism swaps share it.  Colour classes of at least three
+    classes are tried as heads, largest first.  A twin-free ``q`` has no
+    module with blocks of one class, and heads need three members for
+    ownership to be unambiguous, so a ``q`` of fewer than 6 classes returns
+    at once.
+    """
+    if len(q) < 6:
+        return None
+    rows = list(map(tuple, q))
+    cols = list(zip(*rows))
+    colour = [(row[i], sum(row), sum(col)) for i, (row, col) in enumerate(zip(rows, cols))]
+    by_colour: dict[tuple, list[int]] = defaultdict(list)
+    for i, c in enumerate(colour):
+        by_colour[c].append(i)
+    for heads in sorted(by_colour.values(), key=len, reverse=True):
+        if len(heads) < 3:
+            break
+        if module := _module_with_heads(rows, cols, colour, heads):
+            return module
+    return None
+
+
+def _orbit_cells(k: int, module: Module) -> list[tuple[int, ...]]:
+    """The orbit partition of ``module``'s swaps, in order of each cell's first class.
+
+    Aligned members form one cell; every class outside the blocks is its own cell.
+    """
+    in_blocks = set(chain.from_iterable(module))
+    start = {cell[0]: cell for cell in zip(*module)}
+    return [start.get(i, (i,)) for i in range(k) if i in start or i not in in_blocks]
+
+
+def _module_pieces(
+    q: Sequence[Sequence[int]], module: Module
+) -> tuple[list[list[int]], list[list[int]]]:
+    """``Q'`` (the orbit partition's quotient) and ``A`` of a twin module of ``q``.
+
+    ``A[a][b] = q[a][b] - q[a][sigma(b)]`` on the first block, with ``sigma``
+    the alignment of the first block with the second.
+    """
+    cells = _orbit_cells(len(q), module)
+    orbit_q = [[sum(map(q[x[0]].__getitem__, y)) for y in cells] for x in cells]
+    first, second = module[0], module[1]
+    a = [[q[i][j] - q[i][sj] for j, sj in zip(first, second)] for i in first]
+    return orbit_q, a
+
+
+def _certify_module_split(
+    q: Sequence[Sequence[int]],
+    module: Module,
+    orbit_q: Sequence[Sequence[int]],
+    a: Sequence[Sequence[int]],
+) -> None:
+    """Check that ``char(q) = char(orbit_q) * char(a)**(r - 1)`` for the ``r`` blocks of ``module``.
+
+    The blocks must be disjoint runs of one length ``s`` over the classes of
+    ``q``.  With ``P`` the indicator matrix of their orbit partition and
+    ``W_i`` the vectors ``e_x - e_y`` of the members ``x`` of the first block
+    and ``y`` of block ``i`` aligned with them: ``q P = P orbit_q``, every
+    ``q W_i = W_i a``, and ``dim orbit_q + (r - 1) s = k``.  The columns of
+    ``P`` and of the ``W_i`` then form a basis in which ``q`` is block
+    diagonal, with one block ``orbit_q`` and ``r - 1`` blocks ``a``.
+    """
+    k, r, s = len(q), len(module), len(module[0])
+    members = set(chain.from_iterable(module))
+    if r < 2 or any(len(block) != s for block in module) or len(members) != r * s:
+        raise InternalExactnessViolation("twin module: blocks are not disjoint runs of one length")
+    cells = _orbit_cells(k, module)
+    if sorted(chain.from_iterable(cells)) != list(range(k)):
+        raise InternalExactnessViolation("twin module: blocks are not classes of the quotient")
+    if len(orbit_q) + (r - 1) * s != k or len(a) != s:
+        raise InternalExactnessViolation("twin module: dimensions do not add up")
+    if any(len(row) != len(cells) for row in orbit_q) or any(len(row) != s for row in a):
+        raise InternalExactnessViolation("twin module: pieces are not square")
+    cols = list(zip(*q))
+    owner = {i: c for c, cell in enumerate(cells) for i in cell}
+    # The columns of P orbit_q, beside those of q P.
+    for cell, want in zip(cells, zip(*(orbit_q[owner[i]] for i in range(k)))):
+        if tuple(map(sum, zip(*map(cols.__getitem__, cell)))) != want:
+            raise InternalExactnessViolation("twin module: orbit partition is not equitable")
+    first = module[0]
+    for block in module[1:]:
+        for x, y, a_col in zip(first, block, zip(*a)):
+            image = [0] * k
+            for xu, yu, v in zip(first, block, a_col):
+                image[xu], image[yu] = v, -v
+            if list(map(sub, cols[x], cols[y])) != image:
+                raise InternalExactnessViolation("twin module: q W != W A")
+
+
+def _twin_free(
+    rows: Sequence[Sequence[int]], mult: int, lams: Counter[int]
+) -> Sequence[Sequence[int]]:
+    """The certified twin-free quotient of ``rows``; each merge adds its eigenvalue to ``lams``."""
+    cells, q, merges = _twin_reduction(rows)
+    _certify_twin_reduction(rows, cells, q, merges)
+    for lam, group in merges:
+        lams[lam] += mult * (len(group) - 1)
+    return q
+
+
+def _split_leaves(
+    q: Sequence[Sequence[int]],
+    mult: int,
+    lams: Counter[int],
+    leaves: list[tuple[IntPolynomial, int]],
+) -> None:
+    """Add ``char_poly(q)**mult`` to ``lams`` (twin eigenvalues) and ``leaves``.
+
+    A twin module of ``q`` splits it into two certified pieces, each reduced
+    and split the same way; a quotient with no module is a leaf for the kernel.
+    """
+    module = _twin_module(q)
+    if module is None:
+        leaves.append((_dense_char_poly(q), mult))
+        return
+    orbit_q, a = _module_pieces(q, module)
+    _certify_module_split(q, module, orbit_q, a)
+    for piece, times in ((orbit_q, mult), (a, mult * (len(module) - 1))):
+        _split_leaves(_twin_free(piece, times, lams), times, lams, leaves)
+
+
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial ``det(xI - m)``, exactly.
 
-    One route for every matrix: reduce, certify, then run the kernel.  Classes
-    X and Y of an equitable partition with quotient ``Q`` are twins when their
-    rows and columns of ``Q`` agree outside {X, Y}, ``Q[X][X] = Q[Y][Y]`` and
-    ``Q[X][Y] = Q[Y][X]``; then ``1_X - 1_Y`` is an eigenvector for
-    ``lam = Q[X][X] - Q[X][Y]``, and merging X and Y keeps the partition
-    equitable.  Starting from singletons and merging until no twins remain
-    gives ``char_poly(m) = dense_char_poly(Q) * prod(x - lam)``; power graphs
-    and enhanced power graphs are blow-ups of small outer graphs, so ``Q`` is
-    small.  A twin-free matrix is the reduction with no merges: ``Q`` is
-    ``m`` itself.
+    One route for every matrix: reduce, certify, split, then run the kernel
+    on the leaves.  Classes X and Y of an equitable partition with quotient
+    ``Q`` are twins when their rows and columns of ``Q`` agree outside
+    {X, Y}, ``Q[X][X] = Q[Y][Y]`` and ``Q[X][Y] = Q[Y][X]``; then
+    ``1_X - 1_Y`` is an eigenvector for ``lam = Q[X][X] - Q[X][Y]``, and
+    merging X and Y keeps the partition equitable.  Starting from singletons
+    and merging until no twins remain gives ``char_poly(m) = char_poly(Q) *
+    prod(x - lam)``; power graphs and enhanced power graphs are blow-ups of
+    small outer graphs, so ``Q`` is small.  A twin-free matrix is the
+    reduction with no merges: ``Q`` is ``m`` itself.
 
-    The reduction is certified on ``m`` itself: the final partition is
-    equitable, every merge vector is an eigenvector, the merges and ``Q``
-    account for all ``n`` dimensions, and the product agrees with
-    ``det(x0 I - Q) * prod(x0 - lam)`` at the kernel's certificate point
-    ``x0``.  A failure raises :class:`InternalExactnessViolation`.
+    A twin module widens twins to blocks: blocks ``S_1, ..., S_r`` of ``s``
+    classes of ``Q``, aligned member by member, such that swapping ``S_1``
+    with any ``S_i`` is an automorphism of ``Q`` (Godsil and Royle,
+    *Algebraic Graph Theory*, on equitable partitions).  Then ``char_poly(Q)
+    = char_poly(Q') * char_poly(A)**(r - 1)``, with ``Q'`` the quotient of
+    the orbit partition and ``A[a][b] = Q[a][b] - Q[a][sigma(b)]`` on
+    ``S_1``.  Each piece is reduced and split again; a piece with no module
+    is a leaf, and only leaves reach the kernel.  The brute force thus
+    reaches the shape of the El(p^n) x El(q^m) factorisation without
+    knowing the family.
+
+    Every reduction is certified on the matrix it reduces: the final
+    partition is equitable, every merge vector is an eigenvector, and the
+    merges and ``Q`` account for all dimensions.  Every split is certified
+    on its ``Q`` by :func:`_certify_module_split`, and every leaf by the
+    kernel's Bareiss determinant.  The expanded product must agree with the
+    product of the factors' values at the certificate point of the first
+    ``Q``.  A failure raises :class:`InternalExactnessViolation`.
     """
     rows = _square_rows(m, "characteristic polynomial")
-    cells, q, merges = _twin_reduction(rows)
-    _certify_twin_reduction(rows, cells, q, merges)
-    kernel = _dense_char_poly(q)
-    lams = Counter(lam for lam, group in merges for _ in group[1:])
-    poly = kernel
+    lams: Counter[int] = Counter()
+    leaves: list[tuple[IntPolynomial, int]] = []
+    q = _twin_free(rows, 1, lams)
+    _split_leaves(q, 1, lams, leaves)
+    factors = [*leaves, *((x_plus(-lam), mult) for lam, mult in lams.items())]
     # Lowest degrees multiplied first.
-    for lam, mult in sorted(lams.items(), key=lambda lm: lm[1]):
-        poly = poly * x_plus(-lam) ** mult
-    # The kernel certified kernel(x0) == det(x0 I - Q).
+    poly, *powers = sorted((base**mult for base, mult in factors), key=lambda f: f.degree)
+    for power in powers:
+        poly = poly * power
+    # Each leaf was certified by the kernel at its own point; this checks the expansion.
     x0 = _certificate_point(q)
-    if poly(x0) != kernel(x0) * prod((x0 - lam) ** mult for lam, mult in lams.items()):
-        raise InternalExactnessViolation(f"char_poly: twin product disagrees at {x0}")
+    if poly(x0) != prod(base(x0) ** mult for base, mult in factors):
+        raise InternalExactnessViolation(f"char_poly: product of factors disagrees at {x0}")
     return poly
 
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
@@ -832,6 +831,9 @@ def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(x) for x in items]
+    # Imported here: the pool machinery is a large share of the package's import time.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 

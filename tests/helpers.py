@@ -20,6 +20,7 @@ by a full triple scan.
 
 from __future__ import annotations
 
+import concurrent.futures
 import itertools
 import math
 from collections import Counter
@@ -249,7 +250,9 @@ def record_worker_pools(monkeypatch, cpus: int | None) -> list[int]:
     """Make ``parallel_map`` see ``cpus`` CPUs and run its pools in-process.
 
     Returns the list that collects each pool's ``max_workers``, so a test can
-    check the worker count without starting a worker process.
+    check the worker count without starting a worker process.  ``parallel_map``
+    imports the pool class only when it needs one, so the class is replaced
+    where it imports it from.
     """
     from pgspectra import theorems
 
@@ -268,7 +271,7 @@ def record_worker_pools(monkeypatch, cpus: int | None) -> list[int]:
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(theorems, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(theorems.os, "cpu_count", lambda: cpus)
     return created
 

@@ -551,6 +551,27 @@ def test_an_unwritable_output_is_one_named_error_line(tmp_path, capsys, command,
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("target", ["missing/x.jsonl", "."], ids=["missing-dir", "a-dir"])
+def test_verify_reports_an_unwritable_output_in_one_line_before_the_sweep(
+    tmp_path, capsys, monkeypatch, target
+):
+    def forbidden(case):
+        raise AssertionError("the sweep ran before the output was opened")
+
+    monkeypatch.setattr(cli, "verify", forbidden)
+    path = tmp_path / target
+    err = run_err(capsys, ["verify", "--all", "--max-order", "12", "--output", str(path)])
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def test_verify_refuses_its_arguments_before_it_creates_the_output(tmp_path, capsys):
+    path = tmp_path / "x.jsonl"
+    err = run_err(capsys, ["verify", "--theorem", "epg-gpq-distance", "--p", "4", "--q", "7",
+                           "--output", str(path)])
+    assert err.startswith("error") and not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # single tables
 # ---------------------------------------------------------------------------

@@ -707,6 +707,17 @@ def test_the_cap_admits_its_own_order(name, params):
         admit(bigger)
 
 
+def test_admit_names_a_spec_only_to_refuse_it(monkeypatch):
+    spec, bigger = family_spec("dihedral", {"n": 5}), family_spec("dihedral", {"n": MAX_ORDER})
+    describe = GroupFamilySpec.describe
+    monkeypatch.setattr(GroupFamilySpec, "describe", lambda self: pytest.fail("named for nothing"))
+    assert admit(spec, rule=True) is spec
+    monkeypatch.setattr(GroupFamilySpec, "describe", describe)
+    refusal = r"^dihedral\[2048\] has order above MAX_ORDER = 2048$"
+    with pytest.raises(InvalidFamilyParameters, match=refusal):
+        admit(bigger)
+
+
 # ---------------------------------------------------------------------------
 # family table
 # ---------------------------------------------------------------------------

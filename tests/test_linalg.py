@@ -719,6 +719,151 @@ def test_reduced_char_poly_matches_dense_on_catalog_graphs():
 
 
 # ---------------------------------------------------------------------------
+# twin modules
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def matrices_with_planted_modules(draw) -> tuple[IntMatrix, IntMatrix, IntMatrix, int]:
+    """``(q, q_orbit, a, r)``: ``q`` with ``r`` blocks planted from ``q_orbit`` and ``a``.
+
+    ``q_orbit`` is drawn on ``f`` fixed classes and ``s`` orbits with the
+    entries from a fixed class to an orbit multiples ``r U`` of ``r`` and the
+    orbit block ``a + r X``, so that the inverse basis change stays
+    integral: a fixed class sees every block member ``t`` as ``U[t]`` and is
+    seen by it as in ``q_orbit``; a block sees itself as ``a + X`` and any
+    other block as ``X``.  The classes of ``q`` are shuffled last.
+    """
+    f, s, r = draw(st.integers(0, 3)), draw(st.integers(1, 3)), draw(st.integers(2, 4))
+    small = st.integers(-4, 4)
+
+    def grid(rows: int, cols: int) -> list[list[int]]:
+        return [draw(st.lists(small, min_size=cols, max_size=cols)) for _ in range(rows)]
+
+    fixed, u, v, a, x = grid(f, f), grid(f, s), grid(s, f), grid(s, s), grid(s, s)
+    q_orbit = [fixed[i] + [r * w for w in u[i]] for i in range(f)]
+    q_orbit += [v[t] + [a[t][w] + r * x[t][w] for w in range(s)] for t in range(s)]
+    # class f + i * s + t is member t of block i
+    rows = []
+    for i in range(f):
+        rows.append(fixed[i] + u[i] * r)
+    for blk in range(r):
+        for t in range(s):
+            rows.append(
+                v[t] + [a[t][w] * (blk == other) + x[t][w] for other in range(r) for w in range(s)]
+            )
+    perm = draw(st.permutations(range(len(rows))))
+    n = len(rows)
+    q = IntMatrix(n, n, tuple(rows[i][j] for i in perm for j in perm))
+    return q, IntMatrix.from_rows(q_orbit), IntMatrix.from_rows(a), r
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrices_with_planted_modules())
+def test_char_poly_matches_faddeev_oracle_on_planted_modules(planted):
+    q, q_orbit, a, r = planted
+    expected = IntPolynomial(char_poly_faddeev_oracle(q_orbit)) * IntPolynomial(
+        char_poly_faddeev_oracle(a)
+    ) ** (r - 1)
+    assert char_poly(q).coeffs == char_poly_faddeev_oracle(q) == expected.coeffs
+
+
+def _elab_product_matrix(theorem_id: str, **params: int) -> IntMatrix:
+    thm = THEOREMS[theorem_id]
+    graph = GRAPH_BUILDERS[thm.graph_kind](thm.build_group(params))
+    return adjacency_matrix(graph) if thm.matrix_kind == "adjacency" else distance_matrix(graph)
+
+
+def test_a_found_module_is_split_and_certified(monkeypatch):
+    # El(3) x El(2^2): the twin-free quotient has the identity, the order-3
+    # class, and three order-2 classes each with its order-6 class, which
+    # form the blocks.
+    certify = linalg._certify_module_split
+    seen = []
+
+    def recording(q, module, orbit_q, a):
+        seen.append((len(q), len(module), len(module[0]), len(orbit_q)))
+        certify(q, module, orbit_q, a)
+
+    monkeypatch.setattr(linalg, "_certify_module_split", recording)
+    m = _elab_product_matrix("pg-elab-product-adjacency", p=3, n=1, q=2, m=2)
+    assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
+    assert seen == [(8, 3, 2, 4)]
+
+
+@pytest.mark.parametrize("theorem_id", ["pg-elab-product-adjacency", "pg-elab-product-distance"])
+def test_el4_by_el9_power_graph_leaves_have_at_most_four_classes(monkeypatch, theorem_id):
+    kernel = linalg._dense_char_poly
+    sizes = []
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(linalg, "_dense_char_poly", recording)
+    m = _elab_product_matrix(theorem_id, p=2, n=2, q=3, m=2)
+    poly = char_poly(m)
+    assert sizes and max(sizes) <= 4
+    sizes.clear()
+    assert poly == dense_char_poly(m) and sizes == [36]
+
+
+def _misaligned(q, module):
+    first, second, *rest = module
+    return [first, second[::-1], *rest]
+
+
+def _no_automorphism(q, module):
+    # The classes outside the blocks as one more block: disjoint, of the
+    # right length, and no swap of them with a block is an automorphism.
+    outside = tuple(sorted(set(range(len(q))) - {x for block in module for x in block}))
+    return [*module[:-1], outside]
+
+
+def _wrong_a(orbit_q, a):
+    return orbit_q, [[v + (i == 0 == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
+
+
+def _dimensions_off(orbit_q, a):
+    return [row[:-1] for row in orbit_q[:-1]], a
+
+
+@pytest.mark.parametrize(
+    "corrupt_module, corrupt_pieces, message",
+    [
+        (_misaligned, None, "not equitable"),
+        (_no_automorphism, None, "not equitable"),
+        (None, _wrong_a, "q W != W A"),
+        (None, _dimensions_off, "do not add up"),
+    ],
+    ids=["wrong-alignment", "no-automorphism", "wrong-a", "dimensions"],
+)
+def test_module_certificate_catches_a_corrupted_split(
+    monkeypatch, corrupt_module, corrupt_pieces, message
+):
+    find, pieces = linalg._twin_module, linalg._module_pieces
+    if corrupt_module:
+        def corrupted_find(q):
+            module = find(q)
+            return module and corrupt_module(q, module)
+
+        monkeypatch.setattr(linalg, "_twin_module", corrupted_find)
+    if corrupt_pieces:
+        monkeypatch.setattr(
+            linalg, "_module_pieces", lambda q, mod: corrupt_pieces(*pieces(q, mod))
+        )
+    m = _elab_product_matrix("pg-elab-product-adjacency", p=3, n=1, q=2, m=2)
+    with pytest.raises(InternalExactnessViolation, match=message):
+        char_poly(m)
+
+
+def test_module_certificate_refuses_overlapping_blocks():
+    q = [[0] * 6 for _ in range(6)]
+    with pytest.raises(InternalExactnessViolation, match="disjoint"):
+        linalg._certify_module_split(q, [(0, 1), (1, 2), (3, 4)], [[0] * 2] * 2, [[0] * 2] * 2)
+
+
+# ---------------------------------------------------------------------------
 # determinant
 # ---------------------------------------------------------------------------
 

@@ -4,6 +4,9 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -671,16 +674,29 @@ def test_enumerated_case_lists_are_pinned(max_order, count, digest):
     assert (len(cases), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
 
 
-def test_sweep_reports_are_pinned():
-    # every field of every report up to order 40 except the timing; a change
-    # meant to keep the verifier's output must keep this digest
-    objs = [report.to_json_obj() for report in verify_sweep(max_order=40)]
+def _sweep_digest(max_order: int) -> tuple[int, str]:
+    objs = [report.to_json_obj() for report in verify_sweep(max_order=max_order)]
     for obj in objs:
         del obj["elapsed_ms"]
     text = "\n".join(json.dumps(obj, sort_keys=True) for obj in objs)
-    assert (len(objs), hashlib.sha256(text.encode()).hexdigest()) == (
+    return len(objs), hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_sweep_reports_are_pinned():
+    # every field of every report up to order 40 except the timing; a change
+    # meant to keep the verifier's output must keep this digest
+    assert _sweep_digest(40) == (
         240,
         "d2c9b5e2e4e218ebc51bfb1914ee9ce650372d34e3ed4b891a63f8daa37f8235",
+    )
+
+
+def test_order_64_sweep_reports_are_pinned():
+    # order 64 adds El x El quotients above 20 classes (El(2^4) x El(3),
+    # El(2^3) x El(7), ...), which the brute force splits into twin modules
+    assert _sweep_digest(64) == (
+        410,
+        "2ea1933937bc9a7801d0bfd370672dd6ac6842369ac3ec3e7b8220574e9eacba",
     )
 
 
@@ -940,6 +956,13 @@ def test_parallel_map_clamps_workers(monkeypatch, jobs, n_items, cpus, workers):
     created = record_worker_pools(monkeypatch, cpus)
     assert parallel_map(str, range(n_items), jobs) == [str(i) for i in range(n_items)]
     assert created == ([] if workers is None else [workers])
+
+
+def test_importing_the_package_loads_no_process_pool():
+    code = "import sys, pgspectra; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.stdout.split() == ["False"], out.stderr
 
 
 @pytest.mark.parametrize(
