@@ -5,9 +5,10 @@ Every catalogued theorem case with group order up to --max-order is
 re-derived from an explicit Cayley table: build the group, build the graph,
 take the exact characteristic polynomial, and compare with the closed form.
 One JSON line per case goes to --output (same schema as ``pgspectra verify``);
-a per-theorem summary lands on stdout.  Exit code 2 if anything is falsified,
-1 on a bad argument (``--jobs`` below 1, an out-of-range ``--max-order``, an
-unwritable ``--output``).
+a per-theorem summary lands on stdout: the number of cases, their summed
+``elapsed_ms`` in seconds and the slowest case.  Exit code 2 if anything is
+falsified, 1 on a bad argument (``--jobs`` below 1, an out-of-range
+``--max-order``, an unwritable ``--output``).
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import argparse
 import json
 import sys
 import time
-from collections import Counter
+from collections import defaultdict
 from pathlib import Path
 
 from pgspectra import THEOREM_IDS, SpectraError, enumerate_cases, verify
-from pgspectra.theorems import DEFAULT_MAX_ORDER, parallel_map
+from pgspectra.theorems import DEFAULT_MAX_ORDER, VerificationReport, parallel_map
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -52,13 +53,21 @@ def main(argv: list[str] | None = None) -> int:
         for r in reports:
             fh.write(json.dumps(r.to_json_obj()) + "\n")
 
-    counts: Counter[str] = Counter(r.case.theorem_id for r in reports)
+    by_theorem: defaultdict[str, list[VerificationReport]] = defaultdict(list)
+    for r in reports:
+        by_theorem[r.case.theorem_id].append(r)
     falsified = [r for r in reports if r.equal is False]
     informational = sum(1 for r in reports if r.equal is None)
 
     width = max(len(t) for t in THEOREM_IDS)
     for tid in THEOREM_IDS:
-        print(f"{tid:<{width}}  {counts.get(tid, 0):3d} case(s)")
+        done = by_theorem[tid]
+        line = f"{tid:<{width}}  {len(done):4d} case(s)"
+        if done:
+            slowest = max(done, key=lambda r: r.elapsed_ms)
+            summed = sum(r.elapsed_ms for r in done) / 1000
+            line += f"  {summed:8.2f} s, slowest {slowest.case.describe()} {slowest.elapsed_ms} ms"
+        print(line)
     print()
     print(f"{len(reports)} cases in {wall:.1f} s -> {args.output}")
     print(f"{len(falsified)} falsified, {informational} informational")

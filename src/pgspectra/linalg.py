@@ -17,7 +17,11 @@ function checks its matrix and turns it into rows once; the kernels behind
 it work on those rows.
 
 Polynomials are dense coefficient tuples in ascending order, so
-``(c0, c1, c2)`` is ``c0 + c1*x + c2*x**2``.
+``(c0, c1, c2)`` is ``c0 + c1*x + c2*x**2``.  Every product of
+polynomials (``*``, ``**``, :meth:`FactoredPoly.expand` and the product of
+``char_poly``'s factors) is one Kronecker substitution in :func:`_expand`:
+each base is evaluated once at ``x = 2**B``, those integers are multiplied,
+and the coefficients are read back from the result's bytes.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ import csv
 import io
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import chain
 from math import prod
-from operator import itemgetter, mul, sub
+from operator import index, itemgetter, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -234,36 +238,13 @@ class IntPolynomial:
         return self + (-other)
 
     def __mul__(self, other: IntPolynomial) -> IntPolynomial:
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return IntPolynomial(tuple(out))
+        return _expand(((self, 1), (other, 1)))
 
     def __pow__(self, k: int) -> IntPolynomial:
+        k = index(k)  # a float or string exponent raises TypeError
         if k < 0:
             raise ValueError("negative polynomial power")
-        if self.degree == 1:
-            # (a*x + c)**k by the binomial theorem: coefficient i is
-            # C(k, i) * a**i * c**(k - i), with C(k, i) * a**i kept running.
-            c, a = self.coeffs
-            c_pows = list(accumulate(repeat(c, k), mul, initial=1))
-            out, term = [], 1
-            for i in range(k + 1):
-                out.append(term * c_pows[k - i])
-                term = term * a * (k - i) // (i + 1)
-            return IntPolynomial(tuple(out))
-        # Non-linear bases are raised only to the first power or are small:
-        # the catalog's quadratics, and brute-force leaves of at most a few
-        # classes raised to r - 1 for a twin module of r blocks.  A plain
-        # k-fold product is the cheapest there.
-        result = IntPolynomial((1,))
-        for _ in range(k):
-            result = result * self
-        return result
+        return _expand(((self, k),))
 
     def __call__(self, x: int) -> int:
         acc = 0
@@ -295,6 +276,42 @@ class IntPolynomial:
             else:
                 parts.append(f"{sign} {body}")
         return " ".join(parts)
+
+
+def _slot_offsets(width: int, slots: int) -> int:
+    """``2**(8*width - 1)`` in each of ``slots`` slots of ``width`` bytes."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+
+
+def _expand(factors: Iterable[tuple[IntPolynomial, int]]) -> IntPolynomial:
+    """``prod(base ** mult)`` over ``factors`` by one evaluation at ``x = 2**B``.
+
+    Kronecker substitution (von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, 8.4): ``bound = prod(|base|_1 ** mult)`` bounds every
+    coefficient of the product and of each base.  With slots of ``width``
+    bytes, ``B = 8 * width`` and ``2**(B - 1) > bound``, each base packs
+    into the one integer ``base(2**B)``; Python's big integers raise and
+    multiply those, and the product, plus ``2**(B - 1)`` in every slot so
+    that no slot borrows from the next, is read back slot by slot.  A zero
+    base gives zero unless its multiplicity is 0; the empty product is 1.
+    """
+    factors = [(base.coeffs, mult) for base, mult in factors if mult]
+    if not all(coeffs for coeffs, _ in factors):
+        return IntPolynomial()
+    slots = 1 + sum((len(coeffs) - 1) * mult for coeffs, mult in factors)
+    width = prod(sum(map(abs, coeffs)) ** mult for coeffs, mult in factors).bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+
+    def at_slot_base(coeffs: tuple[int, ...]) -> int:
+        packed = b"".join([(c + half).to_bytes(width, "little") for c in coeffs])
+        return int.from_bytes(packed, "little") - _slot_offsets(width, len(coeffs))
+
+    value = prod(at_slot_base(coeffs) ** mult for coeffs, mult in factors)
+    data = (value + _slot_offsets(width, slots)).to_bytes(width * slots, "little")
+    coeffs = [
+        int.from_bytes(data[i : i + width], "little") - half for i in range(0, len(data), width)
+    ]
+    return IntPolynomial(tuple(coeffs))
 
 
 def x_plus(c: int) -> IntPolynomial:
@@ -357,10 +374,7 @@ class FactoredPoly:
         return sum(base.degree * mult for base, mult in self.factors)
 
     def expand(self) -> IntPolynomial:
-        out = IntPolynomial((1,))
-        for base, mult in self.factors:
-            out = out * base**mult
-        return out
+        return _expand(self.factors)
 
     def to_json_obj(self) -> dict:
         return {
@@ -847,9 +861,11 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     partition is equitable, every merge vector is an eigenvector, and the
     merges and ``Q`` account for all dimensions.  Every split is certified
     on its ``Q`` by :func:`_certify_module_split`, and every leaf by the
-    kernel's Bareiss determinant.  The expanded product must agree with the
-    product of the factors' values at the certificate point of the first
-    ``Q``.  A failure raises :class:`InternalExactnessViolation`.
+    kernel's Bareiss determinant.  The factors are expanded by one
+    evaluation at ``x = 2**B`` (:func:`_expand`); the result must agree with
+    the product of the factors' values at the certificate point of the first
+    ``Q``, which also checks the slot width and the unpacking.  A failure
+    raises :class:`InternalExactnessViolation`.
     """
     rows = _square_rows(m, "characteristic polynomial")
     lams: Counter[int] = Counter()
@@ -857,10 +873,7 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     q = _twin_free(rows, 1, lams)
     _split_leaves(q, 1, lams, leaves)
     factors = [*leaves, *((x_plus(-lam), mult) for lam, mult in lams.items())]
-    # Lowest degrees multiplied first.
-    poly, *powers = sorted((base**mult for base, mult in factors), key=lambda f: f.degree)
-    for power in powers:
-        poly = poly * power
+    poly = _expand(factors)
     # Each leaf was certified by the kernel at its own point; this checks the expansion.
     x0 = _certificate_point(q)
     if poly(x0) != prod(base(x0) ** mult for base, mult in factors):

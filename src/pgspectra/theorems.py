@@ -185,7 +185,9 @@ def cf_pg_dihedral_distance_rhs(
     _require(pzstar.degree == n - 1, f"pzstar must have degree n-1={n - 1}, got {pzstar.degree}")
     lin = IntPolynomial((2 * (n + 1), 4 * n + 1))  # (4n+1)x + 2(n+1)
     bracket = lin * pz - IntPolynomial((n, 4 * n, 4 * n)) * pzstar  # n(2x+1)^2
-    return x_plus(2) ** (n - 1) * bracket
+    if not bracket:  # a factored form has no zero base
+        return bracket
+    return FactoredPoly.of((x_plus(2), n - 1), (bracket, 1)).expand()
 
 
 def cf_epg_dicyclic_distance(n: int) -> FactoredPoly:
@@ -318,6 +320,12 @@ def elab_product_BC(p: int, n: int, q: int, m: int, matrix_kind: str) -> tuple[I
     return b, c
 
 
+def _char_poly_2x2(m: IntMatrix) -> IntPolynomial:
+    """``det(xI - m) = x**2 - tr(m) x + det(m)`` of a 2x2 matrix."""
+    (a, b), (c, d) = m.to_rows()
+    return IntPolynomial((a * d - b * c, -(a + d), 1))
+
+
 def cf_elab_product(
     p: int, n: int, q: int, m: int, graph_kind: str, matrix_kind: str
 ) -> FactoredPoly:
@@ -338,8 +346,8 @@ def cf_elab_product(
         (phi_t1, 1),
         (x_plus(1), pn * qm - (alpha + 1) * (beta + 1)),
         (middle, (alpha - 1) * (beta - 1)),
-        (dense_char_poly(b), alpha - 1),
-        (dense_char_poly(c), beta - 1),
+        (_char_poly_2x2(b), alpha - 1),
+        (_char_poly_2x2(c), beta - 1),
     )
 
 
@@ -421,7 +429,9 @@ def cf_join_distance(spec: JoinSpec) -> IntPolynomial:
     # One power per distinct lambda, as char_poly merges twin factors.
     a = sum(n_i - 1 for n_i, lam in zip(sizes, lams) if lam == 1)
     b = sum(n_i - 1 for n_i, lam in zip(sizes, lams) if lam == 2)
-    return dense_char_poly(IntMatrix.from_rows(td)) * x_plus(1) ** a * x_plus(2) ** b
+    return FactoredPoly.of(
+        (dense_char_poly(IntMatrix.from_rows(td)), 1), (x_plus(1), a), (x_plus(2), b)
+    ).expand()
 
 
 # ---------------------------------------------------------------------------

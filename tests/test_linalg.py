@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    _list_mul,
     catalog_groups,
     char_poly_faddeev_oracle,
     char_poly_oracle,
@@ -162,10 +163,7 @@ def test_poly_arithmetic():
 )
 def test_linear_power_matches_repeated_multiplication(a: int, c: int, k: int):
     base = IntPolynomial((c, a))
-    expected = IntPolynomial((1,))
-    for _ in range(k):
-        expected = expected * base
-    assert base**k == expected
+    assert base**k == _schoolbook_expansion([(base, k)])
 
 
 def test_power_of_constants_zero_and_negative_exponents():
@@ -176,6 +174,8 @@ def test_power_of_constants_zero_and_negative_exponents():
     for base in (x_plus(1), IntPolynomial((2,)), IntPolynomial(), IntPolynomial((1, 0, 1))):
         with pytest.raises(ValueError):
             base**-1
+        with pytest.raises(TypeError):
+            base**2.0
 
 
 @example(p=IntPolynomial(), k=0)
@@ -194,27 +194,84 @@ def test_power_agrees_with_the_power_of_each_value(p: IntPolynomial, k: int):
         assert power(x) == p(x) ** k
 
 
+def _schoolbook_expansion(factors: list[tuple[IntPolynomial, int]]) -> IntPolynomial:
+    out = [1]
+    for base, mult in factors:
+        for _ in range(mult):
+            out = _list_mul(out, list(base.coeffs))
+    return IntPolynomial.from_coeffs(out)
+
+
+big_polys_st = st.one_of(
+    st.just(IntPolynomial()),
+    st.builds(IntPolynomial.from_coeffs, st.lists(st.integers(-(2**300), 2**300), max_size=1)),
+    st.builds(
+        IntPolynomial.from_coeffs,
+        st.lists(
+            st.one_of(st.integers(-2, 2), st.integers(-(2**300), 2**300)), min_size=2, max_size=41
+        ),
+    ),
+)
+
+
+@example(factors=[(IntPolynomial(), 0)])  # IntPolynomial()**0 is 1
+@example(factors=[])
+@example(factors=[(IntPolynomial(), 1), (x_plus(3), 2), (IntPolynomial((2**300,)), 1)])
+@example(factors=[(x_plus(7), 2), (IntPolynomial(), 3)])
+@example(factors=[(x_plus(1), 40)])  # (x+1)**k attains the 1-norm bound 2**k
+@example(factors=[(x_plus(-1), 40)])
+@example(factors=[(x_plus(1), 7)])  # bound 2**7: its bit length 8 is a byte
+@example(factors=[(x_plus(-1), 3), (x_plus(1), 4)])  # the same bound, alternating signs
+@example(factors=[(IntPolynomial((255,)), 1)])  # one coefficient at the bound
+@example(factors=[(IntPolynomial((0, 0, -(2**16 - 1))), 2)])
+@settings(max_examples=150, deadline=None)
+@given(factors=st.lists(st.tuples(big_polys_st, st.integers(0, 3)), max_size=5))
+def test_products_powers_and_expansions_match_schoolbook_products(factors):
+    expected = _schoolbook_expansion(factors)
+    assert linalg._expand(factors) == expected
+    nonzero = [(base, mult) for base, mult in factors if base]
+    assert FactoredPoly.of(*nonzero).expand() == _schoolbook_expansion(nonzero)
+    product = IntPolynomial((1,))
+    for base, mult in factors:
+        power = base**mult
+        assert power == _schoolbook_expansion([(base, mult)])
+        product = product * power
+    assert product == expected
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("bits", [7, 8, 9, 15, 16, 17, 63, 64, 300])
+def test_a_coefficient_at_the_bound_fits_its_slot(bits, sign):
+    # 2**bits - 1 and 2**bits have bit lengths either side of a byte boundary
+    # when bits is 8 or 16.  A monomial and its square each have a
+    # coefficient equal to their product's bound.
+    for c in (sign * (2**bits - 1), sign * 2**bits):
+        mono = IntPolynomial((0, 0, c))
+        assert mono * IntPolynomial((1,)) == mono
+        assert mono**2 == IntPolynomial((0, 0, 0, 0, c * c))
+        assert IntPolynomial((c, c)) * IntPolynomial((-1, 1)) == IntPolynomial((-c, 0, c))
+
+
 @pytest.mark.parametrize(
     "coeffs", [(5,), (1, 0, 1), (-3, 1, 0, 2), tuple(range(1, 9))], ids=lambda c: f"deg{len(c) - 1}"
 )
-def test_powers_make_no_product_above_the_degree_they_return(monkeypatch, coeffs):
+def test_powers_and_expansions_make_no_polynomial_product(monkeypatch, coeffs):
+    # Every expansion is one evaluation at 2**B, never a chain of products.
     p = IntPolynomial(coeffs)
-    degrees = []
+    calls = []
     mul = IntPolynomial.__mul__
 
     def recording_mul(a, b):
-        out = mul(a, b)
-        degrees.append(out.degree)
-        return out
+        calls.append((a, b))
+        return mul(a, b)
 
     monkeypatch.setattr(IntPolynomial, "__mul__", recording_mul)
     for k in range(7):
-        degrees.clear()
         p**k
-        assert max(degrees, default=0) <= k * p.degree, k
-    degrees.clear()
     FactoredPoly.of((p, 1)).expand()
-    assert max(degrees) <= p.degree
+    FactoredPoly.of((p, 3), (x_plus(-2), 4), (IntPolynomial((1, 0, 1)), 2)).expand()
+    char_poly(adjacency_matrix(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4)])))
+    assert calls == []
 
 
 @pytest.mark.parametrize("coeffs", [(0,), (3, 0), (1, 2, 0)])

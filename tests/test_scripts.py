@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
 from pathlib import Path
@@ -30,6 +31,41 @@ def test_verify_all_writes_one_line_per_case(tmp_path, capsys):
     summary = capsys.readouterr().out
     assert f"{len(reports)} cases in" in summary
     assert "0 falsified" in summary
+
+
+def test_verify_all_summary_sums_each_theorems_time_and_names_its_slowest_case(
+    tmp_path, capsys, monkeypatch
+):
+    script = load_script("verify_all")
+    real_verify = script.verify
+
+    def timed_verify(case):  # a fixed elapsed_ms per case
+        elapsed_ms = 97 * sum(case.params_dict().values())
+        return dataclasses.replace(real_verify(case), elapsed_ms=elapsed_ms)
+
+    monkeypatch.setattr(script, "verify", timed_verify)
+    out = tmp_path / "verification.jsonl"
+    assert script.main(["--max-order", "20", "--output", str(out)]) == 0
+    reports = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    lines = {line.split()[0]: line for line in capsys.readouterr().out.splitlines() if line}
+    for tid in theorems.THEOREM_IDS:
+        mine = [r for r in reports if r["theorem_id"] == tid]
+        if not mine:
+            assert lines[tid].endswith(" 0 case(s)")
+            continue
+        slowest = max(mine, key=lambda r: r["elapsed_ms"])
+        inner = ", ".join(f"{k}={v}" for k, v in slowest["params"].items())
+        summed = sum(r["elapsed_ms"] for r in mine) / 1000
+        assert lines[tid].split()[1:] == [
+            str(len(mine)),
+            "case(s)",
+            f"{summed:.2f}",
+            "s,",
+            "slowest",
+            *f"{tid}({inner})".split(),
+            str(slowest["elapsed_ms"]),
+            "ms",
+        ]
 
 
 def test_verify_all_default_order_is_the_library_default(tmp_path, monkeypatch):

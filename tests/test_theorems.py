@@ -174,6 +174,13 @@ def test_dihedral_recursion_validates_degrees():
         cf_pg_dihedral_distance_rhs(4, x_plus(1) ** 4, x_plus(1))
 
 
+def test_dihedral_recursion_is_zero_when_its_two_products_cancel():
+    n, r = 5, x_plus(3) ** 3
+    pz = IntPolynomial((n, 4 * n, 4 * n)) * r  # n(2x+1)^2 r
+    pzstar = IntPolynomial((2 * (n + 1), 4 * n + 1)) * r  # ((4n+1)x + 2(n+1)) r
+    assert cf_pg_dihedral_distance_rhs(n, pz, pzstar) == IntPolynomial()
+
+
 def test_pg_dihedral_prediction_matches_the_brute_force_zn_route():
     for n in (*range(3, 41), 64):
         zn = make_cyclic(n)
