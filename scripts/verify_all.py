@@ -66,7 +66,8 @@ def main(argv: list[str] | None = None) -> int:
         if done:
             slowest = max(done, key=lambda r: r.elapsed_ms)
             summed = sum(r.elapsed_ms for r in done) / 1000
-            line += f"  {summed:8.2f} s, slowest {slowest.case.describe()} {slowest.elapsed_ms} ms"
+            slow = f"{slowest.case.describe()} {slowest.elapsed_ms:.3f} ms"
+            line += f"  {summed:8.2f} s, slowest {slow}"
         print(line)
     print()
     print(f"{len(reports)} cases in {wall:.1f} s -> {args.output}")

@@ -103,7 +103,6 @@ from .theorems import (
     make_case,
     star_partition,
     verify,
-    verify_sweep,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

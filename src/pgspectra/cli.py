@@ -326,7 +326,7 @@ def _verify_text(reports: list[VerificationReport], fmt: str) -> str:
     lines = []
     for r in reports:
         status = {True: "ok  ", False: "FAIL", None: "info"}[r.equal]
-        line = f"{status} {r.case.describe()} order={r.group_order} {r.elapsed_ms}ms"
+        line = f"{status} {r.case.describe()} order={r.group_order} {r.elapsed_ms:.3f}ms"
         if r.note:
             line += f"  # {r.note}"
         lines.append(line)

@@ -2,19 +2,19 @@
 
 Everything here runs on Python's arbitrary-precision integers; no floating
 point is involved anywhere.  ``char_poly`` has one route for every matrix:
-reduce, certify, split, then the kernel on the leaves.  It splits off the
-eigenvalues of twins (classes whose rows and columns agree; each merge of
-two gives one linear factor, and a twin-free matrix merges nothing) and
-certifies the reduction on the matrix it reduces.  It then splits a twin
-module (blocks of classes that an automorphism of the quotient swaps) into
-two smaller pieces, certifies the split on the quotient, and reduces and
-splits each piece the same way.  The dense kernel of ``dense_char_poly``
-runs on the leaves that remain.  The kernel is Hessenberg reduction modulo
-a Gershgorin-bounded prime (Cohen, *A Course in Computational Algebraic
-Number Theory*, Alg. 2.2.9), certified by a Bareiss determinant;
-determinants come from fraction-free Bareiss elimination.  Each public
-function checks its matrix and turns it into rows once; the kernels behind
-it work on those rows.
+split, certify, then the kernel on the leaves.  One split step takes the
+matrix's twin modules (blocks of classes that an automorphism swaps): all
+its groups of twins, which are modules with one-class blocks, or else one
+module with larger blocks.  It splits off the orbit quotient and one piece
+per module, certifies the split on the matrix it splits, and takes the next
+step on the quotient; each piece is split the same way, and a 1 x 1 piece
+is a twin eigenvalue.  A matrix with no module makes no split.  The dense
+kernel of ``dense_char_poly`` runs on the leaves that remain: Hessenberg
+reduction modulo a Gershgorin-bounded prime (Cohen, *A Course in
+Computational Algebraic Number Theory*, Alg. 2.2.9), certified by a
+Bareiss determinant; determinants come from fraction-free Bareiss
+elimination.  Each public function checks its matrix and turns it into
+rows once; the kernels behind it work on those rows.
 
 Polynomials are dense coefficient tuples in ascending order, so
 ``(c0, c1, c2)`` is ``c0 + c1*x + c2*x**2``.  Every product of
@@ -32,7 +32,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain
 from math import prod
-from operator import index, itemgetter, mul, sub
+from operator import index, itemgetter, mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -501,13 +501,14 @@ def _dense_char_poly(rows: Sequence[Sequence[int]]) -> IntPolynomial:
     return poly
 
 
-#: One merge of a twin reduction: the eigenvalue and the twin cells merged.
-#: Each cell after the first gives the eigenvector ``1_first - 1_cell``.
-TwinMerge = tuple[int, tuple[tuple[int, ...], ...]]
+#: A twin module: blocks of classes aligned member by member, the first
+#: block's ``t``-th member matched to every other block's ``t``-th member.
+#: A group of twins is a module whose blocks hold one class each.
+Module = list[tuple[int, ...]]
 
 
-def _twin_groups(q: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
-    """Disjoint groups of mutual twin classes of quotient ``q``, each with its eigenvalue.
+def _twin_groups(q: Sequence[Sequence[int]]) -> list[Module]:
+    """Disjoint groups of mutual twin classes of quotient ``q``, each a module of one-class blocks.
 
     Twins X and Y agree in row and column outside {X, Y} and on the diagonal,
     and ``q[X][Y] == q[Y][X] == t``.  With the diagonal entry of X's row and
@@ -543,90 +544,12 @@ def _twin_groups(q: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
                 buckets[key].append(i)
     groups = []
     used: set[int] = set()
-    for (d, t, *_), members in buckets.items():
+    for members in buckets.values():
         free = [i for i in members if i not in used]
         if len(free) > 1:
             used.update(free)
-            groups.append((d - t, free))
+            groups.append([(i,) for i in free])
     return groups
-
-
-def _twin_reduction(
-    rows: Sequence[Sequence[int]],
-) -> tuple[list[tuple[int, ...]], Sequence[Sequence[int]], list[TwinMerge]]:
-    """Merge twin classes of ``rows``, starting from singletons, until none remain.
-
-    Returns the final cells, their quotient and the merges in order.  Merging
-    twins keeps the partition equitable, so later passes find twins among
-    classes (such as the arms of a star) that no two vertices show.
-    """
-    cells = [(i,) for i in range(len(rows))]
-    q = rows
-    merges: list[TwinMerge] = []
-    while groups := _twin_groups(q):
-        owner = list(range(len(q)))
-        for lam, members in groups:
-            merges.append((lam, tuple(cells[i] for i in members)))
-            for i in members:
-                owner[i] = members[0]
-        merged: dict[int, list[int]] = defaultdict(list)  # representative -> its classes
-        for i, rep in enumerate(owner):
-            merged[rep].append(i)
-        parts = list(merged.values())
-        cells = [tuple(sorted(chain.from_iterable(cells[i] for i in part))) for part in parts]
-        q = [[sum(map(q[part[0]].__getitem__, other)) for other in parts] for part in parts]
-    return cells, q, merges
-
-
-def _certify_twin_reduction(
-    rows: Sequence[Sequence[int]],
-    cells: list[tuple[int, ...]],
-    q: Sequence[Sequence[int]],
-    merges: list[TwinMerge],
-) -> None:
-    """Check on the original matrix that ``char_poly = char_poly(q) * prod(x - lam)``.
-
-    The merges, replayed from singletons, must each join current cells and
-    end at ``cells``; the eigenvectors ``1_X - 1_Y`` of the merges and the
-    indicator vectors of ``cells`` then form a basis.  ``M P = P q`` for the
-    indicator matrix ``P`` of ``cells``, and ``M v = lam v`` for every merge
-    vector ``v``, so in that basis ``M`` is block diagonal with blocks ``q``
-    and ``diag(lam)``.  A merge's vectors are checked by comparing shifted
-    column images: ``M 1_X - lam 1_X`` must be the same for every cell X of
-    the group, which is ``M (1_X - 1_Y) = lam (1_X - 1_Y)`` for every pair.
-    """
-    n = len(rows)
-    # M @ 1_cell for every current cell of the replay; a merged cell's is the sum.
-    image: dict[tuple[int, ...], Sequence[int]] = {(j,): col for j, col in enumerate(zip(*rows))}
-    for lam, group in merges:
-        if len(set(group)) != len(group) or not all(cell in image for cell in group):
-            raise InternalExactnessViolation("twin reduction merged cells that do not exist")
-        shifted = []
-        for cell in group:
-            col = list(image[cell])
-            for i in cell:
-                col[i] -= lam
-            shifted.append(col)
-        if shifted and shifted.count(shifted[0]) != len(shifted):
-            raise InternalExactnessViolation(f"twin reduction: M v != {lam} v")
-        union = tuple(sorted(chain.from_iterable(group)))
-        image[union] = list(map(sum, zip(*(image.pop(cell) for cell in group))))
-    if image.keys() != set(cells) or len(q) + sum(len(g) - 1 for _, g in merges) != n:
-        raise InternalExactnessViolation("twin reduction: merges do not end at its partition")
-    if len(q) != len(cells) or any(len(row) != len(cells) for row in q):
-        raise InternalExactnessViolation("twin reduction: quotient does not fit its partition")
-    owner = [0] * n
-    for c, cell in enumerate(cells):
-        for i in cell:
-            owner[i] = c
-    for c, cell in enumerate(cells):
-        if list(image[cell]) != [q[owner[i]][c] for i in range(n)]:
-            raise InternalExactnessViolation("twin reduction: partition is not equitable")
-
-
-#: A twin module: blocks of classes aligned member by member, the first
-#: block's ``t``-th member matched to every other block's ``t``-th member.
-Module = list[tuple[int, ...]]
 
 
 def _odd_one_out(values: tuple[int, ...]) -> int | None:
@@ -732,83 +655,88 @@ def _twin_module(q: Sequence[Sequence[int]]) -> Module | None:
     return None
 
 
-def _orbit_cells(k: int, module: Module) -> list[tuple[int, ...]]:
-    """The orbit partition of ``module``'s swaps, in order of each cell's first class.
+def _orbit_cells(k: int, modules: list[Module]) -> list[tuple[int, ...]]:
+    """The orbit partition of the modules' swaps, in order of each cell's first class.
 
     Aligned members form one cell; every class outside the blocks is its own cell.
     """
-    in_blocks = set(chain.from_iterable(module))
-    start = {cell[0]: cell for cell in zip(*module)}
+    start = {cell[0]: cell for module in modules for cell in zip(*module)}
+    in_blocks = set(chain.from_iterable(start.values()))
     return [start.get(i, (i,)) for i in range(k) if i in start or i not in in_blocks]
 
 
 def _module_pieces(
-    q: Sequence[Sequence[int]], module: Module
-) -> tuple[list[list[int]], list[list[int]]]:
-    """``Q'`` (the orbit partition's quotient) and ``A`` of a twin module of ``q``.
+    q: Sequence[Sequence[int]], modules: list[Module]
+) -> tuple[list[list[int]], list[list[list[int]]]]:
+    """``Q'`` (the orbit partition's quotient) and the ``A`` of each module of ``q``.
 
-    ``A[a][b] = q[a][b] - q[a][sigma(b)]`` on the first block, with ``sigma``
-    the alignment of the first block with the second.
+    ``A[a][b] = q[a][b] - q[a][sigma(b)]`` on the module's first block, with
+    ``sigma`` the alignment of the first block with the second.  A group of
+    twins has the 1 x 1 ``A`` of its eigenvalue.
     """
-    cells = _orbit_cells(len(q), module)
+    cells = _orbit_cells(len(q), modules)
     orbit_q = [[sum(map(q[x[0]].__getitem__, y)) for y in cells] for x in cells]
-    first, second = module[0], module[1]
-    a = [[q[i][j] - q[i][sj] for j, sj in zip(first, second)] for i in first]
-    return orbit_q, a
+    pieces = [
+        [[q[i][j] - q[i][sj] for j, sj in zip(first, second)] for i in first]
+        for first, second, *_ in modules
+    ]
+    return orbit_q, pieces
 
 
-def _certify_module_split(
+def _certify_split(
     q: Sequence[Sequence[int]],
-    module: Module,
+    modules: list[Module],
     orbit_q: Sequence[Sequence[int]],
-    a: Sequence[Sequence[int]],
+    pieces: Sequence[Sequence[Sequence[int]]],
 ) -> None:
-    """Check that ``char(q) = char(orbit_q) * char(a)**(r - 1)`` for the ``r`` blocks of ``module``.
+    """Check that ``char(q) = char(orbit_q) * prod(char(a)**(r - 1))`` over ``modules``.
 
-    The blocks must be disjoint runs of one length ``s`` over the classes of
-    ``q``.  With ``P`` the indicator matrix of their orbit partition and
-    ``W_i`` the vectors ``e_x - e_y`` of the members ``x`` of the first block
-    and ``y`` of block ``i`` aligned with them: ``q P = P orbit_q``, every
-    ``q W_i = W_i a``, and ``dim orbit_q + (r - 1) s = k``.  The columns of
-    ``P`` and of the ``W_i`` then form a basis in which ``q`` is block
-    diagonal, with one block ``orbit_q`` and ``r - 1`` blocks ``a``.
+    Each module's ``r`` blocks must be runs of one length ``s``, and no class
+    may sit in two blocks of any modules.  With ``P`` the indicator matrix of
+    the orbit partition and ``W`` the vectors ``e_x - e_y`` of each member
+    ``x`` of a first block and the members ``y`` aligned with it: ``q P = P
+    orbit_q``, ``q W = W a`` module by module, and ``dim orbit_q`` plus every
+    ``(r - 1) s`` is ``k``.  The columns of ``P`` and of every ``W`` then form
+    a basis in which ``q`` is block diagonal, with one block ``orbit_q`` and
+    ``r - 1`` blocks ``a`` for each module.  ``q W = W a`` is checked by
+    shifted column images: for each member index ``t``, the column of member
+    ``t`` of a block minus column ``t`` of ``a`` on that block's members must
+    be the same for every block of the module.
     """
-    k, r, s = len(q), len(module), len(module[0])
-    members = set(chain.from_iterable(module))
-    if r < 2 or any(len(block) != s for block in module) or len(members) != r * s:
+    k = len(q)
+    if len(pieces) != len(modules):
+        raise InternalExactnessViolation("twin module: one piece per module is needed")
+    members = [x for module in modules for block in module for x in block]
+    if len(set(members)) != len(members) or any(
+        len(module) < 2 or len(set(map(len, module))) != 1 for module in modules
+    ):
         raise InternalExactnessViolation("twin module: blocks are not disjoint runs of one length")
-    cells = _orbit_cells(k, module)
+    cells = _orbit_cells(k, modules)
     if sorted(chain.from_iterable(cells)) != list(range(k)):
         raise InternalExactnessViolation("twin module: blocks are not classes of the quotient")
-    if len(orbit_q) + (r - 1) * s != k or len(a) != s:
+    sizes = [len(cells), *(len(module[0]) for module in modules)]
+    shapes = [(len(m), *map(len, m)) for m in (orbit_q, *pieces)]
+    if shapes != [(n,) * (n + 1) for n in sizes]:
         raise InternalExactnessViolation("twin module: dimensions do not add up")
-    if any(len(row) != len(cells) for row in orbit_q) or any(len(row) != s for row in a):
-        raise InternalExactnessViolation("twin module: pieces are not square")
     cols = list(zip(*q))
-    owner = {i: c for c, cell in enumerate(cells) for i in cell}
+    owner = [0] * k
+    for c, cell in enumerate(cells):
+        for i in cell:
+            owner[i] = c
     # The columns of P orbit_q, beside those of q P.
-    for cell, want in zip(cells, zip(*(orbit_q[owner[i]] for i in range(k)))):
+    for cell, want in zip(cells, zip(*map(orbit_q.__getitem__, owner))):
         if tuple(map(sum, zip(*map(cols.__getitem__, cell)))) != want:
             raise InternalExactnessViolation("twin module: orbit partition is not equitable")
-    first = module[0]
-    for block in module[1:]:
-        for x, y, a_col in zip(first, block, zip(*a)):
-            image = [0] * k
-            for xu, yu, v in zip(first, block, a_col):
-                image[xu], image[yu] = v, -v
-            if list(map(sub, cols[x], cols[y])) != image:
+    for module, a in zip(modules, pieces):
+        for t, a_col in enumerate(zip(*a)):
+            images = []
+            for block in module:
+                image = list(cols[block[t]])
+                for x, v in zip(block, a_col):
+                    image[x] -= v
+                images.append(image)
+            if images.count(images[0]) != len(images):
                 raise InternalExactnessViolation("twin module: q W != W A")
-
-
-def _twin_free(
-    rows: Sequence[Sequence[int]], mult: int, lams: Counter[int]
-) -> Sequence[Sequence[int]]:
-    """The certified twin-free quotient of ``rows``; each merge adds its eigenvalue to ``lams``."""
-    cells, q, merges = _twin_reduction(rows)
-    _certify_twin_reduction(rows, cells, q, merges)
-    for lam, group in merges:
-        lams[lam] += mult * (len(group) - 1)
-    return q
 
 
 def _split_leaves(
@@ -816,66 +744,67 @@ def _split_leaves(
     mult: int,
     lams: Counter[int],
     leaves: list[tuple[IntPolynomial, int]],
-) -> None:
-    """Add ``char_poly(q)**mult`` to ``lams`` (twin eigenvalues) and ``leaves``.
+) -> Sequence[Sequence[int]]:
+    """Add ``char_poly(q)**mult`` to ``lams`` and ``leaves``; return the leaf ``q`` ends at.
 
-    A twin module of ``q`` splits it into two certified pieces, each reduced
-    and split the same way; a quotient with no module is a leaf for the kernel.
+    Each step splits ``q`` along all its groups of twins, or else along the
+    one twin module :func:`_twin_module` finds, and certifies the split.  The
+    orbit quotient takes the next step.  An ``A`` of more than one class is
+    split the same way; a 1 x 1 ``A`` is the eigenvalue of a group of twins.
+    A quotient with no module is a leaf for the kernel.
     """
-    module = _twin_module(q)
-    if module is None:
-        leaves.append((_dense_char_poly(q), mult))
-        return
-    orbit_q, a = _module_pieces(q, module)
-    _certify_module_split(q, module, orbit_q, a)
-    for piece, times in ((orbit_q, mult), (a, mult * (len(module) - 1))):
-        _split_leaves(_twin_free(piece, times, lams), times, lams, leaves)
+    while (modules := _twin_groups(q) or [_twin_module(q)]) != [None]:
+        orbit_q, pieces = _module_pieces(q, modules)
+        _certify_split(q, modules, orbit_q, pieces)
+        for module, a in zip(modules, pieces):
+            times = mult * (len(module) - 1)
+            if len(a) == 1:
+                lams[a[0][0]] += times
+            else:
+                _split_leaves(a, times, lams, leaves)
+        q = orbit_q
+    leaves.append((_dense_char_poly(q), mult))
+    return q
 
 
 def char_poly(m: IntMatrix) -> IntPolynomial:
     """Characteristic polynomial ``det(xI - m)``, exactly.
 
-    One route for every matrix: reduce, certify, split, then run the kernel
-    on the leaves.  Classes X and Y of an equitable partition with quotient
-    ``Q`` are twins when their rows and columns of ``Q`` agree outside
-    {X, Y}, ``Q[X][X] = Q[Y][Y]`` and ``Q[X][Y] = Q[Y][X]``; then
-    ``1_X - 1_Y`` is an eigenvector for ``lam = Q[X][X] - Q[X][Y]``, and
-    merging X and Y keeps the partition equitable.  Starting from singletons
-    and merging until no twins remain gives ``char_poly(m) = char_poly(Q) *
-    prod(x - lam)``; power graphs and enhanced power graphs are blow-ups of
-    small outer graphs, so ``Q`` is small.  A twin-free matrix is the
-    reduction with no merges: ``Q`` is ``m`` itself.
+    One route for every matrix: split, certify, and run the kernel on the
+    leaves.  A twin module of a matrix ``Q`` is a list of blocks ``S_1, ...,
+    S_r`` of ``s`` classes each, aligned member by member, such that swapping
+    ``S_1`` with any ``S_i`` is an automorphism of ``Q``.  Then
+    ``char_poly(Q) = char_poly(Q') * char_poly(A)**(r - 1)``, with ``Q'`` the
+    quotient of the orbit partition (aligned members merged) and ``A[a][b] =
+    Q[a][b] - Q[a][sigma(b)]`` on ``S_1`` (Godsil and Royle, *Algebraic Graph
+    Theory*, on equitable partitions); disjoint modules split off at once.
+    Twins, classes X and Y whose rows and columns agree outside {X, Y} with
+    ``Q[X][X] = Q[Y][Y]`` and ``Q[X][Y] = Q[Y][X]``, are the modules with
+    one-class blocks, and their ``A`` is the eigenvalue ``Q[X][X] - Q[X][Y]``.
 
-    A twin module widens twins to blocks: blocks ``S_1, ..., S_r`` of ``s``
-    classes of ``Q``, aligned member by member, such that swapping ``S_1``
-    with any ``S_i`` is an automorphism of ``Q`` (Godsil and Royle,
-    *Algebraic Graph Theory*, on equitable partitions).  Then ``char_poly(Q)
-    = char_poly(Q') * char_poly(A)**(r - 1)``, with ``Q'`` the quotient of
-    the orbit partition and ``A[a][b] = Q[a][b] - Q[a][sigma(b)]`` on
-    ``S_1``.  Each piece is reduced and split again; a piece with no module
-    is a leaf, and only leaves reach the kernel.  The brute force thus
-    reaches the shape of the El(p^n) x El(q^m) factorisation without
-    knowing the family.
+    Each step splits along every group of twins, or else along one module
+    with larger blocks, and the next step takes ``Q'``; merged twins show
+    twins (the arms of a star) that no two vertices are.  Every ``A`` of more
+    than one class is split the same way.  Power graphs and enhanced power
+    graphs are blow-ups of small outer graphs, so the leaves are small, and
+    El(p^n) x El(q^m) reaches the shape of its factorisation without knowing
+    the family.  A matrix with no module is its own one leaf.
 
-    Every reduction is certified on the matrix it reduces: the final
-    partition is equitable, every merge vector is an eigenvector, and the
-    merges and ``Q`` account for all dimensions.  Every split is certified
-    on its ``Q`` by :func:`_certify_module_split`, and every leaf by the
-    kernel's Bareiss determinant.  The factors are expanded by one
-    evaluation at ``x = 2**B`` (:func:`_expand`); the result must agree with
-    the product of the factors' values at the certificate point of the first
-    ``Q``, which also checks the slot width and the unpacking.  A failure
-    raises :class:`InternalExactnessViolation`.
+    Every split is certified on its ``Q`` by :func:`_certify_split`, and
+    every leaf by the kernel's Bareiss determinant.  The factors are expanded
+    by one evaluation at ``x = 2**B`` (:func:`_expand`); the result must
+    agree with the product of the factors' values at the certificate point of
+    the top-level leaf, which also checks the slot width and the unpacking.
+    A failure raises :class:`InternalExactnessViolation`.
     """
     rows = _square_rows(m, "characteristic polynomial")
     lams: Counter[int] = Counter()
     leaves: list[tuple[IntPolynomial, int]] = []
-    q = _twin_free(rows, 1, lams)
-    _split_leaves(q, 1, lams, leaves)
+    leaf = _split_leaves(rows, 1, lams, leaves)
     factors = [*leaves, *((x_plus(-lam), mult) for lam, mult in lams.items())]
     poly = _expand(factors)
     # Each leaf was certified by the kernel at its own point; this checks the expansion.
-    x0 = _certificate_point(q)
+    x0 = _certificate_point(leaf)
     if poly(x0) != prod(base(x0) ** mult for base, mult in factors):
         raise InternalExactnessViolation(f"char_poly: product of factors disagrees at {x0}")
     return poly

@@ -588,7 +588,7 @@ class VerificationReport:
     brute_force: IntPolynomial
     closed_form: FactoredPoly | None
     equal: bool | None
-    elapsed_ms: int
+    elapsed_ms: float
     note: str = ""
 
     def to_json_obj(self) -> dict:
@@ -795,13 +795,13 @@ def verify(case: TheoremCase) -> VerificationReport:
         equal: bool | None = closed.expand() == brute if closed is not None else None
         order = group.order
     except SpectraError as exc:
-        elapsed_ms = int((time.perf_counter() - start) * 1000)
+        elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
         failure = f"{type(exc).__name__}: {exc}"
         return VerificationReport(
             case, 0, IntPolynomial(), None, False, elapsed_ms,
             note=f"{note}; {failure}" if note else failure,
         )
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
+    elapsed_ms = round((time.perf_counter() - start) * 1000, 3)
     return VerificationReport(case, order, brute, closed, equal, elapsed_ms, note)
 
 
@@ -817,19 +817,6 @@ def enumerate_cases(
         raise InvalidFamilyParameters(f"max order {max_order} is above MAX_ORDER = {MAX_ORDER}")
     ids = THEOREM_IDS if theorem_ids is None else tuple(theorem_ids)
     return [make_case(tid, **params) for tid in ids for params in _theorem(tid).cases(max_order)]
-
-
-def verify_sweep(
-    theorem_ids: Sequence[str] | None = None,
-    max_order: int = DEFAULT_MAX_ORDER,
-    jobs: int = 1,
-) -> list[VerificationReport]:
-    """Verify every enumerated case; report order is deterministic.
-
-    ``jobs > 1`` runs cases in worker processes; results are collected in
-    submission order, so scheduling never changes the output.
-    """
-    return parallel_map(verify, enumerate_cases(max_order, theorem_ids), jobs)
 
 
 def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:

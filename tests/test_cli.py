@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -265,7 +266,8 @@ def test_verify_range_text(capsys):
     )
     lines = out.strip().splitlines()
     assert len(lines) == 5
-    assert all(line.startswith("ok") for line in lines[:4])
+    # Each case's time is printed in milliseconds to the microsecond.
+    assert all(re.fullmatch(r"ok   \S+ order=\d+ \d+\.\d{3}ms", line) for line in lines[:4])
     assert lines[-1] == "4 case(s): 0 falsified, 0 informational"
 
 

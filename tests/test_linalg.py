@@ -565,7 +565,7 @@ def test_char_poly_bound_beyond_the_prime_table(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# twin reduction
+# twins
 # ---------------------------------------------------------------------------
 
 
@@ -667,80 +667,94 @@ def test_rows_alone_key_only_an_exactly_symmetric_matrix():
     assert linalg._twin_groups(rows) == []
     m = IntMatrix.from_rows(rows)
     assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
-    # The same rows 0 and 1 with columns to match: twins with eigenvalue 0 - 1.
+    # The same rows 0 and 1 with columns to match: twins, a module of two
+    # one-class blocks whose 1 x 1 A is the eigenvalue 0 - 1.
     symmetric = [[0, 1, 5, 7], [1, 0, 5, 7], [5, 5, 0, 1], [7, 7, 1, 0]]
-    assert linalg._twin_groups(symmetric) == [(-1, [0, 1])]
+    groups = linalg._twin_groups(symmetric)
+    assert groups == [[(0,), (1,)]]
+    assert linalg._module_pieces(symmetric, groups)[1] == [[[-1]]]
     m = IntMatrix.from_rows(symmetric)
     assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
 
 
-def test_twin_reduction_splits_off_class_twins():
+def _record_splits_and_leaves(monkeypatch) -> tuple[list, list]:
+    """Record the modules of every certified split and the rows of every kernel call."""
+    certify, kernel = linalg._certify_split, linalg._dense_char_poly
+    splits, leaves = [], []
+
+    def recording_certify(q, modules, orbit_q, pieces):
+        splits.append(modules)
+        certify(q, modules, orbit_q, pieces)
+
+    def recording_kernel(rows):
+        leaves.append([list(row) for row in rows])
+        return kernel(rows)
+
+    monkeypatch.setattr(linalg, "_certify_split", recording_certify)
+    monkeypatch.setattr(linalg, "_dense_char_poly", recording_kernel)
+    return splits, leaves
+
+
+def test_twin_steps_split_off_class_twins(monkeypatch):
     # Two copies of a pair of closed twins: the pairs are twin classes only
-    # after the first pass, as the arms of a star are.
+    # after the first step, as the arms of a star are.
+    splits, leaves = _record_splits_and_leaves(monkeypatch)
     rows = [[0, 1], [1, 0]]
     _plant_twins(rows, [0, 1], 2)
-    cells, q, merges = linalg._twin_reduction(rows)
-    assert cells == [(0, 1, 2, 3)] and q == [[1 + 2 * 2]]
-    assert [(lam, len(group)) for lam, group in merges] == [(-1, 2), (-1, 2), (1 - 4, 2)]
     assert char_poly(IntMatrix.from_rows(rows)) == x_plus(1) ** 2 * x_plus(3) * x_plus(-5)
+    assert splits == [[[(0,), (1,)], [(2,), (3,)]], [[(0,), (1,)]]]
+    assert leaves == [[[1 + 2 * 2]]]
 
 
-def _wrong_eigenvalue(cells, q, merges):
-    (lam, group), *rest = merges
-    return cells, q, [(lam + 1, group), *rest]
+def _wrong_eigenvalue(q, modules, orbit_q, pieces):
+    return q, modules, orbit_q, [[[a[0][0] + 1]] for a in pieces]
 
 
-def _non_twin_merge(cells, q, merges):
-    # Report the star's centre and its leaves as one more pair of twins.
-    return [(0, 1, 2, 3)], [[sum(q[0])]], [*merges, (0, tuple(cells))]
+def _non_twin_merge(q, modules, orbit_q, pieces):
+    # Report the star's centre as one more twin of its leaves, with the
+    # quotient of that partition.
+    return q, [[*modules[0], (0,)]], [[sum(q[0])]], pieces
 
 
-def _corrupted_quotient(cells, q, merges):
-    return cells, [[v + (i == 0 == j) for j, v in enumerate(row)] for i, row in enumerate(q)], merges
+def _corrupted_quotient(q, modules, orbit_q, pieces):
+    corrupted = [[v + (i == 0 == j) for j, v in enumerate(row)] for i, row in enumerate(orbit_q)]
+    return q, modules, corrupted, pieces
 
 
-def _non_twin_in_group(cells, q, merges):
-    # Swap the star's centre in for the last of the three leaves of its merge.
-    (lam, group), *rest = merges
-    assert len(group) >= 3
-    return cells, q, [(lam, (*group[:-1], (0,))), *rest]
+def _lost_member(q, modules, orbit_q, pieces):
+    # The last leaf drops out of its group; the pieces are those of the whole group.
+    return q, [modules[0][:-1]], orbit_q, pieces
 
 
-def _lost_merge(cells, q, merges):
-    *rest, (lam, group) = merges
-    return cells, q, [*rest, (lam, group[:-1])]
+def _non_twin_in_group(q, modules, orbit_q, pieces):
+    # Swap the star's centre in for the last of the three leaves of its group.
+    assert len(modules[0]) == 3
+    return q, [[*modules[0][:-1], (0,)]], orbit_q, pieces
 
 
 @pytest.mark.parametrize(
     "corrupt, message",
     [
-        (_wrong_eigenvalue, "M v != "),
-        (_non_twin_merge, "M v != "),
+        (_wrong_eigenvalue, "q W != W A"),
+        (_non_twin_merge, "not equitable"),
         (_corrupted_quotient, "not equitable"),
-        (_lost_merge, "do not end at"),
-        (_non_twin_in_group, "M v != "),
+        (_lost_member, "do not add up"),
+        (_non_twin_in_group, "not equitable"),
     ],
 )
-def test_twin_certificate_catches_a_corrupted_reduction(monkeypatch, corrupt, message):
-    reduce = linalg._twin_reduction
-    monkeypatch.setattr(linalg, "_twin_reduction", lambda rows: corrupt(*reduce(rows)))
+def test_split_certificate_catches_a_corrupted_twin_step(monkeypatch, corrupt, message):
+    certify = linalg._certify_split
+    monkeypatch.setattr(linalg, "_certify_split", lambda *split: certify(*corrupt(*split)))
     star = IntMatrix.from_rows([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]])
     with pytest.raises(InternalExactnessViolation, match=message):
         char_poly(star)
 
 
-def test_a_twin_free_matrix_is_certified_as_a_reduction_with_no_merges(monkeypatch):
-    certify = linalg._certify_twin_reduction
-    seen = []
-
-    def recording(rows, cells, q, merges):
-        seen.append((cells, merges))
-        certify(rows, cells, q, merges)
-
-    monkeypatch.setattr(linalg, "_certify_twin_reduction", recording)
+def test_a_twin_free_matrix_makes_no_split_and_one_kernel_call(monkeypatch):
+    splits, leaves = _record_splits_and_leaves(monkeypatch)
     twin_free = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert char_poly(twin_free).coeffs == (-2, -5, 1)
-    assert seen == [([(0,), (1,)], [])]
+    assert splits == [] and leaves == [[[1, 2], [3, 4]]]
 
 
 @pytest.mark.parametrize("route", [char_poly, dense_char_poly, determinant])
@@ -832,20 +846,20 @@ def _elab_product_matrix(theorem_id: str, **params: int) -> IntMatrix:
 
 
 def test_a_found_module_is_split_and_certified(monkeypatch):
-    # El(3) x El(2^2): the twin-free quotient has the identity, the order-3
-    # class, and three order-2 classes each with its order-6 class, which
-    # form the blocks.
-    certify = linalg._certify_module_split
+    # El(3) x El(2^2): one step splits off four groups of two twins; the
+    # twin-free quotient has the identity, the order-3 class, and three
+    # order-2 classes each with its order-6 class, which form the blocks.
+    certify = linalg._certify_split
     seen = []
 
-    def recording(q, module, orbit_q, a):
-        seen.append((len(q), len(module), len(module[0]), len(orbit_q)))
-        certify(q, module, orbit_q, a)
+    def recording(q, modules, orbit_q, pieces):
+        seen.append([(len(q), len(module), len(module[0]), len(orbit_q)) for module in modules])
+        certify(q, modules, orbit_q, pieces)
 
-    monkeypatch.setattr(linalg, "_certify_module_split", recording)
+    monkeypatch.setattr(linalg, "_certify_split", recording)
     m = _elab_product_matrix("pg-elab-product-adjacency", p=3, n=1, q=2, m=2)
     assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
-    assert seen == [(8, 3, 2, 4)]
+    assert seen == [[(12, 2, 1, 8)] * 4, [(8, 3, 2, 4)]]
 
 
 @pytest.mark.parametrize("theorem_id", ["pg-elab-product-adjacency", "pg-elab-product-distance"])
@@ -877,8 +891,12 @@ def _no_automorphism(q, module):
     return [*module[:-1], outside]
 
 
-def _wrong_a(orbit_q, a):
-    return orbit_q, [[v + (i == 0 == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
+def _wrong_a(orbit_q, pieces):
+    # Only a module's A of more than one class: a 1 x 1 A is a twin eigenvalue.
+    def plus_one(a):
+        return [[v + (i == 0 == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
+
+    return orbit_q, [plus_one(a) if len(a) > 1 else a for a in pieces]
 
 
 def _dimensions_off(orbit_q, a):
@@ -907,7 +925,7 @@ def test_module_certificate_catches_a_corrupted_split(
         monkeypatch.setattr(linalg, "_twin_module", corrupted_find)
     if corrupt_pieces:
         monkeypatch.setattr(
-            linalg, "_module_pieces", lambda q, mod: corrupt_pieces(*pieces(q, mod))
+            linalg, "_module_pieces", lambda q, mods: corrupt_pieces(*pieces(q, mods))
         )
     m = _elab_product_matrix("pg-elab-product-adjacency", p=3, n=1, q=2, m=2)
     with pytest.raises(InternalExactnessViolation, match=message):
@@ -917,7 +935,28 @@ def test_module_certificate_catches_a_corrupted_split(
 def test_module_certificate_refuses_overlapping_blocks():
     q = [[0] * 6 for _ in range(6)]
     with pytest.raises(InternalExactnessViolation, match="disjoint"):
-        linalg._certify_module_split(q, [(0, 1), (1, 2), (3, 4)], [[0] * 2] * 2, [[0] * 2] * 2)
+        linalg._certify_split(q, [[(0, 1), (1, 2), (3, 4)]], [[0] * 2] * 2, [[[0] * 2] * 2])
+
+
+def test_split_certificate_refuses_what_only_several_modules_can_get_wrong():
+    q = [[0] * 6 for _ in range(6)]
+    # Class 1 sits in a block of each of two modules.
+    with pytest.raises(InternalExactnessViolation, match="disjoint"):
+        linalg._certify_split(q, [[(0,), (1,)], [(1,), (2,)]], [[0] * 4] * 4, [[[0]], [[0]]])
+    # Two modules, one piece.
+    with pytest.raises(InternalExactnessViolation, match="one piece per module"):
+        linalg._certify_split(q, [[(0,), (1,)], [(2,), (3,)]], [[0] * 4] * 4, [[[0]]])
+
+
+def test_split_certificate_refuses_non_twins_in_an_equitable_cell():
+    # The vertices of a 6-cycle form an equitable cell but are no twins:
+    # only the eigenvector check refuses them as one group.
+    cycle = [[int((i - j) % 6 in (1, 5)) for j in range(6)] for i in range(6)]
+    group = [[(i,) for i in range(6)]]
+    orbit_q, pieces = linalg._module_pieces(cycle, group)
+    assert orbit_q == [[2]] and pieces == [[[-1]]]
+    with pytest.raises(InternalExactnessViolation, match="q W != W A"):
+        linalg._certify_split(cycle, group, orbit_q, pieces)
 
 
 # ---------------------------------------------------------------------------

@@ -39,8 +39,8 @@ def test_verify_all_summary_sums_each_theorems_time_and_names_its_slowest_case(
     script = load_script("verify_all")
     real_verify = script.verify
 
-    def timed_verify(case):  # a fixed elapsed_ms per case
-        elapsed_ms = 97 * sum(case.params_dict().values())
+    def timed_verify(case):  # a fixed elapsed_ms per case, with microseconds
+        elapsed_ms = 97.125 * sum(case.params_dict().values())
         return dataclasses.replace(real_verify(case), elapsed_ms=elapsed_ms)
 
     monkeypatch.setattr(script, "verify", timed_verify)
@@ -63,7 +63,7 @@ def test_verify_all_summary_sums_each_theorems_time_and_names_its_slowest_case(
             "s,",
             "slowest",
             *f"{tid}({inner})".split(),
-            str(slowest["elapsed_ms"]),
+            f"{slowest['elapsed_ms']:.3f}",
             "ms",
         ]
 

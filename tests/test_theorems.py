@@ -63,7 +63,6 @@ from pgspectra import (
     proper_power_graph,
     quotient_matrix,
     verify,
-    verify_sweep,
     verify_join_form,
     x_plus,
 )
@@ -682,7 +681,7 @@ def test_enumerated_case_lists_are_pinned(max_order, count, digest):
 
 
 def _sweep_digest(max_order: int) -> tuple[int, str]:
-    objs = [report.to_json_obj() for report in verify_sweep(max_order=max_order)]
+    objs = [report.to_json_obj() for report in parallel_map(verify, enumerate_cases(max_order), 1)]
     for obj in objs:
         del obj["elapsed_ms"]
     text = "\n".join(json.dumps(obj, sort_keys=True) for obj in objs)
@@ -788,20 +787,22 @@ def test_case_orders_below_one_are_refused(max_order):
     # 64.0, None and "64" once raised a bare TypeError; True gave no cases
     message = "below 1" if type(max_order) is int else "must be an int"
     with pytest.raises(InvalidFamilyParameters, match=message):
-        enumerate_cases(max_order)
-    with pytest.raises(InvalidFamilyParameters, match=message):
-        verify_sweep(max_order=max_order)
+        parallel_map(verify, enumerate_cases(max_order), 1)
 
 
-def test_verify_sweep_small_orders_all_hold():
-    reports = verify_sweep(max_order=12)
+def test_verify_small_orders_all_hold():
+    reports = parallel_map(verify, enumerate_cases(12), 1)
     assert reports
     assert all(r.equal in (True, None) for r in reports)
+    # Each is timed to the microsecond: whole milliseconds read 0 for most small cases.
+    assert all(type(r.elapsed_ms) is float and r.elapsed_ms > 0 for r in reports)
+    assert all(round(r.elapsed_ms, 3) == r.elapsed_ms for r in reports)
 
 
-def test_verify_sweep_parallel_matches_serial():
-    serial = verify_sweep(theorem_ids=["epg-dihedral-distance"], max_order=16)
-    parallel = verify_sweep(theorem_ids=["epg-dihedral-distance"], max_order=16, jobs=2)
+def test_parallel_verify_matches_serial():
+    cases = enumerate_cases(16, ["epg-dihedral-distance"])
+    serial = parallel_map(verify, cases, 1)
+    parallel = parallel_map(verify, cases, 2)
     assert [r.case for r in serial] == [r.case for r in parallel]
     assert [r.brute_force for r in serial] == [r.brute_force for r in parallel]
     assert [r.equal for r in serial] == [r.equal for r in parallel]
