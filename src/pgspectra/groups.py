@@ -450,7 +450,7 @@ def maximal_cyclic_subgroups(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     A cyclic subgroup lies in a larger one exactly when it is generated by
     an element of the larger one that does not generate it.
     """
-    gen = [cyclic_subgroup(g, x) for x in range(g.order)]
+    gen = element_subgroups(g)
     inside = {gen[y] for sub in set(gen) for y in sub if gen[y] != sub}
     return tuple(sorted(set(gen) - inside))
 

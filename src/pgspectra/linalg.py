@@ -2,14 +2,15 @@
 
 Everything here runs on Python's arbitrary-precision integers; no floating
 point is involved anywhere.  ``char_poly`` has one route for every matrix:
-split, certify, then the kernel on the leaves.  One split step takes the
-matrix's twin modules (blocks of classes that an automorphism swaps): all
-its groups of twins, which are modules with one-class blocks, or else one
-module with larger blocks.  It splits off the orbit quotient and one piece
-per module, certifies the split on the matrix it splits, and takes the next
-step on the quotient; each piece is split the same way, and a 1 x 1 piece
-is a twin eigenvalue.  A matrix with no module makes no split.  The dense
-kernel of ``dense_char_poly`` runs on the leaves that remain: Hessenberg
+split, certify, then the kernel on the leaves.  What one split step takes
+is stated in ``_modules``: the matrix's twin modules (blocks of classes
+that an automorphism swaps), either all its groups of twins, which are
+modules with one-class blocks, or else one module with larger blocks.  The
+step splits off the orbit quotient and one piece per module, certifies the
+split on the matrix it splits, and takes the next step on the quotient;
+each piece is split the same way.  A matrix with no module makes no split.
+The factors collect in one table: a 1 x 1 leaf is its own eigenvalue, and
+the dense kernel of ``dense_char_poly`` runs on every larger leaf: Hessenberg
 reduction modulo a Gershgorin-bounded prime (Cohen, *A Course in
 Computational Algebraic Number Theory*, Alg. 2.2.9), certified by a
 Bareiss determinant; determinants come from fraction-free Bareiss
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from itertools import chain
 from math import prod
 from operator import index, itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     BitGrowthExceeded,
@@ -507,8 +508,12 @@ def _dense_char_poly(rows: Sequence[Sequence[int]]) -> IntPolynomial:
 Module = list[tuple[int, ...]]
 
 
-def _twin_groups(q: Sequence[Sequence[int]]) -> list[Module]:
-    """Disjoint groups of mutual twin classes of quotient ``q``, each a module of one-class blocks.
+def _twin_groups(
+    rows: Sequence[tuple[int, ...]],
+    cols: Sequence[tuple[int, ...]],
+    classes: Iterable[list[int]],
+) -> list[Module]:
+    """Disjoint groups of mutual twin classes of ``q`` (its ``rows`` and ``cols``), as modules.
 
     Twins X and Y agree in row and column outside {X, Y} and on the diagonal,
     and ``q[X][Y] == q[Y][X] == t``.  With the diagonal entry of X's row and
@@ -516,18 +521,13 @@ def _twin_groups(q: Sequence[Sequence[int]]) -> list[Module]:
     Y's, so each candidate value ``t`` costs one O(k) key per class and no
     pair is compared.  A symmetric ``q`` (every graph matrix, though rarely a
     quotient with cells of different sizes) is keyed by its rows alone: its
-    columns repeat them, so the buckets are the same.  Twins also share their
-    row and column sums, which leave most classes of a twin-free matrix alone
-    before any key is built.
+    columns repeat them, so the buckets are the same.  Twins share their
+    colour, so only the members of one of the colour ``classes`` are keyed
+    together.  Each group is a module of one-class blocks.
     """
-    rows = list(map(tuple, q))
-    cols = list(zip(*rows))
     symmetric = rows == cols
-    coarse: dict[tuple[int, int, int], list[int]] = defaultdict(list)
-    for i, row in enumerate(rows):
-        coarse[row[i], sum(row), sum(cols[i])].append(i)
     buckets: dict[tuple[int, ...], list[int]] = defaultdict(list)
-    for members in coarse.values():
+    for members in classes:
         if len(members) < 2:
             continue
         pick = itemgetter(*members)
@@ -596,7 +596,7 @@ def _is_module(
 def _module_with_heads(
     rows: Sequence[tuple[int, ...]],
     cols: Sequence[tuple[int, ...]],
-    colour: Sequence[object],
+    colour: Mapping[int, object],
     heads: list[int],
 ) -> Module | None:
     """The twin module whose blocks each hold one of ``heads``, if there is one.
@@ -629,30 +629,31 @@ def _module_with_heads(
     return module if _is_module(rows, cols, module) else None
 
 
-def _twin_module(q: Sequence[Sequence[int]]) -> Module | None:
-    """A twin module of the twin-free quotient ``q``, or ``None``.
+def _modules(q: Sequence[Sequence[int]]) -> list[Module]:
+    """What one split step of ``q`` takes: every group of twins, or else one twin module.
 
     A class's colour is its diagonal entry, row sum and column sum; classes
-    that an automorphism swaps share it.  Colour classes of at least three
-    classes are tried as heads, largest first.  A twin-free ``q`` has no
+    that an automorphism swaps share it, so the colour classes are computed
+    once and serve both searches.  Without twins, colour classes of at least
+    three classes are tried as heads, largest first.  A twin-free ``q`` has no
     module with blocks of one class, and heads need three members for
-    ownership to be unambiguous, so a ``q`` of fewer than 6 classes returns
-    at once.
+    ownership to be unambiguous, so a ``q`` of fewer than 6 classes has none.
     """
-    if len(q) < 6:
-        return None
     rows = list(map(tuple, q))
     cols = list(zip(*rows))
-    colour = [(row[i], sum(row), sum(col)) for i, (row, col) in enumerate(zip(rows, cols))]
-    by_colour: dict[tuple, list[int]] = defaultdict(list)
-    for i, c in enumerate(colour):
-        by_colour[c].append(i)
-    for heads in sorted(by_colour.values(), key=len, reverse=True):
-        if len(heads) < 3:
-            break
-        if module := _module_with_heads(rows, cols, colour, heads):
-            return module
-    return None
+    classes: dict[tuple, list[int]] = defaultdict(list)
+    for i, (row, col) in enumerate(zip(rows, cols)):
+        classes[row[i], sum(row), sum(col)].append(i)
+    if groups := _twin_groups(rows, cols, classes.values()):
+        return groups
+    if len(q) >= 6:
+        colour = {i: c for c, members in classes.items() for i in members}
+        for heads in sorted(classes.values(), key=len, reverse=True):
+            if len(heads) < 3:
+                break
+            if module := _module_with_heads(rows, cols, colour, heads):
+                return [module]
+    return []
 
 
 def _orbit_cells(k: int, modules: list[Module]) -> list[tuple[int, ...]]:
@@ -739,31 +740,24 @@ def _certify_split(
                 raise InternalExactnessViolation("twin module: q W != W A")
 
 
-def _split_leaves(
-    q: Sequence[Sequence[int]],
-    mult: int,
-    lams: Counter[int],
-    leaves: list[tuple[IntPolynomial, int]],
+def _split(
+    q: Sequence[Sequence[int]], mult: int, table: Counter[tuple[int, ...]]
 ) -> Sequence[Sequence[int]]:
-    """Add ``char_poly(q)**mult`` to ``lams`` and ``leaves``; return the leaf ``q`` ends at.
+    """Add the factors of ``char_poly(q)**mult`` to ``table``; return the leaf ``q`` ends at.
 
-    Each step splits ``q`` along all its groups of twins, or else along the
-    one twin module :func:`_twin_module` finds, and certifies the split.  The
-    orbit quotient takes the next step.  An ``A`` of more than one class is
-    split the same way; a 1 x 1 ``A`` is the eigenvalue of a group of twins.
-    A quotient with no module is a leaf for the kernel.
+    Each step splits ``q`` along what :func:`_modules` finds and certifies
+    the split; every piece ``A`` is split the same way, and the orbit
+    quotient takes the next step.  ``table`` maps a factor's coefficients to
+    its multiplicity: a 1 x 1 leaf ``[[a]]`` is its eigenvalue ``x - a``, and
+    a larger leaf is the kernel's.
     """
-    while (modules := _twin_groups(q) or [_twin_module(q)]) != [None]:
+    while len(q) > 1 and (modules := _modules(q)):
         orbit_q, pieces = _module_pieces(q, modules)
         _certify_split(q, modules, orbit_q, pieces)
         for module, a in zip(modules, pieces):
-            times = mult * (len(module) - 1)
-            if len(a) == 1:
-                lams[a[0][0]] += times
-            else:
-                _split_leaves(a, times, lams, leaves)
+            _split(a, mult * (len(module) - 1), table)
         q = orbit_q
-    leaves.append((_dense_char_poly(q), mult))
+    table[(-q[0][0], 1) if len(q) == 1 else _dense_char_poly(q).coeffs] += mult
     return q
 
 
@@ -782,28 +776,30 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     ``Q[X][X] = Q[Y][Y]`` and ``Q[X][Y] = Q[Y][X]``, are the modules with
     one-class blocks, and their ``A`` is the eigenvalue ``Q[X][X] - Q[X][Y]``.
 
-    Each step splits along every group of twins, or else along one module
-    with larger blocks, and the next step takes ``Q'``; merged twins show
-    twins (the arms of a star) that no two vertices are.  Every ``A`` of more
-    than one class is split the same way.  Power graphs and enhanced power
-    graphs are blow-ups of small outer graphs, so the leaves are small, and
-    El(p^n) x El(q^m) reaches the shape of its factorisation without knowing
-    the family.  A matrix with no module is its own one leaf.
+    Each step splits along what :func:`_modules` finds, every group of
+    twins or else one module with larger blocks, and the next step takes
+    ``Q'``; merged twins show twins (the arms of a star) that no two
+    vertices are.  Every ``A`` is split the same way.  Power graphs and
+    enhanced power graphs are blow-ups of small outer graphs, so the leaves
+    are small, and El(p^n) x El(q^m) reaches the shape of its factorisation
+    without knowing the family.  A matrix with no module is its own one leaf.
 
-    Every split is certified on its ``Q`` by :func:`_certify_split`, and
-    every leaf by the kernel's Bareiss determinant.  The factors are expanded
-    by one evaluation at ``x = 2**B`` (:func:`_expand`); the result must
+    The factors collect in one table of coefficient tuples and
+    multiplicities: a 1 x 1 leaf ``[[a]]`` is the factor ``x - a``, and any
+    larger leaf is the kernel's.  Every split is certified on its ``Q`` by
+    :func:`_certify_split`, and every leaf of two or more classes by the
+    kernel's Bareiss determinant.  The factors are expanded by one
+    evaluation at ``x = 2**B`` (:func:`_expand`); the result must
     agree with the product of the factors' values at the certificate point of
     the top-level leaf, which also checks the slot width and the unpacking.
     A failure raises :class:`InternalExactnessViolation`.
     """
     rows = _square_rows(m, "characteristic polynomial")
-    lams: Counter[int] = Counter()
-    leaves: list[tuple[IntPolynomial, int]] = []
-    leaf = _split_leaves(rows, 1, lams, leaves)
-    factors = [*leaves, *((x_plus(-lam), mult) for lam, mult in lams.items())]
+    table: Counter[tuple[int, ...]] = Counter()
+    leaf = _split(rows, 1, table)
+    factors = [(IntPolynomial(coeffs), mult) for coeffs, mult in table.items()]
     poly = _expand(factors)
-    # Each leaf was certified by the kernel at its own point; this checks the expansion.
+    # Each kernel leaf was certified at its own point; this checks the expansion.
     x0 = _certificate_point(leaf)
     if poly(x0) != prod(base(x0) ** mult for base, mult in factors):
         raise InternalExactnessViolation(f"char_poly: product of factors disagrees at {x0}")

@@ -53,8 +53,8 @@ from .groups import (
     GroupFamilySpec,
     admit,
     bounded_order,
-    cyclic_subgroup,
     element_order,
+    element_subgroups,
     family_of,
     family_spec,
     is_prime,
@@ -454,14 +454,16 @@ def join_form(g: FiniteGroup, graph_kind: str) -> tuple[JoinSpec, Partition]:
     _require(graph_kind in GRAPH_BUILDERS, f"unknown graph kind {graph_kind!r}")
     enhanced = graph_kind == "enhanced"
     if enhanced:
-        maximal = [frozenset(sub) for sub in maximal_cyclic_subgroups(g)]
-        keys = [frozenset(i for i, sub in enumerate(maximal) if x in sub) for x in range(g.order)]
+        keys = [[] for _ in range(g.order)]
+        for i, sub in enumerate(maximal_cyclic_subgroups(g)):
+            for x in sub:
+                keys[x].append(i)
     else:
-        keys = [frozenset(cyclic_subgroup(g, x)) for x in range(g.order)]
+        keys = element_subgroups(g)
     drop = g.identity if graph_kind == "proper-power" else None
     cells: dict[frozenset[int], list[int]] = {}
     for v, x in enumerate(x for x in range(g.order) if x != drop):
-        cells.setdefault(keys[x], []).append(v)
+        cells.setdefault(frozenset(keys[x]), []).append(v)
     edges = [
         (i, j)
         for (i, a), (j, b) in combinations(enumerate(cells), 2)

@@ -46,6 +46,7 @@ from pgspectra.errors import (
     NotSquare,
 )
 from pgspectra import linalg
+from pgspectra.graphs import graph_matrix
 from pgspectra.theorems import GRAPH_BUILDERS, THEOREMS, enumerate_cases
 
 
@@ -545,9 +546,15 @@ def test_char_poly_certificate_catches_a_corrupted_kernel(monkeypatch):
         return coeffs
 
     monkeypatch.setattr(linalg, "_hessenberg_char_poly", corrupted)
-    for route in (char_poly, dense_char_poly):
+    # char_poly splits the twins of [[2, 1], [1, 2]] into 1 x 1 leaves, its
+    # eigenvalues, so no kernel runs there; the twin-free matrix is one leaf.
+    twins = IntMatrix.from_rows([[2, 1], [1, 2]])
+    twin_free = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert char_poly(twins).coeffs == (3, -4, 1)
+    routes = [(char_poly, twin_free), (dense_char_poly, twin_free), (dense_char_poly, twins)]
+    for route, m in routes:
         with pytest.raises(InternalExactnessViolation):
-            route(IntMatrix.from_rows([[2, 1], [1, 2]]))
+            route(m)
 
 
 def test_char_poly_bound_beyond_the_prime_table(monkeypatch):
@@ -664,13 +671,13 @@ def test_rows_alone_key_only_an_exactly_symmetric_matrix():
     # t = 1 between them, and share their row and column sums; their columns
     # differ in rows 2 and 3, so they are no twins.
     rows = [[0, 1, 5, 7], [1, 0, 5, 7], [2, 3, 0, 1], [3, 2, 4, 0]]
-    assert linalg._twin_groups(rows) == []
+    assert linalg._modules(rows) == []
     m = IntMatrix.from_rows(rows)
     assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
     # The same rows 0 and 1 with columns to match: twins, a module of two
     # one-class blocks whose 1 x 1 A is the eigenvalue 0 - 1.
     symmetric = [[0, 1, 5, 7], [1, 0, 5, 7], [5, 5, 0, 1], [7, 7, 1, 0]]
-    groups = linalg._twin_groups(symmetric)
+    groups = linalg._modules(symmetric)
     assert groups == [[(0,), (1,)]]
     assert linalg._module_pieces(symmetric, groups)[1] == [[[-1]]]
     m = IntMatrix.from_rows(symmetric)
@@ -697,13 +704,32 @@ def _record_splits_and_leaves(monkeypatch) -> tuple[list, list]:
 
 def test_twin_steps_split_off_class_twins(monkeypatch):
     # Two copies of a pair of closed twins: the pairs are twin classes only
-    # after the first step, as the arms of a star are.
+    # after the first step, as the arms of a star are.  The leaf [[5]] is the
+    # eigenvalue 1 + 2 * 2 and needs no kernel.
     splits, leaves = _record_splits_and_leaves(monkeypatch)
     rows = [[0, 1], [1, 0]]
     _plant_twins(rows, [0, 1], 2)
     assert char_poly(IntMatrix.from_rows(rows)) == x_plus(1) ** 2 * x_plus(3) * x_plus(-5)
     assert splits == [[[(0,), (1,)], [(2,), (3,)]], [[(0,), (1,)]]]
-    assert leaves == [[[1 + 2 * 2]]]
+    assert leaves == []
+
+
+def test_no_1x1_matrix_reaches_the_kernel_from_char_poly(monkeypatch):
+    kernel = linalg._dense_char_poly
+    sizes = []
+
+    def recording(rows):
+        sizes.append(len(rows))
+        return kernel(rows)
+
+    for case in enumerate_cases(40):
+        group = THEOREMS[case.theorem_id].build_group(case.params_dict())
+        m = graph_matrix(GRAPH_BUILDERS[case.graph_kind](group), case.matrix_kind)
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_dense_char_poly", recording)
+            poly = char_poly(m)
+        assert poly == dense_char_poly(m), case.describe()
+    assert sizes and 1 not in sizes
 
 
 def _wrong_eigenvalue(q, modules, orbit_q, pieces):
@@ -916,13 +942,13 @@ def _dimensions_off(orbit_q, a):
 def test_module_certificate_catches_a_corrupted_split(
     monkeypatch, corrupt_module, corrupt_pieces, message
 ):
-    find, pieces = linalg._twin_module, linalg._module_pieces
+    find, pieces = linalg._module_with_heads, linalg._module_pieces
     if corrupt_module:
-        def corrupted_find(q):
-            module = find(q)
-            return module and corrupt_module(q, module)
+        def corrupted_find(rows, cols, colour, heads):
+            module = find(rows, cols, colour, heads)
+            return module and corrupt_module(rows, module)
 
-        monkeypatch.setattr(linalg, "_twin_module", corrupted_find)
+        monkeypatch.setattr(linalg, "_module_with_heads", corrupted_find)
     if corrupt_pieces:
         monkeypatch.setattr(
             linalg, "_module_pieces", lambda q, mods: corrupt_pieces(*pieces(q, mods))

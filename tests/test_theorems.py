@@ -59,6 +59,7 @@ from pgspectra import (
     make_dihedral,
     make_elementary_abelian,
     make_gpq,
+    maximal_cyclic_subgroups,
     power_graph,
     proper_power_graph,
     quotient_matrix,
@@ -474,6 +475,27 @@ def test_join_form_of_any_group_verifies_and_predicts_the_spectrum(group, kind):
             cf_join_distance(spec)
     else:
         assert cf_join_distance(spec) == dense
+
+
+def test_join_forms_walk_each_cyclic_subgroup_once(monkeypatch):
+    # D_16 has 12 cyclic subgroups: four inside the rotations and one per reflection.
+    walk = groups._powers
+    calls = []
+
+    def counting(g, x):
+        calls.append(x)
+        return walk(g, x)
+
+    monkeypatch.setattr(groups, "_powers", counting)
+    g = make_dihedral(8)
+    runs = {kind: lambda kind=kind: join_form(g, kind) for kind in GRAPH_BUILDERS}
+    runs["maximal"] = lambda: maximal_cyclic_subgroups(g)
+    counts = {}
+    for name, run in runs.items():
+        calls.clear()
+        run()
+        counts[name] = len(calls)
+    assert counts == dict.fromkeys(runs, 12)
 
 
 def test_join_form_rejects_an_unknown_graph_kind():
