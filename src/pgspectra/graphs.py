@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DisconnectedGraph, HypothesisViolated, SizeMismatch
@@ -25,8 +26,11 @@ class Graph:
     neighbors: tuple[frozenset[int], ...]
 
     def __post_init__(self) -> None:
-        """:class:`SizeMismatch` unless each neighbor is another vertex listing this one."""
+        """:class:`SizeMismatch` unless each neighbor is another int vertex listing this one."""
         nbrs, n = self.neighbors, len(self.neighbors)
+        # one pass in C: a bool would pass the loop below as the vertex 0 or 1
+        if not set(map(type, chain.from_iterable(nbrs))) <= {int}:
+            raise SizeMismatch("a neighbor is not an int vertex")
         for v, s in enumerate(nbrs):
             if v in s:
                 raise SizeMismatch(f"vertex {v} is its own neighbor")

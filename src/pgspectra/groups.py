@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from operator import itemgetter
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, NoReturn, Sequence
 
 from .errors import InvalidFamilyParameters
 
@@ -479,18 +479,27 @@ def group_to_json(g: FiniteGroup) -> str:
     )
 
 
+def _refuse_number(token: str) -> NoReturn:
+    raise ValueError(f"{token} is not an integer")
+
+
 def group_from_json(text: str) -> FiniteGroup:
-    """The group :func:`group_to_json` wrote; :class:`InvalidFamilyParameters` otherwise."""
+    """The group :func:`group_to_json` wrote; :class:`InvalidFamilyParameters` otherwise.
+
+    A float, ``NaN`` or ``Infinity`` is refused while parsing.  Every other
+    entry must pass the Latin-square check under ``==``, which leaves only a
+    bool posing as 0 or 1; those two entries of each row are checked for type.
+    """
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_float=_refuse_number, parse_constant=_refuse_number)
         order, identity = obj["order"], obj["identity"]
         _check_order(order, lambda: "the serialized group")
         table = [tuple(row) for row in obj["table"]]
         labels = obj.get("labels", [str(i) for i in range(order)])
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidFamilyParameters(f"not a serialized group: {exc!r}") from None
-    if {type(v) for row in table for v in row} | {type(order), type(identity)} != {int} or identity:
-        raise InvalidFamilyParameters("need integers throughout, and element 0 as the identity")
+    if type(order) is not int or type(identity) is not int or identity:
+        raise InvalidFamilyParameters("need an integer order, and element 0 as the identity")
     if type(labels) is not list or any(type(s) is not str for s in labels):
         raise InvalidFamilyParameters("labels, when given, must be a list of strings")
     if len(table) != order or any(len(row) != order for row in table) or len(labels) != order:
@@ -500,12 +509,20 @@ def group_from_json(text: str) -> FiniteGroup:
     # power loop returns to the identity within ``order`` steps.
     identity_map = tuple(range(order))
     elements = set(identity_map)
-    if (
-        table[:1] != [identity_map]
-        or tuple(row[0] for row in table) != identity_map
-        or any(set(line) != elements for line in chain(table, zip(*table)))
-    ):
+    try:
+        latin = (
+            table[:1] == [identity_map]
+            and tuple(row[0] for row in table) == identity_map
+            and all(set(line) == elements for line in chain(table, zip(*table)))
+        )
+    except TypeError:  # an unhashable entry: a list or an object
+        latin = False
+    if not latin:
         raise InvalidFamilyParameters(
             "table is not a Latin square with element 0 as its identity row and column"
         )
+    # Each row is now a permutation of 0..order-1 under ==.  The only JSON value
+    # equal to an int without being one is a bool, equal to 0 or 1 alone.
+    if any(type(row[row.index(v)]) is not int for row in table for v in range(min(order, 2))):
+        raise InvalidFamilyParameters("need integers throughout, not booleans")
     return _finish(table, labels, None)

@@ -7,6 +7,12 @@ distance-quotient matrix follows from it by the two-step distance identity
 
     T^D[i][i] = 2*|V_i| - 2 - T[i][i],      T^D[i][j] = 2*|V_j| - T[i][j].
 
+The refinement and the adjacency quotient count neighbors by one rule: the
+cell with the most incident edge ends is taken off each neighbor set as one
+set difference, and only the neighbors left over are counted one at a time.
+The explicit distance quotient likewise gets its largest cell's sum as the
+whole row's sum less the other cells'.
+
 Nothing here knows about groups: the partitions named after group families
 are cells of join forms, built in :mod:`pgspectra.theorems`.
 """
@@ -101,17 +107,37 @@ def _equitable_quotient(p: Partition, signature: Callable) -> IntMatrix:
     return IntMatrix.from_rows([sig for sig, _ in split])
 
 
-def _cell_counts(graph: Graph, idx: list[int], v: int, ncells: int) -> tuple[int, ...]:
-    counts = [0] * ncells
-    for w in graph.neighbors[v]:
-        counts[idx[w]] += 1
-    return tuple(counts)
+def _cell_counts(graph: Graph, p: Partition) -> Callable[[int], tuple[int, ...]]:
+    """Each vertex's neighbor count in every cell of ``p``, as a :func:`_split` signature.
+
+    The heaviest cell (most incident edge ends, the first on a tie) is taken
+    off each neighbor set as one set difference; only the neighbors left over
+    are counted one at a time.  With one cell that count is the degree, read
+    without visiting a neighbor.
+    """
+    nbrs, k = graph.neighbors, p.cell_count
+    idx = p.cell_index(len(nbrs))
+    ends = [0] * k
+    for i, near in zip(idx, nbrs):
+        ends[i] += len(near)
+    h = ends.index(max(ends)) if k else 0
+    heaviest = frozenset(p.cells[h]) if k else frozenset()
+
+    def counts(v: int) -> tuple[int, ...]:
+        near = nbrs[v]
+        rest = near - heaviest
+        row = [0] * k
+        row[h] = len(near) - len(rest)
+        for w in rest:
+            row[idx[w]] += 1
+        return tuple(row)
+
+    return counts
 
 
 def quotient_matrix(graph: Graph, p: Partition) -> IntMatrix:
     """Adjacency quotient: entry (i, j) counts cell-j neighbors of a cell-i vertex."""
-    idx = p.cell_index(graph.vertex_count)
-    return _equitable_quotient(p, lambda v: _cell_counts(graph, idx, v, p.cell_count))
+    return _equitable_quotient(p, _cell_counts(graph, p))
 
 
 def distance_quotient_matrix(graph: Graph, p: Partition) -> IntMatrix:
@@ -144,12 +170,17 @@ def distance_quotient_from_matrix(dm: IntMatrix, p: Partition) -> IntMatrix:
     if dm.rows != dm.cols:
         raise NotSquare(f"need a square matrix, got {dm.rows}x{dm.cols}")
     p.cell_index(dm.rows)  # the cells must cover 0..n-1
+    sizes = p.sizes()
+    big = sizes.index(max(sizes)) if sizes else 0
     # itemgetter of a one-vertex cell gives that entry, of a larger cell a tuple
-    getters = [itemgetter(*cell) for cell in p.cells]
+    getters = [itemgetter(*cell) for i, cell in enumerate(p.cells) if i != big]
 
     def cell_sums(v: int) -> tuple[int, ...]:
         row = dm.row(v)
-        return tuple(s if type(s) is int else sum(s) for s in (get(row) for get in getters))
+        sums = [s if type(s) is int else sum(s) for s in (get(row) for get in getters)]
+        # the largest cell's sum is what the other cells leave of the whole row's
+        sums.insert(big, sum(row) - sum(sums))
+        return tuple(sums)
 
     return _equitable_quotient(p, cell_sums)
 
@@ -159,13 +190,13 @@ def coarsest_equitable_partition(graph: Graph) -> Partition:
 
     Each pass splits every cell by its vertices' per-cell neighbor counts
     (groups in lexicographic count order, vertices ascending) until no cell
-    splits.  The final cell list is sorted by minimum vertex.
+    splits.  The final cell list is sorted by minimum vertex.  The first pass
+    reads only degrees: its one cell is the heaviest, taken off as a set.
     """
     n = graph.vertex_count
     p = Partition((tuple(range(n)),) if n else ())
     while True:
-        idx = p.cell_index(n)
-        split = _split(p.cells, lambda v: _cell_counts(graph, idx, v, p.cell_count))
+        split = _split(p.cells, _cell_counts(graph, p))
         if len(split) == p.cell_count:
             return Partition(tuple(sorted(p.cells)))
         p = Partition(tuple(tuple(group) for _, group in split))

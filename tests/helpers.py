@@ -10,10 +10,12 @@ index layout of each family constructor, and the family join forms are
 the per-family outer graphs (a star, a cone over a Figure-1 template, a
 cone over the divisor graph) that the general ``join_form`` replaced, over
 those index-layout cells, and the coarsest equitable partition comes from
-colour refinement on neighbour-colour multisets.  The Cayley tables and
-the group JSON object are written entry by entry, as the constructors and
-the writer did before they cut rows from shared slices; the tables come
-one row at a time, so the largest stay small in memory.  Equitability is
+colour refinement on neighbour-colour multisets.  Quotients come from a
+Counter of each vertex's neighbours' cells, or from block sums added one
+entry at a time.  The Cayley tables and the group JSON object are written
+entry by entry, as the constructors and the writer did before they cut
+rows from shared slices; the tables come one row at a time, so the
+largest stay small in memory.  Equitability is
 checked by counting each vertex's neighbours per cell, and associativity
 by a full triple scan.
 """
@@ -221,6 +223,46 @@ def is_equitable(graph: Graph, p: Partition) -> bool:
         return tuple(sorted(Counter(cell_of[w] for w in graph.neighbors[v]).items()))
 
     return all(len({counts(v) for v in cell}) == 1 for cell in p.cells)
+
+
+def neighbour_count_rows_oracle(graph: Graph, p: Partition) -> list[tuple[int, ...]]:
+    """Each vertex's neighbour count in every cell of ``p``, from a Counter of its neighbours' cells."""
+    cell_of = {v: i for i, cell in enumerate(p.cells) for v in cell}
+    rows = []
+    for v in range(graph.vertex_count):
+        seen = Counter(cell_of[w] for w in graph.neighbors[v])
+        rows.append(tuple(seen[i] for i in range(p.cell_count)))
+    return rows
+
+
+def block_sum_rows_oracle(m: IntMatrix, p: Partition) -> list[tuple[int, ...]]:
+    """Each row's sum over every cell of ``p``, adding one entry at a time."""
+    rows = []
+    for v in range(m.rows):
+        sums = []
+        for cell in p.cells:
+            total = 0
+            for w in cell:
+                total += m.entries[v * m.cols + w]
+            sums.append(total)
+        rows.append(tuple(sums))
+    return rows
+
+
+def cell_quotient_oracle(p: Partition, rows: list[tuple[int, ...]]) -> list[list[int]] | str:
+    """The row each cell's vertices share, or the text ``NotEquitable`` carries.
+
+    That text names the least vertices holding the two smallest rows of the
+    first cell whose rows differ.
+    """
+    quotient = []
+    for cell in p.cells:
+        distinct = sorted({rows[v] for v in cell})
+        if len(distinct) > 1:
+            first, second = (min(v for v in cell if rows[v] == r) for r in distinct[:2])
+            return f"vertices {first} and {second} disagree within a cell"
+        quotient.append(list(distinct[0]))
+    return quotient
 
 
 def check_associative(g: FiniteGroup) -> bool:

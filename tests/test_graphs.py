@@ -96,8 +96,12 @@ def test_from_edges_ignores_loops_and_checks_range():
         (frozenset({2}), frozenset({0})),  # past the last vertex
         (frozenset({-1}), frozenset({0})),  # before the first
         (frozenset({0, 1}), frozenset({0})),  # a loop
+        (frozenset({"a"}),),
+        (frozenset({1.0}), frozenset({0})),
+        (frozenset({0.5}), frozenset({0})),
+        (frozenset({True}), frozenset({0})),  # equal to the vertex 1, which lists 0
     ],
-    ids=["asymmetric", "above-range", "below-range", "loop"],
+    ids=["asymmetric", "above-range", "below-range", "loop", "string", "float", "fraction", "bool"],
 )
 def test_inconsistent_neighbor_sets_are_refused(neighbors):
     with pytest.raises(SizeMismatch):

@@ -643,6 +643,21 @@ _D6 = json.loads(group_to_json(make_dihedral(3)))
             json.dumps({"order": 2, "identity": False, "table": [[0, 1], [1, 0]]}),
             id="bool-identity",
         ),
+        pytest.param([[0, 1, 2], [1, 2, False], [2, 0, 1]], id="false-at-a-later-zero"),
+        pytest.param([[0, True, 2], [1, 2, 0], [2, 0, 1]], id="true-in-row-0"),
+        pytest.param([[0, 1, 2], [True, 2, 0], [2, 0, 1]], id="true-in-column-0"),
+        pytest.param([[False]], id="false-as-the-only-entry"),
+        # Floats and the non-standard constants are refused while parsing.
+        pytest.param([[0, 1], [1.0, 0]], id="one-point-zero"),
+        # 2.0 == 2 would pass the Latin-square check, which never looks at its type
+        pytest.param([[0, 1, 2], [1, 2, 0], [2.0, 0, 1]], id="two-point-zero"),
+        pytest.param('{"order": 2, "identity": 0, "table": [[0, 1], [1e400, 0]]}', id="overflowing-float"),
+        pytest.param([[0, 1], [1, float("nan")]], id="nan"),
+        pytest.param([[0, 1], [1, float("inf")]], id="infinity"),
+        pytest.param(json.dumps({"order": 2.0, "identity": 0, "table": [[0, 1], [1, 0]]}), id="float-order"),
+        # Neither null nor a list equals an element; a list is unhashable too.
+        pytest.param([[0, 1], [1, None]], id="null-entry"),
+        pytest.param([[0, 1], [1, [0]]], id="nested-list-entry"),
     ],
 )
 def test_group_json_rejects_non_group_tables(table):

@@ -8,10 +8,13 @@ from pathlib import Path
 
 import pytest
 from helpers import (
+    block_sum_rows_oracle,
     catalog_groups,
+    cell_quotient_oracle,
     coarsest_equitable_cells_oracle,
     family_partition_oracle,
     is_equitable,
+    neighbour_count_rows_oracle,
 )
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -54,6 +57,7 @@ from pgspectra.errors import (
     NotSquare,
 )
 from pgspectra.groups import is_prime
+from pgspectra.partitions import _cell_counts
 
 
 def path_graph(n: int) -> Graph:
@@ -309,6 +313,104 @@ def test_one_broken_cell_is_not_equitable(planted, rng):
 
 
 # ---------------------------------------------------------------------------
+# the counting rule against the Counter and block-sum oracles
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def random_partitions_st(draw, n: int) -> Partition:
+    """A random partition of 0..n-1, its cells in random order."""
+    labels = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n, max_size=n))
+    cells = [[v for v in range(n) if labels[v] == label] for label in dict.fromkeys(labels)]
+    return Partition.of(draw(st.permutations(cells)))
+
+
+@st.composite
+def partitioned_graphs_st(draw) -> tuple[Graph, Partition]:
+    n = draw(st.integers(0, 7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    graph = Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep])
+    return graph, draw(random_partitions_st(n))
+
+
+@st.composite
+def partitioned_matrices_st(draw) -> tuple[IntMatrix, Partition]:
+    n = draw(st.integers(0, 6))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n))
+    return IntMatrix(n, n, tuple(entries)), draw(random_partitions_st(n))
+
+
+def _check_quotient(route, want: list[list[int]] | str) -> None:
+    """``route()`` gives the oracle's quotient, or raises ``NotEquitable`` with its text."""
+    if isinstance(want, str):
+        with pytest.raises(NotEquitable, match=f"^{want}$"):
+            route()
+    else:
+        assert route().to_rows() == want
+
+
+def _check_adjacency_counts(graph: Graph, part: Partition) -> None:
+    rows = neighbour_count_rows_oracle(graph, part)
+    counts = _cell_counts(graph, part)
+    assert [counts(v) for v in range(graph.vertex_count)] == rows
+    _check_quotient(lambda: quotient_matrix(graph, part), cell_quotient_oracle(part, rows))
+
+
+def _check_block_sums(dm: IntMatrix, part: Partition) -> None:
+    want = cell_quotient_oracle(part, block_sum_rows_oracle(dm, part))
+    _check_quotient(lambda: distance_quotient_from_matrix(dm, part), want)
+
+
+COUNTING_EDGE_CASES = {
+    "no-vertices": (empty_graph(0), ()),
+    "one-cell": (path_graph(5), [range(5)]),
+    "singletons": (path_graph(5), [[v] for v in range(5)]),
+    # both cells have 6 edge ends, so the first is taken off as a set
+    "tie-equitable": (cycle_graph(6), [[1, 3, 5], [0, 2, 4]]),
+    # 3 edge ends each, and neither cell is equitable
+    "tie-not-equitable": (path_graph(4), [[2, 3], [0, 1]]),
+    "heaviest-cell-last": (Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), [[1], [0, 2, 3]]),
+}
+
+
+@pytest.mark.parametrize("graph, cells", COUNTING_EDGE_CASES.values(), ids=COUNTING_EDGE_CASES)
+def test_counting_edge_cases_match_the_oracles(graph: Graph, cells):
+    part = Partition.of(cells)
+    _check_adjacency_counts(graph, part)
+    _check_block_sums(distance_matrix(graph) if graph.vertex_count else IntMatrix(0, 0, ()), part)
+
+
+@given(partitioned_graphs_st())
+def test_neighbor_counts_match_the_counter_oracle(case):
+    graph, part = case
+    _check_adjacency_counts(graph, part)
+    coarsest = coarsest_equitable_partition(graph)
+    assert coarsest.cells == coarsest_equitable_cells_oracle(graph)
+    _check_adjacency_counts(graph, coarsest)
+
+
+@given(partitioned_matrices_st())
+def test_cell_sums_match_the_block_sum_oracle(case):
+    _check_block_sums(*case)
+
+
+def test_partitions_and_quotients_match_the_oracles_on_catalog_graphs():
+    for g in catalog_groups(64):
+        for build in (power_graph, enhanced_power_graph, proper_power_graph):
+            graph = build(g)
+            part = coarsest_equitable_partition(graph)
+            label = (g.spec.describe(), build.__name__)
+            assert part.cells == coarsest_equitable_cells_oracle(graph), label
+            _check_adjacency_counts(graph, part)
+            try:
+                dm = distance_matrix(graph)
+            except DisconnectedGraph:
+                continue  # some proper power graphs
+            _check_block_sums(dm, part)
+
+
+# ---------------------------------------------------------------------------
 # coarsest refinement
 # ---------------------------------------------------------------------------
 
@@ -338,15 +440,6 @@ def test_coarsest_partition_is_equitable(graph: Graph):
 @given(st.one_of(graphs_st(max_n=10), blown_up_graphs_st()))
 def test_coarsest_partition_matches_the_colour_refinement_oracle(graph: Graph):
     assert coarsest_equitable_partition(graph).cells == coarsest_equitable_cells_oracle(graph)
-
-
-def test_coarsest_partition_matches_the_oracle_on_catalog_graphs():
-    for g in catalog_groups(32):
-        for build in (power_graph, enhanced_power_graph, proper_power_graph):
-            graph = build(g)
-            assert coarsest_equitable_partition(graph).cells == coarsest_equitable_cells_oracle(
-                graph
-            ), (g.spec.describe(), build.__name__)
 
 
 @given(graphs_st())
