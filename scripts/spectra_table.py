@@ -3,14 +3,17 @@
 
 A quick way to eyeball how the closed forms evolve with the parameters
 without running any verification.  Everything here is exact; the factored
-shapes come straight from the catalog.
+shapes come straight from the catalog.  A --max-order outside
+1..MAX_ORDER prints one ``error[InvalidFamilyParameters]`` line and exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 
 from pgspectra import (
+    SpectraError,
     cf_elab_distance,
     cf_elab_times_cyclic_distance,
     cf_epg_dicyclic_distance,
@@ -25,10 +28,23 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--max-order", type=int, default=40)
     args = ap.parse_args(argv)
-    mo = args.max_order
+    try:
+        cases = {
+            tid: THEOREMS[tid].cases(args.max_order)
+            for tid in (
+                "epg-gpq-distance",
+                "epg-dihedral-distance",
+                "epg-dicyclic-distance",
+                "epg-elab-distance",
+                "epg-elab-cyclic-distance",
+            )
+        }
+    except SpectraError as exc:
+        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
+        return 1
 
     print("# nonabelian groups of order p*q (power graph = enhanced power graph)")
-    for d in THEOREMS["epg-gpq-distance"].cases(mo):
+    for d in cases["epg-gpq-distance"]:
         p, q = d["p"], d["q"]
         f = cf_epg_gpq_distance(p, q)
         det = cf_epg_gpq_determinant(p, q)
@@ -36,20 +52,20 @@ def main(argv: list[str] | None = None) -> int:
         print(f"    {f.pretty()}")
 
     print("\n# dihedral groups, enhanced power graph")
-    for n in (d["n"] for d in THEOREMS["epg-dihedral-distance"].cases(mo)):
+    for n in (d["n"] for d in cases["epg-dihedral-distance"]):
         print(f"D_{2 * n} (order {2 * n:3d})  {cf_epg_dihedral_distance(n).pretty()}")
 
     print("\n# dicyclic groups, enhanced power graph")
-    for n in (d["n"] for d in THEOREMS["epg-dicyclic-distance"].cases(mo)):
+    for n in (d["n"] for d in cases["epg-dicyclic-distance"]):
         print(f"Dic_{4 * n} (order {4 * n:3d})  {cf_epg_dicyclic_distance(n).pretty()}")
 
     print("\n# elementary abelian groups")
-    for d in THEOREMS["epg-elab-distance"].cases(mo):
+    for d in cases["epg-elab-distance"]:
         p, n = d["p"], d["n"]
         print(f"El({p}^{n}) (order {p**n:3d})  {cf_elab_distance(p, n).pretty()}")
 
     print("\n# El(p^n) x Z_m, enhanced power graph")
-    for d in THEOREMS["epg-elab-cyclic-distance"].cases(mo):
+    for d in cases["epg-elab-cyclic-distance"]:
         p, n, m = d["p"], d["n"], d["m"]
         f = cf_elab_times_cyclic_distance(p, n, m)
         print(f"El({p}^{n}) x Z_{m} (order {p**n * m:3d})  {f.pretty()}")

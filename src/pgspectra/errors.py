@@ -45,8 +45,11 @@ class NotSquare(SpectraError):
 class InternalExactnessViolation(SpectraError):
     """A trusted exact algorithm failed its own check.
 
-    Either an exact integer division left a remainder, or a characteristic
-    polynomial disagreed with its determinant certificate.
+    A Bareiss division left a remainder, a characteristic polynomial
+    disagreed with its determinant certificate, ``char_poly``'s split
+    certificate refused a split (overlapping blocks, a non-equitable orbit
+    partition, or ``q W != W A``), or the expansion of ``char_poly``'s
+    factors disagreed with their product at the certificate point.
 
     This indicates a bug (or a corrupted input), never a legitimate outcome.
     """
@@ -76,6 +79,6 @@ class BitGrowthExceeded(SpectraError):
     """A characteristic-polynomial coefficient bound outgrew the prime table.
 
     The bound exceeded the largest prime ``dense_char_poly`` can work modulo.
-    ``char_poly`` applies that bound to each leaf of its twin reduction and
-    twin-module split, not to the whole matrix.
+    ``char_poly`` applies that bound to each leaf of its split, not to the
+    whole matrix.
     """

@@ -6,9 +6,10 @@ split, certify, then the kernel on the leaves.  What one split step takes
 is stated in ``_modules``: the matrix's twin modules (blocks of classes
 that an automorphism swaps), either all its groups of twins, which are
 modules with one-class blocks, or else one module with larger blocks.  The
-step splits off the orbit quotient and one piece per module, certifies the
-split on the matrix it splits, and takes the next step on the quotient;
-each piece is split the same way.  A matrix with no module makes no split.
+step splits off one piece per module, and its certificate checks the split
+on the matrix it splits and returns the orbit quotient, read off the column
+sums it checks; the quotient takes the next step, and each piece is split
+the same way.  A matrix with no module makes no split.
 The factors collect in one table: a 1 x 1 leaf is its own eigenvalue, and
 the dense kernel of ``dense_char_poly`` runs on every larger leaf: Hessenberg
 reduction modulo a Gershgorin-bounded prime (Cohen, *A Course in
@@ -629,8 +630,9 @@ def _module_with_heads(
     return module if _is_module(rows, cols, module) else None
 
 
-def _modules(q: Sequence[Sequence[int]]) -> list[Module]:
-    """What one split step of ``q`` takes: every group of twins, or else one twin module.
+def _modules(rows: Sequence[tuple[int, ...]], cols: Sequence[tuple[int, ...]]) -> list[Module]:
+    """What one split step of ``q`` (its ``rows`` and ``cols``) takes: every group
+    of twins, or else one twin module.
 
     A class's colour is its diagonal entry, row sum and column sum; classes
     that an automorphism swaps share it, so the colour classes are computed
@@ -639,14 +641,12 @@ def _modules(q: Sequence[Sequence[int]]) -> list[Module]:
     module with blocks of one class, and heads need three members for
     ownership to be unambiguous, so a ``q`` of fewer than 6 classes has none.
     """
-    rows = list(map(tuple, q))
-    cols = list(zip(*rows))
     classes: dict[tuple, list[int]] = defaultdict(list)
     for i, (row, col) in enumerate(zip(rows, cols)):
         classes[row[i], sum(row), sum(col)].append(i)
     if groups := _twin_groups(rows, cols, classes.values()):
         return groups
-    if len(q) >= 6:
+    if len(rows) >= 6:
         colour = {i: c for c, members in classes.items() for i in members}
         for heads in sorted(classes.values(), key=len, reverse=True):
             if len(heads) < 3:
@@ -656,78 +656,52 @@ def _modules(q: Sequence[Sequence[int]]) -> list[Module]:
     return []
 
 
-def _orbit_cells(k: int, modules: list[Module]) -> list[tuple[int, ...]]:
-    """The orbit partition of the modules' swaps, in order of each cell's first class.
-
-    Aligned members form one cell; every class outside the blocks is its own cell.
-    """
-    start = {cell[0]: cell for module in modules for cell in zip(*module)}
-    in_blocks = set(chain.from_iterable(start.values()))
-    return [start.get(i, (i,)) for i in range(k) if i in start or i not in in_blocks]
-
-
-def _module_pieces(
-    q: Sequence[Sequence[int]], modules: list[Module]
-) -> tuple[list[list[int]], list[list[list[int]]]]:
-    """``Q'`` (the orbit partition's quotient) and the ``A`` of each module of ``q``.
-
-    ``A[a][b] = q[a][b] - q[a][sigma(b)]`` on the module's first block, with
-    ``sigma`` the alignment of the first block with the second.  A group of
-    twins has the 1 x 1 ``A`` of its eigenvalue.
-    """
-    cells = _orbit_cells(len(q), modules)
-    orbit_q = [[sum(map(q[x[0]].__getitem__, y)) for y in cells] for x in cells]
-    pieces = [
-        [[q[i][j] - q[i][sj] for j, sj in zip(first, second)] for i in first]
-        for first, second, *_ in modules
-    ]
-    return orbit_q, pieces
-
-
 def _certify_split(
-    q: Sequence[Sequence[int]],
+    cols: Sequence[tuple[int, ...]],
     modules: list[Module],
-    orbit_q: Sequence[Sequence[int]],
     pieces: Sequence[Sequence[Sequence[int]]],
-) -> None:
-    """Check that ``char(q) = char(orbit_q) * prod(char(a)**(r - 1))`` over ``modules``.
+) -> list[tuple[int, ...]]:
+    """The rows of ``Q'``, once ``char(q) = char(Q') * prod(char(a)**(r - 1))`` is certified.
 
-    Each module's ``r`` blocks must be runs of one length ``s``, and no class
-    may sit in two blocks of any modules.  With ``P`` the indicator matrix of
-    the orbit partition and ``W`` the vectors ``e_x - e_y`` of each member
-    ``x`` of a first block and the members ``y`` aligned with it: ``q P = P
-    orbit_q``, ``q W = W a`` module by module, and ``dim orbit_q`` plus every
-    ``(r - 1) s`` is ``k``.  The columns of ``P`` and of every ``W`` then form
-    a basis in which ``q`` is block diagonal, with one block ``orbit_q`` and
-    ``r - 1`` blocks ``a`` for each module.  ``q W = W a`` is checked by
-    shifted column images: for each member index ``t``, the column of member
-    ``t`` of a block minus column ``t`` of ``a`` on that block's members must
-    be the same for every block of the module.
+    ``cols`` are the columns of ``q``.  No class may sit in two blocks, each
+    module's ``r`` blocks must be runs of one length ``s`` with one ``s x s``
+    piece ``a``, and the orbit partition's cells (each module's aligned
+    members, and every class outside the blocks) must cover the classes.
+    With ``P`` the cells' indicator matrix, column ``c`` of ``q P`` is the
+    sum ``S_c`` of cell ``c``'s columns, ``Q'[a][c]`` is ``S_c`` at cell
+    ``a``'s first class, and ``q P = P Q'`` is checked on every class.  With
+    ``W`` the vectors ``e_x - e_y`` of each member ``x`` of a first block and
+    the members ``y`` aligned with it, ``q W = W a`` is checked by shifted
+    column images: for each member index ``t``, the column of member ``t`` of
+    a block minus column ``t`` of ``a`` on that block's members must be the
+    same for every block of the module.  The columns of ``P`` and every ``W``
+    then form a basis in which ``q`` is block diagonal, with one block ``Q'``
+    and ``r - 1`` blocks ``a`` per module.
     """
-    k = len(q)
-    if len(pieces) != len(modules):
-        raise InternalExactnessViolation("twin module: one piece per module is needed")
+    k = len(cols)
     members = [x for module in modules for block in module for x in block]
     if len(set(members)) != len(members) or any(
         len(module) < 2 or len(set(map(len, module))) != 1 for module in modules
     ):
         raise InternalExactnessViolation("twin module: blocks are not disjoint runs of one length")
-    cells = _orbit_cells(k, modules)
+    if len(pieces) != len(modules) or any(
+        [len(a), *map(len, a)] != [len(module[0])] * (len(a) + 1)
+        for module, a in zip(modules, pieces)
+    ):
+        raise InternalExactnessViolation("twin module: one s x s piece per module is needed")
+    start = {cell[0]: cell for module in modules for cell in zip(*module)}
+    head = {x: cell[0] for cell in start.values() for x in cell}
+    first = [head.get(i, i) for i in range(k)]
+    cells = [start.get(i, (i,)) for i in range(k) if first[i] == i]
     if sorted(chain.from_iterable(cells)) != list(range(k)):
         raise InternalExactnessViolation("twin module: blocks are not classes of the quotient")
-    sizes = [len(cells), *(len(module[0]) for module in modules)]
-    shapes = [(len(m), *map(len, m)) for m in (orbit_q, *pieces)]
-    if shapes != [(n,) * (n + 1) for n in sizes]:
-        raise InternalExactnessViolation("twin module: dimensions do not add up")
-    cols = list(zip(*q))
-    owner = [0] * k
-    for c, cell in enumerate(cells):
-        for i in cell:
-            owner[i] = c
-    # The columns of P orbit_q, beside those of q P.
-    for cell, want in zip(cells, zip(*map(orbit_q.__getitem__, owner))):
-        if tuple(map(sum, zip(*map(cols.__getitem__, cell)))) != want:
+    heads = [cell[0] for cell in cells]
+    orbit_cols = []
+    for cell in cells:
+        sums = tuple(map(sum, zip(*map(cols.__getitem__, cell))))
+        if tuple(map(sums.__getitem__, first)) != sums:
             raise InternalExactnessViolation("twin module: orbit partition is not equitable")
+        orbit_cols.append(tuple(map(sums.__getitem__, heads)))
     for module, a in zip(modules, pieces):
         for t, a_col in enumerate(zip(*a)):
             images = []
@@ -738,22 +712,30 @@ def _certify_split(
                 images.append(image)
             if images.count(images[0]) != len(images):
                 raise InternalExactnessViolation("twin module: q W != W A")
+    return list(zip(*orbit_cols))
 
 
 def _split(
-    q: Sequence[Sequence[int]], mult: int, table: Counter[tuple[int, ...]]
-) -> Sequence[Sequence[int]]:
+    q: Sequence[tuple[int, ...]], mult: int, table: Counter[tuple[int, ...]]
+) -> Sequence[tuple[int, ...]]:
     """Add the factors of ``char_poly(q)**mult`` to ``table``; return the leaf ``q`` ends at.
 
-    Each step splits ``q`` along what :func:`_modules` finds and certifies
-    the split; every piece ``A`` is split the same way, and the orbit
-    quotient takes the next step.  ``table`` maps a factor's coefficients to
-    its multiplicity: a 1 x 1 leaf ``[[a]]`` is its eigenvalue ``x - a``, and
-    a larger leaf is the kernel's.
+    Each step zips the columns of ``q`` once, for :func:`_modules` and the
+    certificate.  A module's piece is ``A[a][b] = q[a][b] - q[a][sigma(b)]``
+    on its first block, with ``sigma`` the alignment of the first block with
+    the second; a group of twins has the 1 x 1 ``A`` of its eigenvalue.
+    :func:`_certify_split` checks the split and returns the orbit quotient
+    ``Q'``, read off the column sums it checks.  Every piece is split the
+    same way, and ``Q'`` takes the next step.  ``table`` maps a factor's
+    coefficients to its multiplicity: a 1 x 1 leaf ``[[a]]`` is its
+    eigenvalue ``x - a``, and a larger leaf is the kernel's.
     """
-    while len(q) > 1 and (modules := _modules(q)):
-        orbit_q, pieces = _module_pieces(q, modules)
-        _certify_split(q, modules, orbit_q, pieces)
+    while len(q) > 1 and (modules := _modules(q, cols := list(zip(*q)))):
+        pieces = [
+            [tuple([q[i][j] - q[i][sj] for j, sj in zip(first, second)]) for i in first]
+            for first, second, *_ in modules
+        ]
+        orbit_q = _certify_split(cols, modules, pieces)
         for module, a in zip(modules, pieces):
             _split(a, mult * (len(module) - 1), table)
         q = orbit_q
@@ -787,12 +769,13 @@ def char_poly(m: IntMatrix) -> IntPolynomial:
     The factors collect in one table of coefficient tuples and
     multiplicities: a 1 x 1 leaf ``[[a]]`` is the factor ``x - a``, and any
     larger leaf is the kernel's.  Every split is certified on its ``Q`` by
-    :func:`_certify_split`, and every leaf of two or more classes by the
-    kernel's Bareiss determinant.  The factors are expanded by one
-    evaluation at ``x = 2**B`` (:func:`_expand`); the result must
-    agree with the product of the factors' values at the certificate point of
-    the top-level leaf, which also checks the slot width and the unpacking.
-    A failure raises :class:`InternalExactnessViolation`.
+    :func:`_certify_split`, which reads ``Q'`` off the column sums it checks,
+    and every leaf of two or more classes by the kernel's Bareiss
+    determinant.  The factors are expanded by one evaluation at ``x = 2**B``
+    (:func:`_expand`); the result must agree with the product of the
+    factors' values at the certificate point of the top-level leaf, which
+    also checks the slot width and the unpacking.  A failure raises
+    :class:`InternalExactnessViolation`.
     """
     rows = _square_rows(m, "characteristic polynomial")
     table: Counter[tuple[int, ...]] = Counter()

@@ -671,6 +671,7 @@ class _Theorem:
         return globals()[form.func.__name__](*form.args, **form.keywords, **params)
 
     def cases(self, max_order: int) -> list[dict[str, int]]:
+        _check_max_order(max_order)
         return [dict(zip(self.param_names, v)) for v in _family_cases(self.family, max_order)]
 
     def build_group(self, params: dict[str, int]) -> FiniteGroup:
@@ -807,16 +808,21 @@ def verify(case: TheoremCase) -> VerificationReport:
     return VerificationReport(case, order, brute, closed, equal, elapsed_ms, note)
 
 
-def enumerate_cases(
-    max_order: int = DEFAULT_MAX_ORDER, theorem_ids: Sequence[str] | None = None
-) -> list[TheoremCase]:
-    """All catalogued cases with group order at most ``max_order``, an int."""
+def _check_max_order(max_order: int) -> None:
+    """Refuse a ``max_order`` that is no int in 1..MAX_ORDER, before any case is listed."""
     if type(max_order) is not int:
         raise InvalidFamilyParameters(f"max order must be an int, got {max_order!r}")
     if max_order < 1:
         raise InvalidFamilyParameters(f"max order {max_order} is below 1")
     if max_order > MAX_ORDER:
         raise InvalidFamilyParameters(f"max order {max_order} is above MAX_ORDER = {MAX_ORDER}")
+
+
+def enumerate_cases(
+    max_order: int = DEFAULT_MAX_ORDER, theorem_ids: Sequence[str] | None = None
+) -> list[TheoremCase]:
+    """All catalogued cases with group order at most ``max_order``, an int in 1..MAX_ORDER."""
+    _check_max_order(max_order)
     ids = THEOREM_IDS if theorem_ids is None else tuple(theorem_ids)
     return [make_case(tid, **params) for tid in ids for params in _theorem(tid).cases(max_order)]
 

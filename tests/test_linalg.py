@@ -666,32 +666,33 @@ def test_char_poly_matches_faddeev_oracle_on_transposes_and_symmetrized(m: IntMa
         assert char_poly(case).coeffs == char_poly_faddeev_oracle(case)
 
 
-def test_rows_alone_key_only_an_exactly_symmetric_matrix():
+def test_rows_alone_key_only_an_exactly_symmetric_matrix(monkeypatch):
     # Rows 0 and 1 agree outside {0, 1}, on the diagonal and in their entry
     # t = 1 between them, and share their row and column sums; their columns
     # differ in rows 2 and 3, so they are no twins.
-    rows = [[0, 1, 5, 7], [1, 0, 5, 7], [2, 3, 0, 1], [3, 2, 4, 0]]
-    assert linalg._modules(rows) == []
+    rows = [(0, 1, 5, 7), (1, 0, 5, 7), (2, 3, 0, 1), (3, 2, 4, 0)]
+    assert linalg._modules(rows, list(zip(*rows))) == []
     m = IntMatrix.from_rows(rows)
     assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
     # The same rows 0 and 1 with columns to match: twins, a module of two
     # one-class blocks whose 1 x 1 A is the eigenvalue 0 - 1.
-    symmetric = [[0, 1, 5, 7], [1, 0, 5, 7], [5, 5, 0, 1], [7, 7, 1, 0]]
-    groups = linalg._modules(symmetric)
-    assert groups == [[(0,), (1,)]]
-    assert linalg._module_pieces(symmetric, groups)[1] == [[[-1]]]
+    symmetric = [(0, 1, 5, 7), (1, 0, 5, 7), (5, 5, 0, 1), (7, 7, 1, 0)]
+    assert linalg._modules(symmetric, list(zip(*symmetric))) == [[(0,), (1,)]]
+    splits, pieces, _ = _record_splits_and_leaves(monkeypatch)
     m = IntMatrix.from_rows(symmetric)
     assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
+    assert splits == [[[(0,), (1,)]]] and pieces == [[[(-1,)]]]
 
 
-def _record_splits_and_leaves(monkeypatch) -> tuple[list, list]:
-    """Record the modules of every certified split and the rows of every kernel call."""
+def _record_splits_and_leaves(monkeypatch) -> tuple[list, list, list]:
+    """Record the modules and pieces of every certified split and the rows of every kernel call."""
     certify, kernel = linalg._certify_split, linalg._dense_char_poly
-    splits, leaves = [], []
+    splits, pieces, leaves = [], [], []
 
-    def recording_certify(q, modules, orbit_q, pieces):
+    def recording_certify(cols, modules, a):
         splits.append(modules)
-        certify(q, modules, orbit_q, pieces)
+        pieces.append(a)
+        return certify(cols, modules, a)
 
     def recording_kernel(rows):
         leaves.append([list(row) for row in rows])
@@ -699,14 +700,14 @@ def _record_splits_and_leaves(monkeypatch) -> tuple[list, list]:
 
     monkeypatch.setattr(linalg, "_certify_split", recording_certify)
     monkeypatch.setattr(linalg, "_dense_char_poly", recording_kernel)
-    return splits, leaves
+    return splits, pieces, leaves
 
 
 def test_twin_steps_split_off_class_twins(monkeypatch):
     # Two copies of a pair of closed twins: the pairs are twin classes only
     # after the first step, as the arms of a star are.  The leaf [[5]] is the
     # eigenvalue 1 + 2 * 2 and needs no kernel.
-    splits, leaves = _record_splits_and_leaves(monkeypatch)
+    splits, _, leaves = _record_splits_and_leaves(monkeypatch)
     rows = [[0, 1], [1, 0]]
     _plant_twins(rows, [0, 1], 2)
     assert char_poly(IntMatrix.from_rows(rows)) == x_plus(1) ** 2 * x_plus(3) * x_plus(-5)
@@ -732,30 +733,23 @@ def test_no_1x1_matrix_reaches_the_kernel_from_char_poly(monkeypatch):
     assert sizes and 1 not in sizes
 
 
-def _wrong_eigenvalue(q, modules, orbit_q, pieces):
-    return q, modules, orbit_q, [[[a[0][0] + 1]] for a in pieces]
+def _wrong_eigenvalue(modules, pieces):
+    return modules, [[[a[0][0] + 1]] for a in pieces]
 
 
-def _non_twin_merge(q, modules, orbit_q, pieces):
-    # Report the star's centre as one more twin of its leaves, with the
-    # quotient of that partition.
-    return q, [[*modules[0], (0,)]], [[sum(q[0])]], pieces
+def _non_twin_merge(modules, pieces):
+    # Report the star's centre as one more twin of its leaves.
+    return [[*modules[0], (0,)]], pieces
 
 
-def _corrupted_quotient(q, modules, orbit_q, pieces):
-    corrupted = [[v + (i == 0 == j) for j, v in enumerate(row)] for i, row in enumerate(orbit_q)]
-    return q, modules, corrupted, pieces
-
-
-def _lost_member(q, modules, orbit_q, pieces):
-    # The last leaf drops out of its group; the pieces are those of the whole group.
-    return q, [modules[0][:-1]], orbit_q, pieces
-
-
-def _non_twin_in_group(q, modules, orbit_q, pieces):
+def _non_twin_in_group(modules, pieces):
     # Swap the star's centre in for the last of the three leaves of its group.
     assert len(modules[0]) == 3
-    return q, [[*modules[0][:-1], (0,)]], orbit_q, pieces
+    return [[*modules[0][:-1], (0,)]], pieces
+
+
+def _wrong_piece_shape(modules, pieces):
+    return modules, [[*a, a[0]] for a in pieces]
 
 
 @pytest.mark.parametrize(
@@ -763,21 +757,22 @@ def _non_twin_in_group(q, modules, orbit_q, pieces):
     [
         (_wrong_eigenvalue, "q W != W A"),
         (_non_twin_merge, "not equitable"),
-        (_corrupted_quotient, "not equitable"),
-        (_lost_member, "do not add up"),
         (_non_twin_in_group, "not equitable"),
+        (_wrong_piece_shape, "one s x s piece per module"),
     ],
 )
 def test_split_certificate_catches_a_corrupted_twin_step(monkeypatch, corrupt, message):
     certify = linalg._certify_split
-    monkeypatch.setattr(linalg, "_certify_split", lambda *split: certify(*corrupt(*split)))
+    monkeypatch.setattr(
+        linalg, "_certify_split", lambda cols, *split: certify(cols, *corrupt(*split))
+    )
     star = IntMatrix.from_rows([[0, 1, 1, 1], [1, 0, 2, 2], [1, 2, 0, 2], [1, 2, 2, 0]])
     with pytest.raises(InternalExactnessViolation, match=message):
         char_poly(star)
 
 
 def test_a_twin_free_matrix_makes_no_split_and_one_kernel_call(monkeypatch):
-    splits, leaves = _record_splits_and_leaves(monkeypatch)
+    splits, _, leaves = _record_splits_and_leaves(monkeypatch)
     twin_free = IntMatrix.from_rows([[1, 2], [3, 4]])
     assert char_poly(twin_free).coeffs == (-2, -5, 1)
     assert splits == [] and leaves == [[[1, 2], [3, 4]]]
@@ -878,9 +873,10 @@ def test_a_found_module_is_split_and_certified(monkeypatch):
     certify = linalg._certify_split
     seen = []
 
-    def recording(q, modules, orbit_q, pieces):
-        seen.append([(len(q), len(module), len(module[0]), len(orbit_q)) for module in modules])
-        certify(q, modules, orbit_q, pieces)
+    def recording(cols, modules, pieces):
+        orbit_q = certify(cols, modules, pieces)
+        seen.append([(len(cols), len(module), len(module[0]), len(orbit_q)) for module in modules])
+        return orbit_q
 
     monkeypatch.setattr(linalg, "_certify_split", recording)
     m = _elab_product_matrix("pg-elab-product-adjacency", p=3, n=1, q=2, m=2)
@@ -917,16 +913,12 @@ def _no_automorphism(q, module):
     return [*module[:-1], outside]
 
 
-def _wrong_a(orbit_q, pieces):
+def _wrong_a(pieces):
     # Only a module's A of more than one class: a 1 x 1 A is a twin eigenvalue.
     def plus_one(a):
         return [[v + (i == 0 == j) for j, v in enumerate(row)] for i, row in enumerate(a)]
 
-    return orbit_q, [plus_one(a) if len(a) > 1 else a for a in pieces]
-
-
-def _dimensions_off(orbit_q, a):
-    return [row[:-1] for row in orbit_q[:-1]], a
+    return [plus_one(a) if len(a) > 1 else a for a in pieces]
 
 
 @pytest.mark.parametrize(
@@ -935,14 +927,13 @@ def _dimensions_off(orbit_q, a):
         (_misaligned, None, "not equitable"),
         (_no_automorphism, None, "not equitable"),
         (None, _wrong_a, "q W != W A"),
-        (None, _dimensions_off, "do not add up"),
     ],
-    ids=["wrong-alignment", "no-automorphism", "wrong-a", "dimensions"],
+    ids=["wrong-alignment", "no-automorphism", "wrong-a"],
 )
 def test_module_certificate_catches_a_corrupted_split(
     monkeypatch, corrupt_module, corrupt_pieces, message
 ):
-    find, pieces = linalg._module_with_heads, linalg._module_pieces
+    find, certify = linalg._module_with_heads, linalg._certify_split
     if corrupt_module:
         def corrupted_find(rows, cols, colour, heads):
             module = find(rows, cols, colour, heads)
@@ -951,7 +942,7 @@ def test_module_certificate_catches_a_corrupted_split(
         monkeypatch.setattr(linalg, "_module_with_heads", corrupted_find)
     if corrupt_pieces:
         monkeypatch.setattr(
-            linalg, "_module_pieces", lambda q, mods: corrupt_pieces(*pieces(q, mods))
+            linalg, "_certify_split", lambda cols, mods, a: certify(cols, mods, corrupt_pieces(a))
         )
     m = _elab_product_matrix("pg-elab-product-adjacency", p=3, n=1, q=2, m=2)
     with pytest.raises(InternalExactnessViolation, match=message):
@@ -959,30 +950,52 @@ def test_module_certificate_catches_a_corrupted_split(
 
 
 def test_module_certificate_refuses_overlapping_blocks():
-    q = [[0] * 6 for _ in range(6)]
+    cols = [(0,) * 6] * 6
     with pytest.raises(InternalExactnessViolation, match="disjoint"):
-        linalg._certify_split(q, [[(0, 1), (1, 2), (3, 4)]], [[0] * 2] * 2, [[[0] * 2] * 2])
+        linalg._certify_split(cols, [[(0, 1), (1, 2), (3, 4)]], [[[0] * 2] * 2])
+    # A block member that is no class of q, in a first block or a later one.
+    for module in ([(0,), (9,)], [(9,), (0,)]):
+        with pytest.raises(InternalExactnessViolation, match="not classes of the quotient"):
+            linalg._certify_split(cols, [module], [[[0]]])
 
 
 def test_split_certificate_refuses_what_only_several_modules_can_get_wrong():
-    q = [[0] * 6 for _ in range(6)]
+    cols = [(0,) * 6] * 6
     # Class 1 sits in a block of each of two modules.
     with pytest.raises(InternalExactnessViolation, match="disjoint"):
-        linalg._certify_split(q, [[(0,), (1,)], [(1,), (2,)]], [[0] * 4] * 4, [[[0]], [[0]]])
+        linalg._certify_split(cols, [[(0,), (1,)], [(1,), (2,)]], [[[0]], [[0]]])
     # Two modules, one piece.
-    with pytest.raises(InternalExactnessViolation, match="one piece per module"):
-        linalg._certify_split(q, [[(0,), (1,)], [(2,), (3,)]], [[0] * 4] * 4, [[[0]]])
+    with pytest.raises(InternalExactnessViolation, match="one s x s piece per module"):
+        linalg._certify_split(cols, [[(0,), (1,)], [(2,), (3,)]], [[[0]]])
+    # Both pieces, and a valid split of the zero matrix.
+    assert linalg._certify_split(cols, [[(0,), (1,)], [(2,), (3,)]], [[[0]], [[0]]]) == [
+        (0,) * 4
+    ] * 4
 
 
 def test_split_certificate_refuses_non_twins_in_an_equitable_cell():
     # The vertices of a 6-cycle form an equitable cell but are no twins:
-    # only the eigenvector check refuses them as one group.
-    cycle = [[int((i - j) % 6 in (1, 5)) for j in range(6)] for i in range(6)]
-    group = [[(i,) for i in range(6)]]
-    orbit_q, pieces = linalg._module_pieces(cycle, group)
-    assert orbit_q == [[2]] and pieces == [[[-1]]]
+    # only the eigenvector check refuses them as one group, whose A is 0 - 1.
+    cycle = [tuple(int((i - j) % 6 in (1, 5)) for j in range(6)) for i in range(6)]
     with pytest.raises(InternalExactnessViolation, match="q W != W A"):
-        linalg._certify_split(cycle, group, orbit_q, pieces)
+        linalg._certify_split(list(zip(*cycle)), [[(i,) for i in range(6)]], [[(-1,)]])
+
+
+def test_split_certificate_checks_equitability_on_every_class():
+    # Twins 1 and 2 of a star with one more leaf 3, except that class 2 sees
+    # 3 as 5, not 2.  Q' is read off rows 0, 1 and 3, which see the cells
+    # alike; only class 2, no cell's first class, breaks equitability, and
+    # q W = W A holds (columns 1 and 2 differ only at rows 1 and 2).
+    q = [(0, 1, 1, 1), (1, 0, 2, 2), (1, 2, 0, 5), (1, 2, 2, 0)]
+    cols = list(zip(*q))
+    twins = [[(1,), (2,)]]
+    with pytest.raises(InternalExactnessViolation, match="not equitable"):
+        linalg._certify_split(cols, twins, [[(-2,)]])
+    # With q[2][3] = 2 the same split holds and returns Q'.
+    q[2] = (1, 2, 0, 2)
+    assert linalg._certify_split(list(zip(*q)), twins, [[(-2,)]]) == [
+        (0, 2, 1), (1, 2, 2), (1, 4, 0)
+    ]
 
 
 # ---------------------------------------------------------------------------

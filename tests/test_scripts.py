@@ -84,6 +84,14 @@ def test_spectra_table_prints_every_family(capsys):
     assert "Dic_12 (order  12)" in out
 
 
+@pytest.mark.parametrize("max_order", ["0", "5000"])
+def test_spectra_table_reports_a_bad_max_order_in_one_line(capsys, max_order):
+    assert load_script("spectra_table").main(["--max-order", max_order]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error[InvalidFamilyParameters]: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("jobs", ["0", "-5"])
 def test_verify_all_refuses_jobs_below_one(tmp_path, capsys, jobs):
     out = tmp_path / "verification.jsonl"

@@ -738,6 +738,17 @@ def test_case_orders_above_the_cap_are_refused():
     assert report.equal is False and "InvalidFamilyParameters" in report.note
 
 
+@pytest.mark.parametrize(
+    "max_order, message",
+    [(0, "below 1"), (MAX_ORDER + 1, "MAX_ORDER"), (5000, "MAX_ORDER"), (64.0, "must be an int")],
+)
+def test_every_theorems_case_list_refuses_an_order_outside_the_cap(max_order, message):
+    # epg-elab-distance once listed El(2^4999) for 5000, and nothing for 0
+    for thm in THEOREMS.values():
+        with pytest.raises(InvalidFamilyParameters, match=message):
+            thm.cases(max_order)
+
+
 # Each catalog family's group order, written out here so that the enumerator
 # is checked against formulas of its own.
 FAMILY_ORDERS = {
