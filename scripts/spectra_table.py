@@ -3,45 +3,39 @@
 
 A quick way to eyeball how the closed forms evolve with the parameters
 without running any verification.  Everything here is exact; the factored
-shapes come straight from the catalog.  A --max-order outside
-1..MAX_ORDER prints one ``error[InvalidFamilyParameters]`` line and exits 1.
+shapes come straight from the catalog.  A usage error or a --max-order
+outside 1..MAX_ORDER prints one ``error`` line, as ``pgspectra`` does, and exits 1.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-
 from pgspectra import (
-    SpectraError,
     cf_elab_distance,
     cf_elab_times_cyclic_distance,
     cf_epg_dicyclic_distance,
     cf_epg_dihedral_distance,
     cf_epg_gpq_determinant,
     cf_epg_gpq_distance,
+    cli,
 )
 from pgspectra.theorems import THEOREMS
 
 
+@cli.reports_errors
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+    ap = cli.Parser(description=__doc__)
     ap.add_argument("--max-order", type=int, default=40)
     args = ap.parse_args(argv)
-    try:
-        cases = {
-            tid: THEOREMS[tid].cases(args.max_order)
-            for tid in (
-                "epg-gpq-distance",
-                "epg-dihedral-distance",
-                "epg-dicyclic-distance",
-                "epg-elab-distance",
-                "epg-elab-cyclic-distance",
-            )
-        }
-    except SpectraError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
+    cases = {  # every list is taken before anything is printed
+        tid: THEOREMS[tid].cases(args.max_order)
+        for tid in (
+            "epg-gpq-distance",
+            "epg-dihedral-distance",
+            "epg-dicyclic-distance",
+            "epg-elab-distance",
+            "epg-elab-cyclic-distance",
+        )
+    }
 
     print("# nonabelian groups of order p*q (power graph = enhanced power graph)")
     for d in cases["epg-gpq-distance"]:

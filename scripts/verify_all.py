@@ -1,80 +1,67 @@
 #!/usr/bin/env python3
 """Run the whole closed-form catalog against brute force and summarize.
 
-Every catalogued theorem case with group order up to --max-order is
-re-derived from an explicit Cayley table: build the group, build the graph,
-take the exact characteristic polynomial, and compare with the closed form.
-One JSON line per case goes to --output (same schema as ``pgspectra verify``);
-a per-theorem summary lands on stdout: the number of cases, their summed
-``elapsed_ms`` in seconds and the slowest case.  Exit code 2 if anything is
-falsified, 1 on a bad argument (``--jobs`` below 1, an out-of-range
-``--max-order``, an unwritable ``--output``).
+This is ``pgspectra verify --all`` plus a summary: the CLI re-derives every
+catalogued case with group order up to --max-order from its Cayley table and
+writes one JSON line per case to --output; this script reads the file back
+and prints each theorem's number of cases, their summed ``elapsed_ms`` in
+seconds and its slowest case.  Exit codes are the CLI's: 1 on a bad argument
+(an unknown flag, --jobs below 1, an out-of-range --max-order, an unwritable
+--output), 2 if anything is falsified.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from collections import defaultdict
-from pathlib import Path
+from operator import itemgetter
 
-from pgspectra import THEOREM_IDS, SpectraError, enumerate_cases, verify
-from pgspectra.theorems import DEFAULT_MAX_ORDER, VerificationReport, parallel_map
+from pgspectra import THEOREM_IDS, TheoremCase, cli, make_case
 
 
+@cli.reports_errors
 def main(argv: list[str] | None = None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument(
-        "--max-order", type=int, default=DEFAULT_MAX_ORDER, help="largest group order to enumerate"
-    )
-    ap.add_argument("--jobs", type=int, default=1, help="worker processes")
-    ap.add_argument("--output", type=Path, default=Path("verification.jsonl"))
-    args = ap.parse_args(argv)
+    ap = cli.Parser(description=__doc__)
+    ap.add_argument("--max-order", help="largest group order to enumerate")
+    ap.add_argument("--jobs", help="worker processes")
+    ap.add_argument("--output", default="verification.jsonl")
+    args = ap.parse_args(argv)  # the values are the CLI's to check
+    given = [f"--{k.replace('_', '-')}={v}" for k, v in vars(args).items() if v is not None]
+    t0 = time.perf_counter()
+    code = cli.run(["verify", "--all", *given])
+    wall = time.perf_counter() - t0
+    if code == 1:
+        return code
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 1
-    try:
-        cases = enumerate_cases(args.max_order)
-    except SpectraError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
-    try:  # opened before the sweep, so an unwritable path fails at once
-        fh = args.output.open("w", encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write {args.output}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    with fh:
-        t0 = time.perf_counter()
-        reports = parallel_map(verify, cases, args.jobs)
-        wall = time.perf_counter() - t0
-        for r in reports:
-            fh.write(json.dumps(r.to_json_obj()) + "\n")
-
-    by_theorem: defaultdict[str, list[VerificationReport]] = defaultdict(list)
-    for r in reports:
-        by_theorem[r.case.theorem_id].append(r)
-    falsified = [r for r in reports if r.equal is False]
-    informational = sum(1 for r in reports if r.equal is None)
+    by_theorem: defaultdict[str, list[tuple[float, TheoremCase]]] = defaultdict(list)
+    falsified: list[str] = []
+    informational = 0
+    with open(args.output, encoding="utf-8") as fh:
+        for line in fh:  # one report at a time, keeping only what the summary reads
+            r = json.loads(line)
+            case = make_case(r["theorem_id"], **r["params"])
+            by_theorem[case.theorem_id].append((r["elapsed_ms"], case))
+            if r["equal"] is False:
+                falsified.append(f"{case.describe()}: {r['note']}")
+            informational += r["equal"] is None
 
     width = max(len(t) for t in THEOREM_IDS)
     for tid in THEOREM_IDS:
         done = by_theorem[tid]
         line = f"{tid:<{width}}  {len(done):4d} case(s)"
         if done:
-            slowest = max(done, key=lambda r: r.elapsed_ms)
-            summed = sum(r.elapsed_ms for r in done) / 1000
-            slow = f"{slowest.case.describe()} {slowest.elapsed_ms:.3f} ms"
-            line += f"  {summed:8.2f} s, slowest {slow}"
+            slowest_ms, slowest = max(done, key=itemgetter(0))
+            summed = sum(ms for ms, _ in done) / 1000
+            line += f"  {summed:8.2f} s, slowest {slowest.describe()} {slowest_ms:.3f} ms"
         print(line)
     print()
-    print(f"{len(reports)} cases in {wall:.1f} s -> {args.output}")
+    print(f"{sum(map(len, by_theorem.values()))} cases in {wall:.1f} s -> {args.output}")
     print(f"{len(falsified)} falsified, {informational} informational")
-    for r in falsified:
-        print(f"  FAIL {r.case.describe()}: {r.note}")
-    return 2 if falsified else 0
+    for failure in falsified:
+        print(f"  FAIL {failure}")
+    return code
 
 
 if __name__ == "__main__":

@@ -13,8 +13,9 @@ import argparse
 import json
 import sys
 from contextlib import contextmanager
+from functools import wraps
 from itertools import chain
-from typing import Callable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import DisconnectedGraph, SpectraError
 from .graphs import MATRIX_KINDS, Graph, diameter, graph_matrix, to_dot
@@ -52,20 +53,20 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exit code 1."""
+class Parser(argparse.ArgumentParser):
+    """argparse variant that reports usage problems as exit code 1 (see :func:`reports_errors`)."""
 
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = Parser(
         prog="pgspectra",
         description="Exact spectra of power graphs and enhanced power graphs "
         "of finite group families.",
     )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=Parser)
 
     def add_family(p: argparse.ArgumentParser) -> None:
         p.add_argument("--family", required=True, choices=sorted(FAMILY_PARAMS))
@@ -153,15 +154,18 @@ def _opened(output: str | None) -> Iterator[TextIO]:
         raise _UsageError(f"cannot write {output}: {exc.strerror or exc}") from None
 
 
-def _write(text: str, fh: TextIO) -> None:
-    fh.write(text)
-    if fh is sys.stdout and not text.endswith("\n"):
+def _write(lines: Iterable[str], fh: TextIO) -> None:
+    """``"\n".join(lines)`` into ``fh`` a line at a time; on stdout, ending in a newline."""
+    last = ""
+    for i, last in enumerate(lines):
+        fh.write(f"\n{last}" if i else last)
+    if fh is sys.stdout and not last.endswith("\n"):
         fh.write("\n")
 
 
 def _emit(text: str, output: str | None) -> None:
     with _opened(output) as fh:
-        _write(text, fh)
+        _write((text,), fh)
 
 
 def _parse_range(text: str) -> range:
@@ -316,24 +320,24 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     # Opened before the sweep, so an unwritable path fails at once.
     with _opened(args.output) as fh:
         reports = parallel_map(verify, cases, args.jobs)
-        _write(_verify_text(reports, args.format), fh)
+        _write(_verify_lines(reports, args.format), fh)
     return 2 if any(r.equal is False for r in reports) else 0
 
 
-def _verify_text(reports: list[VerificationReport], fmt: str) -> str:
+def _verify_lines(reports: list[VerificationReport], fmt: str) -> Iterator[str]:
+    """The output lines of ``verify``, made one at a time so a sweep's are never all held."""
     if fmt == "jsonl":
-        return "\n".join(json.dumps(r.to_json_obj()) for r in reports)
-    lines = []
+        yield from (json.dumps(r.to_json_obj()) for r in reports)
+        return
     for r in reports:
         status = {True: "ok  ", False: "FAIL", None: "info"}[r.equal]
         line = f"{status} {r.case.describe()} order={r.group_order} {r.elapsed_ms:.3f}ms"
         if r.note:
             line += f"  # {r.note}"
-        lines.append(line)
+        yield line
     falsified = sum(1 for r in reports if r.equal is False)
     informational = sum(1 for r in reports if r.equal is None)
-    lines.append(f"{len(reports)} case(s): {falsified} falsified, {informational} informational")
-    return "\n".join(lines)
+    yield f"{len(reports)} case(s): {falsified} falsified, {informational} informational"
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
@@ -359,18 +363,27 @@ _COMMANDS = {
 }
 
 
+def reports_errors(command: Callable[..., int]) -> Callable[..., int]:
+    """``command``, returning 1 after one ``error`` line on stderr for a usage
+    error (a :class:`Parser` refusal) or a :class:`SpectraError`."""
+
+    @wraps(command)
+    def reporting(*args: object) -> int:
+        try:
+            return command(*args)
+        except (_UsageError, SpectraError) as exc:
+            kind = "" if type(exc) is _UsageError else f"[{type(exc).__name__}]"
+            print(f"error{kind}: {exc}", file=sys.stderr)
+            return 1
+
+    return reporting
+
+
+@reports_errors
 def run(argv: Sequence[str] | None = None) -> int:
     """Entry point returning the process exit code (0 / 1 / 2)."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SpectraError as exc:
-        print(f"error[{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
+    args = build_parser().parse_args(argv)
+    return _COMMANDS[args.command](args)
 
 
 def main() -> None:

@@ -44,10 +44,10 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-        adj: list[set[int]] = [set() for _ in range(n)]
+        adj: list[set[int]] = [set() for _ in range(_vertex_count(n))]
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise SizeMismatch(f"edge ({u},{v}) outside vertex range 0..{n - 1}")
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+                raise SizeMismatch(f"edge ({u!r},{v!r}) is not two int vertices in 0..{n - 1}")
             if u == v:
                 continue  # simple graph: ignore loops
             adj[u].add(v)
@@ -72,13 +72,19 @@ class Graph:
         return all(len(s) == self.vertex_count - 1 for s in self.neighbors)
 
 
+def _vertex_count(n: int) -> int:
+    if type(n) is not int or n < 0:
+        raise SizeMismatch(f"a vertex count must be an int >= 0, got {n!r}")
+    return n
+
+
 def complete_graph(n: int) -> Graph:
-    full = frozenset(range(n))
+    full = frozenset(range(_vertex_count(n)))
     return Graph(tuple(full - {v} for v in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
-    return Graph((frozenset(),) * n)
+    return Graph((frozenset(),) * _vertex_count(n))
 
 
 @dataclass(frozen=True)

@@ -91,16 +91,22 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.table)
 
+    def _element(self, x: int) -> int:
+        """``x``, once it is an int in ``0..order-1``; else an ``IndexError`` naming it."""
+        if type(x) is not int or not 0 <= x < len(self.table):
+            raise IndexError(f"no element {x!r} in a group of order {len(self.table)}")
+        return x
+
     def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
+        return self.table[self._element(a)][self._element(b)]
 
     def inv(self, a: int) -> int:
-        return self.table[a].index(0)  # every row is a permutation
+        return self.table[self._element(a)].index(0)  # every row is a permutation
 
     def power(self, a: int, k: int) -> int:
         if k < 0:
             return self.power(self.inv(a), -k)
-        acc, base = 0, a
+        acc, base = 0, self._element(a)
         while k:
             if k & 1:
                 acc = self.table[acc][base]
@@ -419,7 +425,7 @@ def _powers(g: FiniteGroup, x: int) -> list[int]:
 
 def cyclic_subgroup(g: FiniteGroup, x: int) -> tuple[int, ...]:
     """The subgroup generated by ``x``, as an ascending element tuple."""
-    return tuple(sorted(_powers(g, x)))
+    return tuple(sorted(_powers(g, g._element(x))))
 
 
 def element_subgroups(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:

@@ -45,11 +45,11 @@ from .errors import (
     NotSquare,
 )
 
-def _exact_int(v: object) -> int:
-    """An entering ``int``; anything else (bool, float, string) raises, never truncates."""
-    if type(v) is not int:
-        raise DimensionMismatch(f"need an integer, got {v!r}")
-    return v
+def _check_ints(values: Sequence[object], what: str) -> None:
+    """Refuse, in one pass in C, any of ``values`` that is no ``int`` (a bool, float, string)."""
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise DimensionMismatch(f"{what} needs integer entries, got {bad!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,8 @@ class IntMatrix:
         for row in rows:
             if type(row) not in (list, tuple) or len(row) != len(rows[0]):
                 raise DimensionMismatch("rows must be lists or tuples of one length")
-            flat.extend(_exact_int(v) for v in row)
+            _check_ints(row, "a matrix row")
+            flat.extend(row)
         return IntMatrix(len(rows), len(rows[0]) if rows else 0, tuple(flat))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
@@ -114,6 +115,7 @@ class IntMatrix:
         )
 
     def __rmul__(self, k: int) -> IntMatrix:
+        _check_ints((k,), "a matrix scalar")
         return IntMatrix(self.rows, self.cols, tuple(k * v for v in self.entries))
 
     def to_csv(self, labels: Sequence[str] | None = None) -> str:
@@ -208,13 +210,17 @@ class IntPolynomial:
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        if type(self.coeffs) is not tuple or not set(map(type, self.coeffs)) <= {int}:
+            raise DimensionMismatch(f"coefficients must be a tuple of integers: {self.coeffs!r}")
         if self.coeffs and not self.coeffs[-1]:
             raise DimensionMismatch(f"leading coefficient must be nonzero, got {self.coeffs!r}")
 
     @staticmethod
     def from_coeffs(coeffs: Iterable[int]) -> IntPolynomial:
-        """Coefficients given as ints; trailing zeros are dropped."""
-        return IntPolynomial(_normalize(map(_exact_int, coeffs)))
+        """Int coefficients, checked before trailing zeros go: a trailing ``0.0`` raises."""
+        coeffs = tuple(coeffs)
+        _check_ints(coeffs, "a polynomial")
+        return IntPolynomial(_normalize(coeffs))
 
     @property
     def degree(self) -> int:
@@ -452,9 +458,7 @@ def _square_rows(m: IntMatrix, what: str) -> list[tuple[int, ...]]:
     """
     if m.rows != m.cols:
         raise NotSquare(f"{what} needs a square matrix, got {m.rows}x{m.cols}")
-    if not set(map(type, m.entries)) <= {int}:
-        bad = next(v for v in m.entries if type(v) is not int)
-        raise DimensionMismatch(f"{what} needs integer entries, got {bad!r}")
+    _check_ints(m.entries, what)
     return [m.row(i) for i in range(m.rows)]
 
 
@@ -525,6 +529,8 @@ def _twin_groups(
     columns repeat them, so the buckets are the same.  Twins share their
     colour, so only the members of one of the colour ``classes`` are keyed
     together.  Each group is a module of one-class blocks.
+    Every bucket of two or more is a group, and no class lies in two: one
+    twinned with Y at ``t1`` and with Z at ``t2`` has ``t1 == q[Y][Z] == t2``.
     """
     symmetric = rows == cols
     buckets: dict[tuple[int, ...], list[int]] = defaultdict(list)
@@ -543,14 +549,7 @@ def _twin_groups(
                 else:
                     key = (row[i], t, *row[:i], t, *row[i + 1 :], *col[:i], t, *col[i + 1 :])
                 buckets[key].append(i)
-    groups = []
-    used: set[int] = set()
-    for members in buckets.values():
-        free = [i for i in members if i not in used]
-        if len(free) > 1:
-            used.update(free)
-            groups.append([(i,) for i in free])
-    return groups
+    return [[(i,) for i in members] for members in buckets.values() if len(members) > 1]
 
 
 def _odd_one_out(values: tuple[int, ...]) -> int | None:

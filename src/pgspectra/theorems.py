@@ -254,9 +254,12 @@ def build_T1_T2(
 
     Both are rebuilt literally from their published block formulas (Kronecker
     products of identity/all-ones blocks), not re-derived from a graph, so
-    they can be compared against actual quotient matrices.
+    they can be compared against actual quotient matrices.  T2 grows with
+    the group, so a group above MAX_ORDER raises
+    :class:`InvalidFamilyParameters` before any block is made.
     """
     _check_hypothesis("elab-product", p=p, n=n, q=q, m=m)
+    admit(family_spec("elab-product", {"p": p, "n": n, "q": q, "m": m}))
     _check_kinds(graph_kind, matrix_kind)
     pn, qm = p**n, q**m
     alpha = (pn - 1) // (p - 1)

@@ -89,6 +89,27 @@ def test_from_edges_ignores_loops_and_checks_range():
         Graph.from_edges(2, [(0, 2)])
 
 
+# A vertex count is an int >= 0 (a negative one once gave the empty graph) and
+# an endpoint an int (a float once raised a bare TypeError).
+BAD_BUILDS = {
+    "from_edges_float_end": lambda: Graph.from_edges(2, [(0, 1.0)]),
+    "from_edges_bool_end": lambda: Graph.from_edges(2, [(True, 0)]),
+    "from_edges_string_end": lambda: Graph.from_edges(2, [("0", 1)]),
+    "from_edges_negative_count": lambda: Graph.from_edges(-1, []),
+    "from_edges_float_count": lambda: Graph.from_edges(2.0, [(0, 1)]),
+    "complete_negative": lambda: complete_graph(-2),
+    "complete_float": lambda: complete_graph(3.0),
+    "empty_negative": lambda: empty_graph(-1),
+    "empty_bool": lambda: empty_graph(True),
+}
+
+
+@pytest.mark.parametrize("build", BAD_BUILDS.values(), ids=BAD_BUILDS.keys())
+def test_graph_builders_refuse_bad_vertex_counts_and_endpoints(build):
+    with pytest.raises(SizeMismatch):
+        build()
+
+
 @pytest.mark.parametrize(
     "neighbors",
     [

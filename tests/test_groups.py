@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -142,6 +143,26 @@ def test_negative_powers_use_the_inverse():
     g = make_cyclic(7)
     assert g.power(3, -1) == g.inv(3)
     assert g.power(3, -2) == g.mul(g.inv(3), g.inv(3))
+
+
+# An element is an int in 0..order-1: -1 once wrapped to the last row
+# (cyclic_subgroup of Z_3 at -1 gave (-1, 0, 1)), and 99 raised a bare tuple IndexError.
+ELEMENT_QUERIES = {
+    "cyclic_subgroup": lambda g, x: cyclic_subgroup(g, x),
+    "element_order": lambda g, x: element_order(g, x),
+    "mul_left": lambda g, x: g.mul(x, 1),
+    "mul_right": lambda g, x: g.mul(1, x),
+    "inv": lambda g, x: g.inv(x),
+    "power": lambda g, x: g.power(x, 2),
+    "negative_power": lambda g, x: g.power(x, -2),
+}
+
+
+@pytest.mark.parametrize("x", [-1, 3, 99, 1.0, True, "1", None], ids=repr)
+@pytest.mark.parametrize("query", ELEMENT_QUERIES.values(), ids=ELEMENT_QUERIES.keys())
+def test_element_queries_refuse_what_is_no_element(query, x):
+    with pytest.raises(IndexError, match=f"no element {re.escape(repr(x))} in a group of order 3"):
+        query(make_cyclic(3), x)
 
 
 # ---------------------------------------------------------------------------

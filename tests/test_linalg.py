@@ -357,12 +357,18 @@ def test_factored_pretty_and_json():
 
 # Each loader takes an int and nothing else, in every position: int() would
 # read 1.5 or True as 1 (char_poly of [[1.5]] came out as x - 1), and a string
-# is not a number. A matrix shape and a factor's multiplicity are ints too.
+# is not a number. A matrix shape, a matrix's scalar factor and a factor's
+# multiplicity are ints too; a polynomial's coefficients are checked where it
+# is made (IntPolynomial((0.5, 1)) * x_plus(1) raised a bare AttributeError),
+# and from_coeffs checks a trailing 0.0 before it drops trailing zeros.
 LOADERS = {
     "from_rows": lambda v: IntMatrix.from_rows([[v]]),
     "from_rows_later_entry": lambda v: IntMatrix.from_rows([[1, 2], [3, v]]),
     "from_coeffs": lambda v: IntPolynomial.from_coeffs([v, 1]),
     "from_coeffs_leading": lambda v: IntPolynomial.from_coeffs([1, v]),
+    "polynomial": lambda v: IntPolynomial((v, 1)),
+    "polynomial_leading": lambda v: IntPolynomial((1, v)),
+    "matrix_scalar": lambda v: v * identity(2),
     "matrix_shape_rows": lambda v: IntMatrix(v, 1, (1,)),
     "matrix_shape_cols": lambda v: IntMatrix(1, v, (1,)),
     "factored_mult": lambda v: FactoredPoly(((x_plus(1), v),)),
@@ -370,7 +376,7 @@ LOADERS = {
 
 
 @pytest.mark.parametrize(
-    "bad", [1.5, 1.0, True, False, "1", "x", "1.5", " 1", None, Fraction(1)]
+    "bad", [1.5, 1.0, 0.0, True, False, "1", "x", "1.5", " 1", None, Fraction(1)]
 )
 @pytest.mark.parametrize("load", LOADERS.values(), ids=LOADERS.keys())
 def test_loaders_reject_values_that_are_not_exact_integers(load, bad):
@@ -389,6 +395,7 @@ MALFORMED = {
     "rows_ragged": lambda: IntMatrix.from_rows([[1, 2], [3]]),
     "rows_list_then_string": lambda: IntMatrix.from_rows([[1], "2"]),
     "coeffs_one_string": lambda: IntPolynomial.from_coeffs("12"),
+    "coeffs_a_list": lambda: IntPolynomial([1, 2]),
     "matrix_negative_shape": lambda: IntMatrix(-1, 0, ()),
     "matrix_shape_disagrees_with_entries": lambda: IntMatrix(3, 2, (1, 2)),
     "factored_mult_zero": lambda: FactoredPoly(((x_plus(1), 0),)),
@@ -650,6 +657,45 @@ def graph_matrices_with_twins(draw) -> IntMatrix:
 @given(st.one_of(matrices_with_planted_twins(), graph_matrices_with_twins()))
 def test_reduced_char_poly_matches_faddeev_oracle_on_planted_twins(m: IntMatrix):
     assert char_poly(m).coeffs == char_poly_faddeev_oracle(m)
+
+
+def _are_twins(rows: list[tuple[int, ...]], x: int, y: int) -> bool:
+    """Rows and columns of x and y agree outside {x, y}, on the diagonal and between them."""
+    outside = [c for c in range(len(rows)) if c not in (x, y)]
+    return (
+        all(rows[x][c] == rows[y][c] and rows[c][x] == rows[c][y] for c in outside)
+        and rows[x][x] == rows[y][y]
+        and rows[x][y] == rows[y][x]
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        matrices_with_planted_twins(),
+        st.integers(1, 6).flatmap(
+            lambda n: st.lists(
+                st.lists(st.integers(0, 1), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        ).map(IntMatrix.from_rows),
+    )
+)
+def test_twin_groups_are_the_disjoint_classes_of_mutual_twins(m: IntMatrix):
+    # Each group is returned straight from its bucket, with no pass that
+    # drops a class seen before: the groups must still be disjoint, and two
+    # classes share a group exactly when they are twins.
+    rows = [m.row(i) for i in range(m.rows)]
+    groups = linalg._twin_groups(rows, list(zip(*rows)), [list(range(m.rows))])
+    group_of = {}
+    for k, group in enumerate(groups):
+        assert len(group) > 1 and all(len(block) == 1 for block in group)
+        for (i,) in group:
+            assert i not in group_of
+            group_of[i] = k
+    for x in range(m.rows):
+        for y in range(x + 1, m.rows):
+            same = x in group_of and group_of.get(y) == group_of[x]
+            assert same == _are_twins(rows, x, y), (x, y)
 
 
 def _transpose(m: IntMatrix) -> IntMatrix:

@@ -5,11 +5,12 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
 
-from pgspectra import theorems
+from pgspectra import cli, theorems
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -21,29 +22,42 @@ def load_script(name: str):
     return module
 
 
+def _untimed(path: Path) -> bytes:
+    return re.sub(rb'"elapsed_ms": [0-9.]+, ', b"", path.read_bytes())
+
+
 def test_verify_all_writes_one_line_per_case(tmp_path, capsys):
-    out = tmp_path / "verification.jsonl"
-    assert load_script("verify_all").main(["--max-order", "12", "--output", str(out)]) == 0
-    lines = out.read_text(encoding="utf-8").splitlines()
-    reports = [json.loads(line) for line in lines]
-    assert reports and all(r["group_order"] <= 12 for r in reports)
+    # The script's file is the CLI's, timing apart, and each theorem's summary line keeps its form.
+    out, by_cli = tmp_path / "verification.jsonl", tmp_path / "cli.jsonl"
+    assert load_script("verify_all").main(["--max-order", "40", "--output", str(out)]) == 0
+    summary = capsys.readouterr().out.splitlines()
+    assert cli.run(["verify", "--all", "--max-order", "40", "--output", str(by_cli)]) == 0
+    assert _untimed(out) == _untimed(by_cli)
+    reports = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert reports and all(r["group_order"] <= 40 for r in reports)
     assert not any(r["equal"] is False for r in reports)
-    summary = capsys.readouterr().out
-    assert f"{len(reports)} cases in" in summary
-    assert "0 falsified" in summary
+    ids = theorems.THEOREM_IDS
+    width = max(map(len, ids))
+    for tid, line in zip(ids, summary):
+        head = f"{tid:<{width}}  {sum(r['theorem_id'] == tid for r in reports):4d} case\\(s\\)"
+        assert re.fullmatch(rf"{head}  +\d+\.\d\d s, slowest {tid}\(.+\) \d+\.\d{{3}} ms", line)
+    informational = sum(r["equal"] is None for r in reports)
+    assert summary[len(ids)] == "" and len(summary) == len(ids) + 3
+    assert re.fullmatch(rf"{len(reports)} cases in \d+\.\d s -> {re.escape(str(out))}", summary[-2])
+    assert summary[-1] == f"0 falsified, {informational} informational"
 
 
 def test_verify_all_summary_sums_each_theorems_time_and_names_its_slowest_case(
     tmp_path, capsys, monkeypatch
 ):
     script = load_script("verify_all")
-    real_verify = script.verify
+    real_verify = cli.verify
 
     def timed_verify(case):  # a fixed elapsed_ms per case, with microseconds
         elapsed_ms = 97.125 * sum(case.params_dict().values())
         return dataclasses.replace(real_verify(case), elapsed_ms=elapsed_ms)
 
-    monkeypatch.setattr(script, "verify", timed_verify)
+    monkeypatch.setattr(cli, "verify", timed_verify)
     out = tmp_path / "verification.jsonl"
     assert script.main(["--max-order", "20", "--output", str(out)]) == 0
     reports = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
@@ -69,7 +83,8 @@ def test_verify_all_summary_sums_each_theorems_time_and_names_its_slowest_case(
 
 
 def test_verify_all_default_order_is_the_library_default(tmp_path, monkeypatch):
-    monkeypatch.setattr(theorems, "DEFAULT_MAX_ORDER", 12)
+    # the script passes no --max-order of its own, so the CLI's default holds
+    monkeypatch.setattr(cli, "DEFAULT_MAX_ORDER", 12)
     out = tmp_path / "verification.jsonl"
     assert load_script("verify_all").main(["--output", str(out)]) == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == len(theorems.enumerate_cases(12))
@@ -118,9 +133,28 @@ def test_verify_all_reports_an_unwritable_output_in_one_line_before_the_sweep(
     def forbidden(case):
         raise AssertionError("the sweep ran before the output was opened")
 
-    monkeypatch.setattr(script, "verify", forbidden)
+    monkeypatch.setattr(cli, "verify", forbidden)
     out = tmp_path / target
     assert script.main(["--max-order", "12", "--output", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {out}: ") and err.count("\n") == 1
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "script, argv",
+    [
+        ("verify_all", ["--max-order", "abc"]),
+        ("verify_all", ["--bogus"]),
+        ("spectra_table", ["--max-order", "x"]),
+        ("spectra_table", ["--bogus"]),
+    ],
+)
+def test_a_scripts_usage_error_is_one_error_line_and_exit_code_1(tmp_path, capsys, script, argv):
+    out = tmp_path / "verification.jsonl"
+    if script == "verify_all":
+        argv = [*argv, "--output", str(out)]
+    assert load_script(script).main(argv) == 1
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

@@ -738,6 +738,18 @@ def test_case_orders_above_the_cap_are_refused():
     assert report.equal is False and "InvalidFamilyParameters" in report.note
 
 
+def test_build_T1_T2_refuses_a_product_above_the_cap_before_any_block():
+    # T2 has 1 + alpha + alpha*beta + beta rows: El(2^20) x El(3^20) ran out of memory
+    with pytest.raises(InvalidFamilyParameters, match="MAX_ORDER"):
+        build_T1_T2(2, 20, 3, 20, "power", "adjacency")
+    with pytest.raises(InvalidFamilyParameters, match="MAX_ORDER"):
+        build_T1_T2(2, 10, 3, 1, "enhanced", "distance")  # order 3072
+    assert build_T1_T2(2, 9, 3, 1, "enhanced", "distance")[1].rows == 1 + 511 + 511 + 1
+    # the forms of constant size stay uncapped
+    assert cf_elab_product(2, 20, 3, 20, "power", "adjacency").degree == 2**20 * 3**20
+    assert elab_product_BC(2, 20, 3, 20, "distance")[0].rows == 2
+
+
 @pytest.mark.parametrize(
     "max_order, message",
     [(0, "below 1"), (MAX_ORDER + 1, "MAX_ORDER"), (5000, "MAX_ORDER"), (64.0, "must be an int")],
