@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from functools import wraps
 from itertools import chain
@@ -306,38 +307,35 @@ def _verify_cases(args: argparse.Namespace) -> list[TheoremCase]:
         param_sets = [explicit]
     else:
         return enumerate_cases(args.max_order, [args.theorem])
-    cases = []
-    for params in param_sets:  # stops at the first bad case of a range of any length
-        cases.append(make_case(args.theorem, **params))
-        check_case(cases[-1])  # invalid hypotheses or orders are argument errors here
-    return cases
+    # a bad hypothesis or order is an argument error here, at the first bad case of any range
+    return [check_case(make_case(args.theorem, **params)) for params in param_sets]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise _UsageError("--jobs must be >= 1")
     cases = _verify_cases(args)
+    tally: Counter[bool | None] = Counter()
     # Opened before the sweep, so an unwritable path fails at once.
     with _opened(args.output) as fh:
-        reports = parallel_map(verify, cases, args.jobs)
-        _write(_verify_lines(reports, args.format), fh)
-    return 2 if any(r.equal is False for r in reports) else 0
+        _write(_verify_lines(parallel_map(verify, cases, args.jobs), args.format, tally), fh)
+    return 2 if tally[False] else 0
 
 
-def _verify_lines(reports: list[VerificationReport], fmt: str) -> Iterator[str]:
-    """The output lines of ``verify``, made one at a time so a sweep's are never all held."""
-    if fmt == "jsonl":
-        yield from (json.dumps(r.to_json_obj()) for r in reports)
-        return
-    for r in reports:
+def _verify_lines(reports: Iterable[VerificationReport], fmt: str, tally: Counter) -> Iterator[str]:
+    """One line per report as it arrives, its ``equal`` counted in ``tally``; none is kept."""
+
+    def line(r: VerificationReport) -> str:
+        tally[r.equal] += 1
+        if fmt == "jsonl":
+            return json.dumps(r.to_json_obj())
         status = {True: "ok  ", False: "FAIL", None: "info"}[r.equal]
-        line = f"{status} {r.case.describe()} order={r.group_order} {r.elapsed_ms:.3f}ms"
-        if r.note:
-            line += f"  # {r.note}"
-        yield line
-    falsified = sum(1 for r in reports if r.equal is False)
-    informational = sum(1 for r in reports if r.equal is None)
-    yield f"{len(reports)} case(s): {falsified} falsified, {informational} informational"
+        note = f"  # {r.note}" if r.note else ""
+        return f"{status} {r.case.describe()} order={r.group_order} {r.elapsed_ms:.3f}ms{note}"
+
+    yield from map(line, reports)
+    if fmt == "text":
+        yield f"{tally.total()} case(s): {tally[False]} falsified, {tally[None]} informational"
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DisconnectedGraph, HypothesisViolated, SizeMismatch
@@ -99,6 +99,11 @@ class JoinSpec:
     parts: tuple[Graph, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.outer, Graph):
+            raise SizeMismatch(f"a join's outer graph must be a Graph, got {self.outer!r}")
+        if not all(map(isinstance, self.parts, repeat(Graph))):  # one pass in C
+            bad = next(p for p in self.parts if not isinstance(p, Graph))
+            raise SizeMismatch(f"a join's part must be a Graph, got {bad!r}")
         if len(self.parts) != self.outer.vertex_count:
             raise SizeMismatch(
                 f"outer graph has {self.outer.vertex_count} vertices "

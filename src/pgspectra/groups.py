@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, ClassVar, Iterable, Mapping, NoReturn, Sequence
 
 from .errors import InvalidFamilyParameters
@@ -104,6 +104,7 @@ class FiniteGroup:
         return self.table[self._element(a)].index(0)  # every row is a permutation
 
     def power(self, a: int, k: int) -> int:
+        k = index(k)  # a float, string or None exponent raises TypeError
         if k < 0:
             return self.power(self.inv(a), -k)
         acc, base = 0, self._element(a)

@@ -52,6 +52,14 @@ def _check_ints(values: Sequence[object], what: str) -> None:
         raise DimensionMismatch(f"{what} needs integer entries, got {bad!r}")
 
 
+def _check_shape(rows: int, cols: int) -> None:
+    """Refuse a matrix shape that is not two ints >= 0 (a float, a bool)."""
+    if type(rows) is not int or type(cols) is not int:
+        raise DimensionMismatch(f"matrix dimensions must be integers, got {rows!r}x{cols!r}")
+    if rows < 0 or cols < 0:
+        raise DimensionMismatch("matrix dimensions must be nonnegative")
+
+
 # ---------------------------------------------------------------------------
 # Matrices
 # ---------------------------------------------------------------------------
@@ -66,12 +74,7 @@ class IntMatrix:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.rows) is not int or type(self.cols) is not int:
-            raise DimensionMismatch(
-                f"matrix dimensions must be integers, got {self.rows!r}x{self.cols!r}"
-            )
-        if self.rows < 0 or self.cols < 0:
-            raise DimensionMismatch("matrix dimensions must be nonnegative")
+        _check_shape(self.rows, self.cols)
         if len(self.entries) != self.rows * self.cols:
             raise DimensionMismatch(
                 f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
@@ -140,15 +143,18 @@ class IntMatrix:
 
 
 def identity(n: int) -> IntMatrix:
+    _check_shape(n, n)
     return IntMatrix(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
 
 
 def zeros(rows: int, cols: int) -> IntMatrix:
+    _check_shape(rows, cols)
     return IntMatrix(rows, cols, (0,) * (rows * cols))
 
 
 def ones(rows: int, cols: int) -> IntMatrix:
     """All-ones matrix (the J / 1-vector building block)."""
+    _check_shape(rows, cols)
     return IntMatrix(rows, cols, (1,) * (rows * cols))
 
 

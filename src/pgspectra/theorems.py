@@ -23,7 +23,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
 from itertools import combinations, takewhile
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import (
     DisconnectedGraph,
@@ -775,11 +775,12 @@ def make_case(theorem_id: str, **params: int) -> TheoremCase:
     return TheoremCase(theorem_id, tuple(ordered))
 
 
-def check_case(case: TheoremCase) -> None:
-    """Raise :class:`HypothesisViolated` (or, first, a too-large order)."""
+def check_case(case: TheoremCase) -> TheoremCase:
+    """``case``, once admitted and within its hypothesis; else :class:`HypothesisViolated`."""
     thm = THEOREMS[case.theorem_id]
     admit(family_spec(thm.family, case.params_dict()))
     _check_hypothesis(thm.family, **case.params_dict())
+    return case
 
 
 def verify(case: TheoremCase) -> VerificationReport:
@@ -830,20 +831,19 @@ def enumerate_cases(
     return [make_case(tid, **params) for tid in ids for params in _theorem(tid).cases(max_order)]
 
 
-def parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """``[fn(x) for x in items]``, over at most ``jobs`` worker processes.
-
-    The worker count is clamped to the number of items and of CPUs; with
-    one worker everything runs in this process.  Results keep item order.
-    """
+def parallel_map(fn: Callable, items: Sequence, jobs: int) -> Iterator:
+    """``fn(x)`` for each of ``items``, one at a time in item order, over at most
+    ``jobs`` worker processes, clamped to the number of items and of CPUs; one
+    worker runs in this process.  Closing early cancels the items still pending."""
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(x) for x in items]
+        yield from map(fn, items)
+        return
     # Imported here: the pool machinery is a large share of the package's import time.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        yield from pool.map(fn, items)
 
 
 def closed_form_for(

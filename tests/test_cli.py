@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import re
 import time
+import weakref
 
 import pytest
 from helpers import record_worker_pools
@@ -12,7 +14,7 @@ from helpers import record_worker_pools
 from pgspectra import IntPolynomial, VerificationReport, make_case
 from pgspectra import cli, linalg
 from pgspectra.groups import FAMILIES
-from pgspectra.theorems import GRAPH_BUILDERS
+from pgspectra.theorems import GRAPH_BUILDERS, enumerate_cases
 
 
 def run_ok(capsys, argv):
@@ -331,6 +333,27 @@ def test_verify_exit_code_two_on_falsified_case(monkeypatch, capsys):
         code=2,
     )
     assert err_out == ""  # falsification is reported on stdout, not stderr
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "text"])
+def test_verify_holds_no_earlier_report_while_it_sweeps(monkeypatch, capsys, fmt):
+    # Each line is written as its report arrives and the report is then let
+    # go, so a sweep's memory does not grow with its length.
+    made: list[weakref.ref] = []
+    alive: list[int] = []  # at each call, the earlier reports still reachable
+
+    def fresh(case):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in made))
+        report = VerificationReport(case, 6, IntPolynomial((1,)), None, True, 0.5)
+        made.append(weakref.ref(report))
+        return report
+
+    monkeypatch.setattr(cli, "verify", fresh)
+    out = run_ok(capsys, ["verify", "--all", "--max-order", "12", "--format", fmt])
+    cases = len(enumerate_cases(12))
+    assert alive == [0] * cases
+    assert len(out.splitlines()) == cases + (fmt == "text")
 
 
 def test_verify_rejects_invalid_hypotheses_as_usage(capsys):

@@ -248,6 +248,21 @@ def test_join_spec_part_count_checked():
         JoinSpec(complete_graph(2), (complete_graph(1),))
 
 
+@pytest.mark.parametrize(
+    "outer, parts, what",
+    [
+        (complete_graph(2), (3, 4), "part"),
+        (complete_graph(2), (complete_graph(1), None), "part"),
+        (2, (complete_graph(1), complete_graph(1)), "outer graph"),
+        (None, (), "outer graph"),
+    ],
+)
+def test_join_spec_refuses_what_is_no_graph(outer, parts, what):
+    # once a bare AttributeError from cf_join_distance or graph_join, or none at all
+    with pytest.raises(SizeMismatch, match=f"a join's {what} must be a Graph"):
+        JoinSpec(outer, parts)
+
+
 def test_cone():
     star = cone(empty_graph(3))
     assert star.edges() == [(0, 1), (0, 2), (0, 3)]

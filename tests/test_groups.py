@@ -145,6 +145,13 @@ def test_negative_powers_use_the_inverse():
     assert g.power(3, -2) == g.mul(g.inv(3), g.inv(3))
 
 
+@pytest.mark.parametrize("k", [2.5, "2", None], ids=repr)
+def test_power_refuses_an_exponent_that_is_no_int(k):
+    # once a bare TypeError from `&` or `<`; now the one operator.index refusal
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        make_cyclic(5).power(1, k)
+
+
 # An element is an int in 0..order-1: -1 once wrapped to the last row
 # (cyclic_subgroup of Z_3 at -1 gave (-1, 0, 1)), and 99 raised a bare tuple IndexError.
 ELEMENT_QUERIES = {

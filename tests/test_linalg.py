@@ -398,6 +398,13 @@ MALFORMED = {
     "coeffs_a_list": lambda: IntPolynomial([1, 2]),
     "matrix_negative_shape": lambda: IntMatrix(-1, 0, ()),
     "matrix_shape_disagrees_with_entries": lambda: IntMatrix(3, 2, (1, 2)),
+    "identity_float_size": lambda: identity(1.5),
+    "identity_bool_size": lambda: identity(True),
+    "identity_negative_size": lambda: identity(-1),
+    "zeros_float_rows": lambda: zeros(2.0, 1),
+    "zeros_string_cols": lambda: zeros(1, "2"),
+    "ones_none_rows": lambda: ones(None, 2),
+    "ones_negative_cols": lambda: ones(2, -1),
     "factored_mult_zero": lambda: FactoredPoly(((x_plus(1), 0),)),
     "factored_mult_negative": lambda: FactoredPoly(((x_plus(1), -1),)),
     "factored_zero_base": lambda: FactoredPoly(((IntPolynomial(), 1),)),

@@ -836,7 +836,7 @@ def test_case_orders_below_one_are_refused(max_order):
 
 
 def test_verify_small_orders_all_hold():
-    reports = parallel_map(verify, enumerate_cases(12), 1)
+    reports = list(parallel_map(verify, enumerate_cases(12), 1))  # read three times below
     assert reports
     assert all(r.equal in (True, None) for r in reports)
     # Each is timed to the microsecond: whole milliseconds read 0 for most small cases.
@@ -846,8 +846,8 @@ def test_verify_small_orders_all_hold():
 
 def test_parallel_verify_matches_serial():
     cases = enumerate_cases(16, ["epg-dihedral-distance"])
-    serial = parallel_map(verify, cases, 1)
-    parallel = parallel_map(verify, cases, 2)
+    serial = list(parallel_map(verify, cases, 1))  # each read three times below
+    parallel = list(parallel_map(verify, cases, 2))
     assert [r.case for r in serial] == [r.case for r in parallel]
     assert [r.brute_force for r in serial] == [r.brute_force for r in parallel]
     assert [r.equal for r in serial] == [r.equal for r in parallel]
@@ -1007,8 +1007,27 @@ def test_closed_form_lookup_is_unambiguous():
 )
 def test_parallel_map_clamps_workers(monkeypatch, jobs, n_items, cpus, workers):
     created = record_worker_pools(monkeypatch, cpus)
-    assert parallel_map(str, range(n_items), jobs) == [str(i) for i in range(n_items)]
+    assert list(parallel_map(str, range(n_items), jobs)) == [str(i) for i in range(n_items)]
     assert created == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["in-process", "pool"])
+def test_parallel_map_is_lazy_and_stops_when_closed(monkeypatch, cpus):
+    created = record_worker_pools(monkeypatch, cpus)
+    calls: list[int] = []
+
+    def fn(x: int) -> int:
+        calls.append(x)
+        return x * x
+
+    results = parallel_map(fn, range(5), 2)
+    assert calls == []  # nothing runs before the first result is asked for
+    assert next(results) == 0
+    assert calls == [0]
+    results.close()
+    assert calls == [0]  # closing early runs nothing more
+    assert list(results) == []
+    assert created == ([] if cpus == 1 else [2])
 
 
 def test_importing_the_package_loads_no_process_pool():

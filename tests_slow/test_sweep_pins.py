@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 
@@ -25,12 +26,16 @@ from pgspectra.theorems import enumerate_cases, parallel_map, verify
 )
 def test_sweep_reports_are_pinned(max_order, count, digest, informational):
     # Every field of every report except the timing, hashed as
-    # tests/test_theorems.py::_sweep_digest does for orders 40 and 64.
-    reports = parallel_map(verify, enumerate_cases(max_order), 1)
-    objs = [report.to_json_obj() for report in reports]
-    for obj in objs:
+    # tests/test_theorems.py::_sweep_digest does for orders 40 and 64, but one
+    # report at a time: the sweep is read once and no report is kept.
+    sha, equal = hashlib.sha256(), Counter()
+    for i, report in enumerate(parallel_map(verify, enumerate_cases(max_order), 1)):
+        obj = report.to_json_obj()
         del obj["elapsed_ms"]
-    text = "\n".join(json.dumps(obj, sort_keys=True) for obj in objs)
-    assert (len(objs), hashlib.sha256(text.encode()).hexdigest()) == (count, digest)
-    assert sum(r.equal is False for r in reports) == 0
-    assert sum(r.equal is None for r in reports) == informational
+        if i:  # the separator of "\n".join, before every line but the first
+            sha.update(b"\n")
+        sha.update(json.dumps(obj, sort_keys=True).encode())
+        equal[report.equal] += 1
+    assert (equal.total(), sha.hexdigest()) == (count, digest)
+    assert equal[False] == 0
+    assert equal[None] == informational
