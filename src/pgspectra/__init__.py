@@ -21,7 +21,6 @@ from .errors import (
     NotAPartition,
     NotEquitable,
     NotSquare,
-    PartNotComplete,
     SizeMismatch,
     SpectraError,
 )

@@ -71,10 +71,6 @@ class HypothesisViolated(SpectraError):
     """Theorem-case parameters do not satisfy the theorem's hypotheses."""
 
 
-class PartNotComplete(SpectraError):
-    """A join-based closed form requires every part to be complete or edgeless."""
-
-
 class BitGrowthExceeded(SpectraError):
     """A characteristic-polynomial coefficient bound outgrew the prime table.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import accumulate, chain, combinations, pairwise, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DisconnectedGraph, HypothesisViolated, SizeMismatch
@@ -89,21 +89,25 @@ def empty_graph(n: int) -> Graph:
 
 @dataclass(frozen=True)
 class JoinSpec:
-    """A graph blow-up: replace vertex ``i`` of ``outer`` by ``parts[i]``.
+    """A graph blow-up: replace vertex ``i`` of ``outer`` by the part ``parts[i]``.
 
-    Vertices inside a part keep their internal edges; two parts are joined
-    completely whenever their outer vertices are adjacent.
+    A part ``(m, s)`` is m disjoint cliques of s vertices: a complete part is
+    ``(1, s)``, an edgeless part ``(m, 1)``.  Two parts are joined completely
+    whenever their outer vertices are adjacent.
     """
 
     outer: Graph
-    parts: tuple[Graph, ...]
+    parts: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
         if not isinstance(self.outer, Graph):
             raise SizeMismatch(f"a join's outer graph must be a Graph, got {self.outer!r}")
-        if not all(map(isinstance, self.parts, repeat(Graph))):  # one pass in C
-            bad = next(p for p in self.parts if not isinstance(p, Graph))
-            raise SizeMismatch(f"a join's part must be a Graph, got {bad!r}")
+        for part in self.parts:
+            # type() refuses a bool, a float and a Graph alike
+            if type(part) is not tuple or len(part) != 2 or not all(
+                type(k) is int and k >= 1 for k in part
+            ):
+                raise SizeMismatch(f"a join's part must be a pair (m, s) of ints >= 1, got {part!r}")
         if len(self.parts) != self.outer.vertex_count:
             raise SizeMismatch(
                 f"outer graph has {self.outer.vertex_count} vertices "
@@ -164,25 +168,15 @@ def proper_power_graph(g: FiniteGroup) -> Graph:
 def graph_join(spec: JoinSpec) -> Graph:
     """Expand a :class:`JoinSpec` into a concrete graph.
 
-    Block ``i`` occupies a contiguous index range, in part order.
+    Part ``i`` occupies a contiguous index range, in part order, and each
+    of its m cliques s consecutive indices of that range.
     """
-    offsets = []
-    total = 0
-    for part in spec.parts:
-        offsets.append(total)
-        total += part.vertex_count
-    adj: list[set[int]] = [set() for _ in range(total)]
-    for i, part in enumerate(spec.parts):
-        off = offsets[i]
-        for u in range(part.vertex_count):
-            adj[off + u].update(off + w for w in part.neighbors[u])
-    for i, j in spec.outer.edges():
-        for u in range(spec.parts[i].vertex_count):
-            ou = offsets[i] + u
-            adj[ou].update(offsets[j] + w for w in range(spec.parts[j].vertex_count))
-        for w in range(spec.parts[j].vertex_count):
-            adj[offsets[j] + w].update(offsets[i] + u for u in range(spec.parts[i].vertex_count))
-    return Graph(tuple(frozenset(s) for s in adj))
+    starts = list(accumulate((m * s for m, s in spec.parts), initial=0))
+    blocks = [range(a, b) for a, b in pairwise(starts)]
+    cliques = (range(c, c + s) for (_m, s), block in zip(spec.parts, blocks) for c in block[::s])
+    inner = chain.from_iterable(combinations(clique, 2) for clique in cliques)
+    crossing = chain.from_iterable(product(blocks[i], blocks[j]) for i, j in spec.outer.edges())
+    return Graph.from_edges(starts[-1], chain(inner, crossing))
 
 
 def verify_join_form(graph: Graph, spec: JoinSpec, bijection: Sequence[int]) -> bool:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from functools import cache, lru_cache, partial
@@ -30,15 +31,12 @@ from .errors import (
     FamilyMismatch,
     HypothesisViolated,
     InvalidFamilyParameters,
-    PartNotComplete,
-    SizeMismatch,
     SpectraError,
 )
 from .graphs import (
     MATRIX_KINDS,
     Graph,
     JoinSpec,
-    complete_graph,
     distance_matrix,
     enhanced_power_graph,
     graph_matrix,
@@ -401,39 +399,33 @@ def cf_elab_distance(p: int, n: int) -> FactoredPoly:
 def cf_join_distance(spec: JoinSpec) -> IntPolynomial:
     """Distance characteristic polynomial of a blow-up, from the spec alone.
 
-    Every part must be complete (lambda = 1) or edgeless (lambda = 2) and
-    the outer graph connected.  Two vertices of part i are then at distance
-    lambda_i, and vertices of parts i != j at the outer distance d(i, j), so
-    the parts are an equitable partition of the distance matrix with quotient
+    Part i is m_i disjoint cliques of s_i vertices over a connected outer
+    graph.  Two vertices of one clique are at distance 1, of two cliques of
+    part i at distance 2 (through a neighbouring part), and of parts i != j
+    at the outer distance d(i, j), so the parts are an equitable partition
+    of the distance matrix with quotient
 
-        TD[i][j] = n_j * d(i, j),      TD[i][i] = lambda_i * (n_i - 1),
+        TD[i][i] = (s_i - 1) + 2 s_i (m_i - 1),      TD[i][j] = m_j s_j d(i, j),
 
-    and the result is ``dense_char_poly(TD)`` times ``(x + lambda_i)**(n_i - 1)``
-    per part (Cardoso, de Freitas, Martins, Robbiano, Discrete Math. 313,
-    2013).  Nothing is computed from the joined graph itself.
+    and the result is ``dense_char_poly(TD)`` times
+    ``(x + 1)**(m_i (s_i - 1)) * (x + s_i + 1)**(m_i - 1)`` per part
+    (Cardoso, de Freitas, Martins, Robbiano, Discrete Math. 313, 2013).
+    Nothing is computed from the joined graph itself; a disconnected outer
+    graph, or one part of m > 1 cliques alone, raises :class:`DisconnectedGraph`.
     """
-    sizes = [part.vertex_count for part in spec.parts]
-    lams = []
-    for i, part in enumerate(spec.parts):
-        if part.vertex_count == 0:
-            raise SizeMismatch(f"part {i} has no vertices")
-        if part.is_complete():
-            lams.append(1)
-        elif part.edge_count == 0:
-            lams.append(2)
-        else:
-            raise PartNotComplete(f"part {i} is neither complete nor edgeless")
-    if lams == [2]:
-        raise DisconnectedGraph("an edgeless part with no neighbouring part is disconnected")
+    if len(spec.parts) == 1 and spec.parts[0][0] > 1:
+        raise DisconnectedGraph("cliques of a part with no neighbouring part are disconnected")
     outer = distance_matrix(spec.outer).to_rows()
-    td = [[n_j * d for n_j, d in zip(sizes, row)] for row in outer]
-    for i, lam in enumerate(lams):
-        td[i][i] = lam * (sizes[i] - 1)
-    # One power per distinct lambda, as char_poly merges twin factors.
-    a = sum(n_i - 1 for n_i, lam in zip(sizes, lams) if lam == 1)
-    b = sum(n_i - 1 for n_i, lam in zip(sizes, lams) if lam == 2)
+    td = [[m * s * d for (m, s), d in zip(spec.parts, row)] for row in outer]
+    # One power per base x + a, as char_poly merges twin factors.
+    powers: Counter[int] = Counter()
+    for i, (m, s) in enumerate(spec.parts):
+        td[i][i] = s - 1 + 2 * s * (m - 1)
+        powers[1] += m * (s - 1)
+        powers[s + 1] += m - 1
     return FactoredPoly.of(
-        (dense_char_poly(IntMatrix.from_rows(td)), 1), (x_plus(1), a), (x_plus(2), b)
+        (dense_char_poly(IntMatrix.from_rows(td)), 1),
+        *((x_plus(a), e) for a, e in powers.items()),
     ).expand()
 
 
@@ -443,7 +435,7 @@ def cf_join_distance(spec: JoinSpec) -> IntPolynomial:
 
 
 def join_form(g: FiniteGroup, graph_kind: str) -> tuple[JoinSpec, Partition]:
-    """The ``graph_kind`` graph of ``g`` as a blow-up of complete parts.
+    """The ``graph_kind`` graph of ``g`` as a blow-up of complete parts, each ``(1, s)``.
 
     Power graph: a part holds the elements generating the same cyclic
     subgroup, and two parts are joined when one subgroup contains the other.
@@ -474,7 +466,7 @@ def join_form(g: FiniteGroup, graph_kind: str) -> tuple[JoinSpec, Partition]:
     ]
     part = Partition.of(list(cells.values()))
     outer = Graph.from_edges(len(cells), edges)
-    return JoinSpec(outer, tuple(complete_graph(len(cell)) for cell in part.cells)), part
+    return JoinSpec(outer, tuple((1, len(cell)) for cell in part.cells)), part
 
 
 # Star partition name -> the catalog families it is defined on.

@@ -36,9 +36,7 @@ from pgspectra import (
     IntMatrix,
     JoinSpec,
     Partition,
-    complete_graph,
     cyclic_subgroups,
-    graph_join,
     make_elementary_abelian,
     make_group,
 )
@@ -402,7 +400,9 @@ def totient_and_divisors(n: int) -> tuple[int, tuple[int, ...]]:
 
 def cone(graph: Graph) -> Graph:
     """A new apex vertex 0 joined to every vertex of ``graph`` (shifted by 1)."""
-    return graph_join(JoinSpec(complete_graph(2), (complete_graph(1), graph)))
+    n = graph.vertex_count
+    apex = [(0, v) for v in range(1, n + 1)]
+    return Graph.from_edges(n + 1, apex + [(u + 1, v + 1) for u, v in graph.edges()])
 
 
 def figure1_gamma(alpha: int, beta: int) -> Graph:
@@ -437,7 +437,7 @@ def figure1_gamma_prime(alpha: int, beta: int) -> Graph:
 
 
 def _complete_blow_up(outer: Graph, part: Partition) -> tuple[JoinSpec, Partition]:
-    return JoinSpec(outer, tuple(complete_graph(len(cell)) for cell in part.cells)), part
+    return JoinSpec(outer, tuple((1, len(cell)) for cell in part.cells)), part
 
 
 # Star family -> the name of its partition in ``family_partition_oracle``.

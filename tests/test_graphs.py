@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given
@@ -225,41 +226,39 @@ def test_proper_power_graph_may_disconnect():
 
 
 def test_graph_join_star_example():
-    spec = JoinSpec(
-        Graph.from_edges(3, [(0, 1), (0, 2)]),
-        (complete_graph(1), complete_graph(2), complete_graph(1)),
-    )
+    spec = JoinSpec(Graph.from_edges(3, [(0, 1), (0, 2)]), ((1, 1), (1, 2), (1, 1)))
     joined = graph_join(spec)
     assert joined.vertex_count == 4
     assert joined.edges() == [(0, 1), (0, 2), (0, 3), (1, 2)]
 
 
 def test_graph_join_edge_count_formula():
-    parts = (complete_graph(2), empty_graph(3), path_graph(4))
+    parts = ((1, 2), (3, 1), (2, 3))  # K_2, three isolated vertices, two triangles
     outer = Graph.from_edges(3, [(0, 1), (1, 2)])
     joined = graph_join(JoinSpec(outer, parts))
-    inner = sum(p.edge_count for p in parts)
-    crossing = 2 * 3 + 3 * 4
-    assert joined.edge_count == inner + crossing
+    inner = sum(m * math.comb(s, 2) for m, s in parts)
+    crossing = 2 * 3 + 3 * 6
+    assert (inner, joined.edge_count) == (7, inner + crossing)
+    # the last part is vertices 5..10, one triangle after the other
+    assert joined.has_edge(5, 7) and joined.has_edge(8, 10) and not joined.has_edge(7, 8)
 
 
 def test_join_spec_part_count_checked():
     with pytest.raises(SizeMismatch):
-        JoinSpec(complete_graph(2), (complete_graph(1),))
+        JoinSpec(complete_graph(2), ((1, 1),))
 
 
 @pytest.mark.parametrize(
-    "outer, parts, what",
-    [
-        (complete_graph(2), (3, 4), "part"),
-        (complete_graph(2), (complete_graph(1), None), "part"),
-        (2, (complete_graph(1), complete_graph(1)), "outer graph"),
-        (None, (), "outer graph"),
-    ],
+    "bad", [(1, 0), (0, 2), (True, 1), (1.0, 2), (1, 2, 3), complete_graph(1), None, 3], ids=repr
 )
-def test_join_spec_refuses_what_is_no_graph(outer, parts, what):
-    # once a bare AttributeError from cf_join_distance or graph_join, or none at all
-    with pytest.raises(SizeMismatch, match=f"a join's {what} must be a Graph"):
+def test_join_spec_refuses_a_part_that_is_no_clique_shape(bad):
+    with pytest.raises(SizeMismatch, match=r"a join's part must be a pair \(m, s\) of ints >= 1"):
+        JoinSpec(complete_graph(2), ((1, 1), bad))
+
+
+@pytest.mark.parametrize("outer, parts", [(2, ((1, 1), (1, 1))), (None, ())])
+def test_join_spec_refuses_an_outer_graph_that_is_no_graph(outer, parts):
+    with pytest.raises(SizeMismatch, match="a join's outer graph must be a Graph"):
         JoinSpec(outer, parts)
 
 
@@ -273,7 +272,7 @@ def test_cone():
 def test_verify_join_form_accepts_true_decomposition():
     # the enhanced graph of the Klein four-group is a star
     graph = enhanced_power_graph(make_elementary_abelian(2, 2))
-    spec = JoinSpec(cone(empty_graph(3)), (complete_graph(1),) * 4)
+    spec = JoinSpec(cone(empty_graph(3)), ((1, 1),) * 4)
     assert verify_join_form(graph, spec, (0, 1, 2, 3))
 
 
@@ -281,16 +280,7 @@ def test_verify_join_form_rejects_wrong_bijection():
     graph = enhanced_power_graph(make_cyclic(6))
     # Z6 is complete, so any bijection works there; use a non-complete graph
     graph = power_graph(make_dihedral(3))
-    spec = JoinSpec(
-        cone(empty_graph(4)),
-        (
-            complete_graph(1),
-            complete_graph(2),
-            complete_graph(1),
-            complete_graph(1),
-            complete_graph(1),
-        ),
-    )
+    spec = JoinSpec(cone(empty_graph(4)), ((1, 1), (1, 2), (1, 1), (1, 1), (1, 1)))
     assert verify_join_form(graph, spec, (0, 1, 2, 3, 4, 5))
     # swapping a rotation with a reflection breaks the edge match
     assert not verify_join_form(graph, spec, (0, 1, 3, 2, 4, 5))
@@ -298,10 +288,10 @@ def test_verify_join_form_rejects_wrong_bijection():
 
 def test_verify_join_form_size_errors():
     graph = complete_graph(3)
-    spec = JoinSpec(complete_graph(2), (complete_graph(1), complete_graph(1)))
+    spec = JoinSpec(complete_graph(2), ((1, 1), (1, 1)))
     with pytest.raises(SizeMismatch):
         verify_join_form(graph, spec, (0, 1, 2))
-    spec3 = JoinSpec(complete_graph(3), (complete_graph(1),) * 3)
+    spec3 = JoinSpec(complete_graph(3), ((1, 1),) * 3)
     with pytest.raises(SizeMismatch):
         verify_join_form(graph, spec3, (0, 1))
     with pytest.raises(SizeMismatch):
@@ -311,9 +301,7 @@ def test_verify_join_form_size_errors():
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(0, 3))
 def test_join_of_complete_parts_over_complete_outer(a: int, b: int, c: int):
     sizes = [a, b] + ([c] if c else [])
-    spec = JoinSpec(
-        complete_graph(len(sizes)), tuple(complete_graph(s) for s in sizes)
-    )
+    spec = JoinSpec(complete_graph(len(sizes)), tuple((1, s) for s in sizes))
     assert graph_join(spec).is_complete()
 
 

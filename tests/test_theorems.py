@@ -72,8 +72,6 @@ from pgspectra.errors import (
     FamilyMismatch,
     HypothesisViolated,
     InvalidFamilyParameters,
-    PartNotComplete,
-    SizeMismatch,
     SpectraError,
 )
 from pgspectra.groups import MAX_ORDER
@@ -390,27 +388,21 @@ def test_elab_distance_closed_form():
 
 def test_join_distance_small_example():
     # a path on three vertices as a star join of singleton parts
-    spec = JoinSpec(
-        Graph.from_edges(3, [(0, 1), (0, 2)]),
-        (complete_graph(1),) * 3,
-    )
+    spec = JoinSpec(Graph.from_edges(3, [(0, 1), (0, 2)]), ((1, 1),) * 3)
     assert cf_join_distance(spec) == brute_distance_poly(graph_join(spec))
 
 
 @st.composite
 def join_specs(draw) -> JoinSpec:
     """A connected outer graph on at most six vertices (a random spanning
-    tree plus random extra edges) with complete or edgeless parts of 1-4
-    vertices."""
+    tree plus random extra edges) with parts of m = 1-3 disjoint cliques of
+    s = 1-3 vertices."""
     k = draw(st.integers(2, 6))
     edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, k)]
     pairs = [(u, v) for u in range(k) for v in range(u + 1, k)]
     mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     edges += [e for e, keep in zip(pairs, mask) if keep]
-    parts = tuple(
-        draw(st.sampled_from((complete_graph, empty_graph)))(draw(st.integers(1, 4)))
-        for _ in range(k)
-    )
+    parts = tuple((draw(st.integers(1, 3)), draw(st.integers(1, 3))) for _ in range(k))
     return JoinSpec(Graph.from_edges(k, edges), parts)
 
 
@@ -422,29 +414,27 @@ def test_join_distance_matches_brute_force(spec):
 
 def test_join_distance_needs_no_diameter_two():
     path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    spec = JoinSpec(path, (complete_graph(2), empty_graph(3), complete_graph(1), empty_graph(2)))
+    spec = JoinSpec(path, ((1, 2), (3, 1), (1, 1), (2, 1)))
     assert cf_join_distance(spec) == brute_distance_poly(graph_join(spec))
 
 
-def test_join_distance_requires_complete_parts():
-    path = Graph.from_edges(3, [(0, 1), (1, 2)])
-    spec = JoinSpec(complete_graph(2), (complete_graph(1), path))
-    with pytest.raises(PartNotComplete):
-        cf_join_distance(spec)
-
-
-def test_join_distance_rejects_an_empty_part():
-    spec = JoinSpec(complete_graph(2), (complete_graph(1), complete_graph(0)))
-    with pytest.raises(SizeMismatch):
-        cf_join_distance(spec)
+def test_join_distance_of_a_part_of_two_triangles():
+    # 2 K_3 beside one vertex: the factors (x + 1)^4 (x + 4) and a 2 x 2 quotient's
+    spec = JoinSpec(complete_graph(2), ((1, 1), (2, 3)))
+    assert cf_join_distance(spec) == brute_distance_poly(graph_join(spec))
+    # one complete part alone is a clique
+    assert cf_join_distance(JoinSpec(complete_graph(1), ((1, 3),))) == brute_distance_poly(
+        complete_graph(3)
+    )
 
 
 def test_join_distance_rejects_a_disconnected_outer_graph():
-    spec = JoinSpec(empty_graph(2), (complete_graph(1), complete_graph(2)))
+    spec = JoinSpec(empty_graph(2), ((1, 1), (1, 2)))
     with pytest.raises(DisconnectedGraph):
         cf_join_distance(spec)
-    with pytest.raises(DisconnectedGraph):  # one edgeless part, nothing to join it
-        cf_join_distance(JoinSpec(complete_graph(1), (empty_graph(2),)))
+    for lone in ((2, 1), (2, 3)):  # one part of two cliques, nothing to join them
+        with pytest.raises(DisconnectedGraph):
+            cf_join_distance(JoinSpec(complete_graph(1), (lone,)))
 
 
 _OUTSIDE_THE_CATALOG = [
@@ -467,7 +457,7 @@ def test_join_form_of_any_group_verifies_and_predicts_the_spectrum(group, kind):
     spec, part = join_form(group, kind)
     assert verify_join_form(graph, spec, part.flatten())
     assert [cell[0] for cell in part.cells] == sorted(cell[0] for cell in part.cells)
-    assert all(p.is_complete() for p in spec.parts)
+    assert spec.parts == tuple((1, len(cell)) for cell in part.cells)
     try:
         dense = brute_distance_poly(graph)
     except DisconnectedGraph:
