@@ -54,11 +54,17 @@ class Graph:
             adj[v].add(u)
         return Graph(tuple(frozenset(s) for s in adj))
 
+    def _vertex(self, v: int) -> int:
+        """``v``, once it is an int in ``0..n-1``; else an ``IndexError`` naming it."""
+        if type(v) is not int or not 0 <= v < len(self.neighbors):
+            raise IndexError(f"no vertex {v!r} in a graph on {len(self.neighbors)} vertices")
+        return v
+
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors[u]
+        return self._vertex(v) in self.neighbors[self._vertex(u)]
 
     def degree(self, u: int) -> int:
-        return len(self.neighbors[u])
+        return len(self.neighbors[self._vertex(u)])
 
     def edges(self) -> list[tuple[int, int]]:
         """Edge list with ``u < v``, sorted."""

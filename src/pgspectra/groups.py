@@ -490,12 +490,21 @@ def _refuse_number(token: str) -> NoReturn:
     raise ValueError(f"{token} is not an integer")
 
 
+def _is_int_permutation(row: tuple, elements: list[int]) -> bool:
+    """Whether ``row`` holds each int of ``elements`` (``0..n-1``) once; one pass over it."""
+    line = sorted(set(row))
+    return line == elements and all(type(v) is int for v in line[:2])
+
+
 def group_from_json(text: str) -> FiniteGroup:
     """The group :func:`group_to_json` wrote; :class:`InvalidFamilyParameters` otherwise.
 
-    A float, ``NaN`` or ``Infinity`` is refused while parsing.  Every other
-    entry must pass the Latin-square check under ``==``, which leaves only a
-    bool posing as 0 or 1; those two entries of each row are checked for type.
+    A float, ``NaN`` or ``Infinity`` is refused while parsing.  Each row is read
+    once: its distinct entries, sorted, must be ``0..order-1`` under ``==``.
+    The only JSON value equal to an int without being one is a bool, equal to
+    0 or 1, the first two of those sorted entries, so only they are checked for
+    type.  Every entry is then an int element, and a column needs only
+    ``order`` distinct entries.
     """
     try:
         obj = json.loads(text, parse_float=_refuse_number, parse_constant=_refuse_number)
@@ -514,22 +523,17 @@ def group_from_json(text: str) -> FiniteGroup:
     # A Latin square whose row 0 and column 0 are the identity map: right
     # multiplication by any x is then a permutation sending 0 to x, so every
     # power loop returns to the identity within ``order`` steps.
-    identity_map = tuple(range(order))
-    elements = set(identity_map)
+    elements = list(range(order))
     try:
-        latin = (
-            table[:1] == [identity_map]
-            and tuple(row[0] for row in table) == identity_map
-            and all(set(line) == elements for line in chain(table, zip(*table)))
+        latin = all(_is_int_permutation(row, elements) for row in table) and (
+            table[:1] == [tuple(elements)]
+            and [row[0] for row in table] == elements
+            and all(len(set(column)) == order for column in zip(*table))
         )
-    except TypeError:  # an unhashable entry: a list or an object
+    except TypeError:  # an unhashable or unorderable entry: a list, an object, a string, null
         latin = False
     if not latin:
         raise InvalidFamilyParameters(
-            "table is not a Latin square with element 0 as its identity row and column"
+            "table is not a Latin square of integers with element 0 as its identity row and column"
         )
-    # Each row is now a permutation of 0..order-1 under ==.  The only JSON value
-    # equal to an int without being one is a bool, equal to 0 or 1 alone.
-    if any(type(row[row.index(v)]) is not int for row in table for v in range(min(order, 2))):
-        raise InvalidFamilyParameters("need integers throughout, not booleans")
     return _finish(table, labels, None)

@@ -10,6 +10,8 @@ distance-quotient matrix follows from it by the two-step distance identity
 The refinement and the adjacency quotient count neighbors by one rule: the
 cell with the most incident edge ends is taken off each neighbor set as one
 set difference, and only the neighbors left over are counted one at a time.
+The refinement's last pass counts the quotient of the partition it returns,
+so :func:`quotient_matrix` of that very graph object reads it back uncounted.
 The explicit distance quotient likewise gets its largest cell's sum as the
 whole row's sum less the other cells'.
 
@@ -19,6 +21,7 @@ are cells of join forms, built in :mod:`pgspectra.theorems`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Sequence
@@ -33,8 +36,13 @@ class Partition:
     """Ordered cells of ``0..n-1``; each cell is ascending and nonempty."""
 
     cells: tuple[tuple[int, ...], ...]
+    # (weak reference to a graph, its quotient), set by the refinement; not a
+    # field, so ==, hash and repr see the cells alone
+    _counted = None
 
     def __post_init__(self) -> None:
+        if type(self.cells) is not tuple or any(type(cell) is not tuple for cell in self.cells):
+            raise NotAPartition("cells must be a tuple of tuples; Partition.of converts sequences")
         seen: set[int] = set()
         for cell in self.cells:
             if not cell:
@@ -46,6 +54,9 @@ class Partition:
             if seen.intersection(cell):
                 raise NotAPartition("cells overlap")
             seen.update(cell)
+
+    def __getstate__(self) -> dict:
+        return {"cells": self.cells}  # a weak reference cannot be pickled
 
     @staticmethod
     def of(cells: Sequence[Sequence[int]]) -> Partition:
@@ -136,7 +147,14 @@ def _cell_counts(graph: Graph, p: Partition) -> Callable[[int], tuple[int, ...]]
 
 
 def quotient_matrix(graph: Graph, p: Partition) -> IntMatrix:
-    """Adjacency quotient: entry (i, j) counts cell-j neighbors of a cell-i vertex."""
+    """Adjacency quotient: entry (i, j) counts cell-j neighbors of a cell-i vertex.
+
+    A partition from :func:`coarsest_equitable_partition` hands back the
+    quotient its refinement counted when ``graph`` is the graph it refined.
+    """
+    counted = p._counted
+    if counted is not None and counted[0]() is graph:
+        return counted[1]
     return _equitable_quotient(p, _cell_counts(graph, p))
 
 
@@ -192,11 +210,20 @@ def coarsest_equitable_partition(graph: Graph) -> Partition:
     (groups in lexicographic count order, vertices ascending) until no cell
     splits.  The final cell list is sorted by minimum vertex.  The first pass
     reads only degrees: its one cell is the heaviest, taken off as a set.
+
+    The last pass's counts are the quotient; the partition keeps it, rows and
+    columns in the sorted cell order, for :func:`quotient_matrix` of ``graph``.
+    It holds ``graph`` by a weak reference, so it never keeps ``graph`` alive.
     """
     n = graph.vertex_count
     p = Partition((tuple(range(n)),) if n else ())
     while True:
         split = _split(p.cells, _cell_counts(graph, p))
         if len(split) == p.cell_count:
-            return Partition(tuple(sorted(p.cells)))
+            break
         p = Partition(tuple(tuple(group) for _, group in split))
+    order = sorted(range(p.cell_count), key=p.cells.__getitem__)
+    done = Partition(tuple(p.cells[i] for i in order))
+    quotient = IntMatrix.from_rows([[split[i][0][j] for j in order] for i in order])
+    object.__setattr__(done, "_counted", (weakref.ref(graph), quotient))
+    return done

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -73,6 +74,16 @@ def test_from_edges_basics():
     assert g.edge_count == 2
     assert g.has_edge(1, 0)
     assert g.degree(0) == 1
+
+
+@pytest.mark.parametrize("vertex", [-1, 6, True, False, 1.0, "1", None])
+def test_degree_and_has_edge_refuse_what_is_no_vertex(vertex):
+    g = power_graph(make_dihedral(3))
+    for read in (g.degree, lambda v: g.has_edge(v, 0), lambda v: g.has_edge(0, v)):
+        with pytest.raises(IndexError, match=re.escape(f"no vertex {vertex!r} in a graph on 6 vertices")):
+            read(vertex)
+    assert [g.degree(v) for v in range(6)] == [5, 2, 2, 1, 1, 1]
+    assert g.has_edge(0, 5) and not g.has_edge(5, 1)
 
 
 def test_a_graph_is_its_neighbor_sets():

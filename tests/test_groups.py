@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import random
 import re
 from pathlib import Path
 
@@ -592,6 +593,24 @@ def test_group_json_roundtrip():
     assert back.labels == g.labels
     assert [back.inv(a) for a in range(6)] == [g.inv(a) for a in range(6)] == [0, 1, 4, 3, 2, 5]
     assert back.spec is None  # provenance is not serialized
+    for spec in LAYOUT_SPECS:
+        g = make_group(spec)
+        back = group_from_json(group_to_json(g))
+        assert (back.table, back.labels) == (g.table, g.labels), spec.describe()
+    # D_24 under a random relabelling that keeps 0 the identity: no row is
+    # in element order any more, and the reader sorts nothing it hands back
+    g = make_dihedral(12)
+    sigma = [0, *random.Random(24).sample(range(1, 24), 23)]
+    table = [[0] * 24 for _ in range(24)]
+    labels = [""] * 24
+    for a in range(24):
+        labels[sigma[a]] = g.labels[a]
+        for b in range(24):
+            table[sigma[a]][sigma[b]] = sigma[g.mul(a, b)]
+    assert all(row != sorted(row) for row in table[1:])
+    obj = {"order": 24, "identity": 0, "table": table, "labels": labels}
+    back = group_from_json(json.dumps(obj))
+    assert (back.table, back.labels) == (tuple(map(tuple, table)), tuple(labels))
 
 
 @pytest.mark.parametrize(
@@ -686,6 +705,10 @@ _D6 = json.loads(group_to_json(make_dihedral(3)))
         # Neither null nor a list equals an element; a list is unhashable too.
         pytest.param([[0, 1], [1, None]], id="null-entry"),
         pytest.param([[0, 1], [1, [0]]], id="nested-list-entry"),
+        pytest.param([[0, 1], [1, {}]], id="object-entry"),
+        # row 2 repeats 0 and misses 1; its first entry still fits column 0
+        pytest.param([[0, 1, 2], [1, 2, 0], [2, 0, 0]], id="later-row-repeats-an-element"),
+        pytest.param([[0, 1, 2], [1, 2, 0], [2, 0, True]], id="true-in-a-later-row"),
     ],
 )
 def test_group_json_rejects_non_group_tables(table):
@@ -693,6 +716,45 @@ def test_group_json_rejects_non_group_tables(table):
         table = json.dumps({"order": len(table), "identity": 0, "table": table})
     with pytest.raises(InvalidFamilyParameters):
         group_from_json(table)
+
+
+def _is_latin_int_table(table: list) -> bool:
+    """The reader's contract stated plainly: ints only, every line a permutation."""
+    n, elements = len(table), list(range(len(table)))
+    return (
+        all(type(x) is int for row in table for x in row)
+        and table[0] == elements
+        and [row[0] for row in table] == elements
+        and all(sorted(line) == elements for line in (*table, *map(list, zip(*table))))
+    )
+
+
+@pytest.mark.parametrize(
+    "g", [make_cyclic(4), make_elementary_abelian(2, 2), make_dihedral(3)], ids=["Z4", "V4", "D6"]
+)
+def test_group_json_accepts_exactly_the_latin_int_tables(g: FiniteGroup):
+    """One entry replaced, or two entries of a row swapped, in every possible way."""
+    n = g.order
+    tables = []
+    for i, j in itertools.product(range(n), repeat=2):
+        for value in (-1, 0, 1, 2, n - 1, n, True, False, None, "1", [1], {}, 2**70):
+            table = [list(row) for row in g.table]
+            table[i][j] = value
+            tables.append(table)
+        for k in range(j + 1, n):
+            table = [list(row) for row in g.table]
+            table[i][j], table[i][k] = table[i][k], table[i][j]
+            tables.append(table)
+    accepted = 0
+    for table in tables:
+        text = json.dumps({"order": n, "identity": 0, "table": table})
+        if _is_latin_int_table(table):
+            accepted += 1
+            assert group_from_json(text).table == tuple(map(tuple, table))
+        else:
+            with pytest.raises(InvalidFamilyParameters):
+                group_from_json(text)
+    assert accepted  # each unchanged table, at least
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import gc
+import pickle
 import re
+import weakref
 from itertools import accumulate, combinations
 from pathlib import Path
 
@@ -48,6 +51,7 @@ from pgspectra import (
     quotient_matrix,
     star_partition,
 )
+from pgspectra import partitions
 from pgspectra.errors import (
     DiameterExceedsTwo,
     DisconnectedGraph,
@@ -58,6 +62,7 @@ from pgspectra.errors import (
 )
 from pgspectra.groups import is_prime
 from pgspectra.partitions import _cell_counts
+from pgspectra.theorems import GRAPH_BUILDERS, THEOREMS, enumerate_cases
 
 
 def path_graph(n: int) -> Graph:
@@ -144,6 +149,18 @@ def test_partition_validation():
     for vertex in (1.5, True, "a"):  # only integers are vertices
         with pytest.raises(NotAPartition):
             Partition.of([[vertex]])
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [([0, 1], [2]), [(0, 1), (2,)], ((0, 1), [2]), [[0]], "01", None, ((0,), range(1, 3))],
+    ids=repr,
+)
+def test_partition_takes_a_tuple_of_tuples(cells):
+    with pytest.raises(NotAPartition, match="tuple of tuples"):
+        Partition(cells)
+    if isinstance(cells, (list, tuple)):  # the converting constructor takes these
+        assert hash(Partition.of(cells)) == hash(Partition(tuple(map(tuple, cells))))
 
 
 def test_partition_must_cover_vertex_range():
@@ -408,6 +425,76 @@ def test_partitions_and_quotients_match_the_oracles_on_catalog_graphs():
             except DisconnectedGraph:
                 continue  # some proper power graphs
             _check_block_sums(dm, part)
+
+
+# ---------------------------------------------------------------------------
+# the quotient the refinement counted
+# ---------------------------------------------------------------------------
+
+
+def _kept_quotient_is_a_fresh_count(graph: Graph) -> None:
+    part = coarsest_equitable_partition(graph)
+    kept = quotient_matrix(graph, part)
+    assert kept == quotient_matrix(graph, Partition(part.cells))  # counted afresh
+    assert part == Partition(part.cells)
+    assert hash(part) == hash(Partition(part.cells))
+    assert repr(part) == repr(Partition(part.cells))
+
+
+def test_kept_quotient_matches_a_fresh_count_on_catalog_graphs():
+    seen = set()
+    for case in enumerate_cases(64):
+        group = THEOREMS[case.theorem_id].build_group(case.params_dict())
+        key = (group.table, case.graph_kind)
+        if key not in seen:
+            seen.add(key)
+            _kept_quotient_is_a_fresh_count(GRAPH_BUILDERS[case.graph_kind](group))
+
+
+@given(st.one_of(graphs_st(max_n=10), blown_up_graphs_st()))
+def test_kept_quotient_matches_a_fresh_count(graph: Graph):
+    _kept_quotient_is_a_fresh_count(graph)
+
+
+def test_only_the_refined_graph_object_reads_the_kept_quotient(monkeypatch):
+    calls = []
+
+    def counted(graph, p):
+        calls.append(p)
+        return _cell_counts(graph, p)
+
+    monkeypatch.setattr(partitions, "_cell_counts", counted)
+    graph = enhanced_power_graph(make_dihedral(6))
+    part = coarsest_equitable_partition(graph)
+    refined = len(calls)
+    quotient_matrix(graph, part)
+    distance_quotient_matrix(graph, part)
+    assert len(calls) == refined
+    equal = Graph(graph.neighbors)
+    assert equal == graph and equal is not graph
+    assert quotient_matrix(equal, part) == quotient_matrix(graph, part)
+    assert len(calls) == refined + 1
+    quotient_matrix(graph, Partition(part.cells))
+    assert len(calls) == refined + 2
+
+
+def test_a_refined_partition_does_not_keep_its_graph_alive():
+    graph = power_graph(make_dicyclic(4))
+    part = coarsest_equitable_partition(graph)
+    alive = weakref.ref(graph)
+    del graph
+    gc.collect()
+    assert alive() is None
+    again = power_graph(make_dicyclic(4))
+    assert quotient_matrix(again, part) == quotient_matrix(again, Partition(part.cells))
+
+
+def test_a_refined_partition_pickles_as_its_cells():
+    graph = power_graph(make_dicyclic(4))
+    part = coarsest_equitable_partition(graph)
+    back = pickle.loads(pickle.dumps(part))
+    assert back == part
+    assert quotient_matrix(graph, back) == quotient_matrix(graph, part)
 
 
 # ---------------------------------------------------------------------------
