@@ -48,11 +48,9 @@ class Graph:
         for u, v in edges:
             if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise SizeMismatch(f"edge ({u!r},{v!r}) is not two int vertices in 0..{n - 1}")
-            if u == v:
-                continue  # simple graph: ignore loops
             adj[u].add(v)
             adj[v].add(u)
-        return Graph(tuple(frozenset(s) for s in adj))
+        return _without_loops(adj)  # simple graph: loops are ignored
 
     def _vertex(self, v: int) -> int:
         """``v``, once it is an int in ``0..n-1``; else an ``IndexError`` naming it."""
@@ -126,25 +124,34 @@ class JoinSpec:
 # ---------------------------------------------------------------------------
 
 
-def _without_loops(adj: list[set[int]]) -> Graph:
-    """The graph whose neighbor sets are ``adj``, each vertex dropped from its own."""
+def _without_loops(adj: list) -> Graph:
+    """The graph whose neighbor sets are ``adj``, each vertex dropped from its own.
+
+    Each set is frozen in place, so it is freed as its frozen copy is made.
+    """
     for v, s in enumerate(adj):
         s.discard(v)
-    return Graph(tuple(map(frozenset, adj)))
+        adj[v] = frozenset(s)
+    return Graph(tuple(adj))
 
 
-def power_graph(g: FiniteGroup) -> Graph:
-    """Distinct elements are adjacent when one is a power of the other.
+def _power_sets(g: FiniteGroup) -> list[set[int]]:
+    """Each element's set of powers and of elements it is a power of, itself included.
 
-    Built straight into neighbor sets: each element ``x`` starts from its
-    cyclic subgroup ``<x>`` and is added to the set of every element of it.
+    Each element ``x`` starts from its cyclic subgroup ``<x>`` and is added
+    to the set of every element of it.
     """
     subs = element_subgroups(g)
     adj = [set(sub) for sub in subs]
     for x, sub in enumerate(subs):
         for y in sub:
             adj[y].add(x)
-    return _without_loops(adj)
+    return adj
+
+
+def power_graph(g: FiniteGroup) -> Graph:
+    """Distinct elements are adjacent when one is a power of the other."""
+    return _without_loops(_power_sets(g))
 
 
 def enhanced_power_graph(g: FiniteGroup) -> Graph:
@@ -162,8 +169,17 @@ def enhanced_power_graph(g: FiniteGroup) -> Graph:
 
 
 def proper_power_graph(g: FiniteGroup) -> Graph:
-    """Power graph with the identity (element 0) removed; vertex ``v - 1`` is element ``v``."""
-    return Graph(tuple(frozenset(v - 1 for v in s if v) for s in power_graph(g).neighbors[1:]))
+    """Power graph with the identity (element 0) removed; vertex ``v - 1`` is element ``v``.
+
+    Each set drops the identity and its own element, and is shifted and frozen in place.
+    """
+    adj = _power_sets(g)
+    del adj[0]
+    for v, s in enumerate(adj):
+        s.discard(0)
+        s.discard(v + 1)
+        adj[v] = frozenset([w - 1 for w in s])
+    return Graph(tuple(adj))
 
 
 # ---------------------------------------------------------------------------
@@ -242,10 +258,12 @@ def distance_matrix(graph: Graph) -> IntMatrix:
     """All-pairs shortest-path matrix; raises on disconnected or empty input.
 
     With a universal vertex this is 2(J - I) - A, built in one pass over the
-    neighbor sets; otherwise each row comes from a breadth-first search.
+    neighbor sets; otherwise each row comes from a breadth-first search and is
+    copied into the one flat tuple of entries as it is found.
     """
     if not _has_universal_vertex(graph):
-        return IntMatrix.from_rows(list(_distance_rows(graph)))
+        n = graph.vertex_count
+        return IntMatrix(n, n, tuple(chain.from_iterable(_distance_rows(graph))))
     return _neighbor_matrix(graph, 2)
 
 

@@ -123,9 +123,10 @@ def _finish(
 
 
 # The largest order built or loaded: four times the benchmark's largest (512).
-# Building the cyclic table of this order peaks near 50 MB resident (19 MB of
-# it the interpreter), and its JSON round trip near 255 MB, most of that the
-# separate int objects ``json.loads`` makes for the table's entries.
+# Peak resident memory at this order, Python 3.11, 18 MB of it the interpreter:
+# the cyclic table near 48 MB; its JSON round trip near 218 MB, most of that the
+# separate int objects ``json.loads`` makes for the table's entries; and the
+# table with its enhanced power graph, 2048 neighbor sets of 2047, near 305 MB.
 MAX_ORDER = 2048
 
 
@@ -510,7 +511,11 @@ def group_from_json(text: str) -> FiniteGroup:
         obj = json.loads(text, parse_float=_refuse_number, parse_constant=_refuse_number)
         order, identity = obj["order"], obj["identity"]
         _check_order(order, lambda: "the serialized group")
-        table = [tuple(row) for row in obj["table"]]
+        table = obj["table"]
+        if type(table) is not list:
+            raise TypeError(f"the table is no list: {table!r:.40}")
+        for i, row in enumerate(table):
+            table[i] = tuple(row)  # in place: each parsed list is freed as its tuple is made
         labels = obj.get("labels", [str(i) for i in range(order)])
     except (ValueError, KeyError, TypeError) as exc:
         raise InvalidFamilyParameters(f"not a serialized group: {exc!r}") from None

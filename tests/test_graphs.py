@@ -141,6 +141,24 @@ def test_inconsistent_neighbor_sets_are_refused(neighbors):
         Graph(neighbors)
 
 
+FROZEN_BUILDS = {
+    "power": lambda: power_graph(make_dihedral(6)),
+    "enhanced": lambda: enhanced_power_graph(make_dihedral(6)),
+    "proper": lambda: proper_power_graph(make_dihedral(6)),
+    "from_edges": lambda: Graph.from_edges(4, [(0, 1), (1, 1), (2, 3)]),
+    "graph_join": lambda: graph_join(JoinSpec(path_graph(3), ((1, 2), (2, 1), (1, 3)))),
+    "complete": lambda: complete_graph(4),
+    "empty": lambda: empty_graph(3),
+}
+
+
+@pytest.mark.parametrize("build", FROZEN_BUILDS.values(), ids=FROZEN_BUILDS.keys())
+def test_every_builder_gives_a_tuple_of_frozensets(build):
+    neighbors = build().neighbors
+    assert type(neighbors) is tuple and neighbors
+    assert all(type(s) is frozenset for s in neighbors)
+
+
 def test_complete_and_empty():
     assert complete_graph(4).edge_count == 6
     assert complete_graph(4).is_complete()

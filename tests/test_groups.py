@@ -611,6 +611,7 @@ def test_group_json_roundtrip():
     obj = {"order": 24, "identity": 0, "table": table, "labels": labels}
     back = group_from_json(json.dumps(obj))
     assert (back.table, back.labels) == (tuple(map(tuple, table)), tuple(labels))
+    assert type(back.table) is tuple and all(type(row) is tuple for row in back.table)
 
 
 @pytest.mark.parametrize(
@@ -709,6 +710,11 @@ _D6 = json.loads(group_to_json(make_dihedral(3)))
         # row 2 repeats 0 and misses 1; its first entry still fits column 0
         pytest.param([[0, 1, 2], [1, 2, 0], [2, 0, 0]], id="later-row-repeats-an-element"),
         pytest.param([[0, 1, 2], [1, 2, 0], [2, 0, True]], id="true-in-a-later-row"),
+        # the table is read in place, each row replaced by its tuple
+        pytest.param(json.dumps({"order": 1, "identity": 0, "table": {}}), id="table-an-empty-object"),
+        pytest.param(json.dumps({"order": 1, "identity": 0, "table": {"0": [0]}}), id="table-an-object"),
+        pytest.param(json.dumps({"order": 2, "identity": 0, "table": "01"}), id="table-a-string"),
+        pytest.param([[0, 1], 7], id="row-a-number"),
     ],
 )
 def test_group_json_rejects_non_group_tables(table):

@@ -1,8 +1,8 @@
 """Pins of sweeps too long for the tier-1 suite.
 
-Run with ``PYTHONPATH=src python -m pytest tests_slow``.  On one core of a
-shared 2-vCPU host the order-256 sweep took 21–23 s and the order-512
-sweep 130–163 s; ``-k 256`` runs the first alone.
+Run with ``python -m pytest tests_slow``.  On one core of a shared 2-vCPU
+host the order-256 sweep took 13.2 s, the order-512 sweep 104 s and the
+order-1024 sweep 844 s; ``-k 256`` runs the first alone.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from pgspectra.theorems import enumerate_cases, parallel_map, verify
     [
         (256, 1713, "fa840deac05049da4d4bf3b0f0cee8a5a119ad75e62ab9f574045f1ef580a8bf", 57),
         (512, 3337, "f3fd1686489690e5ff999ce09688eb4dd76aa3978b8f760f2f259d376079ebf8", 120),
+        (1024, 6426, "acc673923425ad7473eeeb53fbdf0d85754f4709ccc5255282e41cdb1ada9f65", 247),
     ],
-    ids=["256", "512"],
+    ids=["256", "512", "1024"],
 )
 def test_sweep_reports_are_pinned(max_order, count, digest, informational):
     # Every field of every report except the timing, hashed as
