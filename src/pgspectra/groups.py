@@ -223,30 +223,42 @@ def _product_rows(
 # ---------------------------------------------------------------------------
 # Family constructors
 # ---------------------------------------------------------------------------
+#
+# Each public constructor admits its spec, rule included, and builds it with
+# ``_build``.  The private builders below take parameters already admitted and
+# return the rows and labels.
+
+Built = tuple[Sequence[Sequence[int]], Sequence[str]]
 
 
 def make_cyclic(n: int) -> FiniteGroup:
     """The cyclic group of order ``n`` on ``{0..n-1}`` under addition mod n."""
-    spec = admit(GroupFamilySpec("cyclic", (n,)), rule=True)
-    labels = [str(i) for i in range(n)]
-    return _finish(_cyclic_rows(n), labels, spec)
+    return _build(admit(GroupFamilySpec("cyclic", (n,)), rule=True))
+
+
+def _cyclic(n: int) -> Built:
+    return _cyclic_rows(n), [str(i) for i in range(n)]
 
 
 def make_elementary_abelian(p: int, n: int) -> FiniteGroup:
     """The elementary abelian group of order ``p**n`` (vectors over GF(p)).
 
-    Element ``i`` is the base-``p`` digit vector of ``i``; addition is
-    digitwise mod ``p``.  Element ``d*p**k + i``, for ``i < p**k``, has top
-    digit ``d``: that is the pairing of Z_p x El(p**k), so the table is the
-    product kernel applied ``n`` times.
+    Element ``i`` is the base-``p`` digit vector of ``i``, least significant
+    digit first; addition is digitwise mod ``p``.  Element ``d*p**k + i``, for
+    ``i < p**k``, has top digit ``d``: that is the pairing of Z_p x El(p**k),
+    so the table is the product kernel applied ``n - 1`` times, starting from
+    Z_p's rows, and each product appends one digit to every label.
     """
-    spec = admit(GroupFamilySpec("elementary-abelian", (p, n)), rule=True)
-    zp, table = _cyclic_rows(p), [(0,)]
-    for _ in range(n):
+    return _build(admit(GroupFamilySpec("elementary-abelian", (p, n)), rule=True))
+
+
+def _elementary_abelian(p: int, n: int) -> Built:
+    zp, labels = _cyclic(p)
+    table, digits = zp, labels
+    for _ in range(n - 1):
         table = _product_rows(zp, table)
-    places = [p**k for k in range(n)]
-    labels = ["(" + ",".join(str(i // w % p) for w in places) + ")" for i in range(p**n)]
-    return _finish(table, labels, spec)
+        labels = [f"{low},{d}" for d in digits for low in labels]
+    return table, [f"({s})" for s in labels]
 
 
 def _power(letter: str, k: int) -> str:
@@ -254,7 +266,7 @@ def _power(letter: str, k: int) -> str:
     return "" if k == 0 else letter if k == 1 else f"{letter}{k}"
 
 
-def _dihedral_type(m: int, t: int, letter: str, spec: GroupFamilySpec) -> FiniteGroup:
+def _dihedral_type(m: int, t: int, letter: str) -> Built:
     """The group ``<a, b | a**m, b**2 = a**t, b a b**-1 = a**-1>`` of order ``2m``.
 
     Element ``i < m`` is ``a**i``; element ``m + i`` is ``a**i * b``, its
@@ -272,7 +284,7 @@ def _dihedral_type(m: int, t: int, letter: str, spec: GroupFamilySpec) -> Finite
     # Row a**i b, with k = m - 1 - i: m + (i - j) % m, then (i + t - j) % m.
     reflections = [down_b[k : k + m] + turned[k : k + m] for k in reversed(range(m))]
     labels = [_power("a", i) or "e" for i in range(m)] + [_power("a", i) + letter for i in range(m)]
-    return _finish(rotations + reflections, labels, spec)
+    return rotations + reflections, labels
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -281,8 +293,7 @@ def make_dihedral(n: int) -> FiniteGroup:
     Element ``i < n`` is the rotation ``a**i``; element ``n + i`` is the
     reflection ``a**i * b``.
     """
-    spec = admit(GroupFamilySpec("dihedral", (n,)), rule=True)
-    return _dihedral_type(n, 0, "b", spec)
+    return _build(admit(GroupFamilySpec("dihedral", (n,)), rule=True))
 
 
 def make_dicyclic(n: int) -> FiniteGroup:
@@ -292,8 +303,7 @@ def make_dicyclic(n: int) -> FiniteGroup:
     ``x a x**-1 = a**-1``.  Element ``i < 2n`` is ``a**i``; element
     ``2n + i`` is ``a**i * x``.
     """
-    spec = admit(GroupFamilySpec("dicyclic", (n,)), rule=True)
-    return _dihedral_type(2 * n, n, "x", spec)
+    return _build(admit(GroupFamilySpec("dicyclic", (n,)), rule=True))
 
 
 def make_gpq(p: int, q: int) -> FiniteGroup:
@@ -303,7 +313,10 @@ def make_gpq(p: int, q: int) -> FiniteGroup:
     least integer above 1 satisfying ``r**p = 1 (mod q)``.  Element
     ``i*p + j`` is ``a**i * b**j``.
     """
-    spec = admit(GroupFamilySpec("gpq", (p, q)), rule=True)
+    return _build(admit(GroupFamilySpec("gpq", (p, q)), rule=True))
+
+
+def _gpq(p: int, q: int) -> Built:
     r = next(r for r in range(2, q) if pow(r, p, q) == 1)
     # (a^i b^j)(a^k b^l) = a^(i + r^j * k) b^(j + l).  blocks[j][c] is the
     # run a^c b^(j + l) for l < p, listed twice so that blocks[j][i : i + q]
@@ -317,18 +330,21 @@ def make_gpq(p: int, q: int) -> FiniteGroup:
         tuple(chain.from_iterable(steps[j](blocks[j][i : i + q]))) for i in range(q) for j in range(p)
     ]
     labels = [(_power("a", i) + _power("b", j)) or "e" for i in range(q) for j in range(p)]
-    return _finish(table, labels, spec)
+    return table, labels
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Direct product with the row-major pairing ``(a, b) -> a*|H| + b``."""
     _check_order(g.order * h.order, lambda: "the direct product")
-    table = _product_rows(g.table, h.table)
-    labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
     spec = None
     if g.spec is not None and h.spec is not None:
         spec = GroupFamilySpec("direct-product", (), (g.spec, h.spec))
-    return _finish(table, labels, spec)
+    return _pair(g, h, spec)
+
+
+def _pair(g: FiniteGroup, h: FiniteGroup, spec: GroupFamilySpec | None) -> FiniteGroup:
+    labels = [f"({la},{lb})" for la in g.labels for lb in h.labels]
+    return _finish(_product_rows(g.table, h.table), labels, spec)
 
 
 # The family catalog.  Each command-line family name maps to its factors: a
@@ -352,23 +368,25 @@ FAMILY_PARAMS: dict[str, tuple[str, ...]] = {
 
 @dataclass(frozen=True)
 class BaseFamily:
-    """A base family's constructor, and the rule its int parameters must meet:
-    stated in ``rule``, tested by ``holds``."""
+    """A base family's builder, and the rule its int parameters must meet:
+    stated in ``rule``, tested by ``holds``.  ``build`` admits nothing: it takes
+    parameters that meet the rule, of order at most MAX_ORDER, and returns the
+    rows and labels."""
 
-    make: Callable[..., FiniteGroup]
+    build: Callable[..., Built]
     rule: str
     holds: Callable[..., bool]
 
 
 BASE_FAMILIES: dict[str, BaseFamily] = {
-    "cyclic": BaseFamily(make_cyclic, "n >= 1", lambda n: n >= 1),
+    "cyclic": BaseFamily(_cyclic, "n >= 1", lambda n: n >= 1),
     "elementary-abelian": BaseFamily(
-        make_elementary_abelian, "a prime p and n >= 1", lambda p, n: is_prime(p) and n >= 1
+        _elementary_abelian, "a prime p and n >= 1", lambda p, n: is_prime(p) and n >= 1
     ),
-    "dihedral": BaseFamily(make_dihedral, "n >= 3", lambda n: n >= 3),
-    "dicyclic": BaseFamily(make_dicyclic, "n >= 3", lambda n: n >= 3),
+    "dihedral": BaseFamily(lambda n: _dihedral_type(n, 0, "b"), "n >= 3", lambda n: n >= 3),
+    "dicyclic": BaseFamily(lambda n: _dihedral_type(2 * n, n, "x"), "n >= 3", lambda n: n >= 3),
     "gpq": BaseFamily(
-        make_gpq,
+        _gpq,
         "primes p < q with p | q-1",
         lambda p, q: is_prime(p) and is_prime(q) and p < q and (q - 1) % p == 0,
     ),
@@ -399,11 +417,20 @@ def family_of(spec: GroupFamilySpec) -> tuple[str, dict[str, int]] | None:
 
 
 def make_group(spec: GroupFamilySpec) -> FiniteGroup:
-    """Build the group a :class:`GroupFamilySpec` describes."""
-    admit(spec)  # before any factor is built; each constructor tests its rule
+    """Build the group a :class:`GroupFamilySpec` describes.
+
+    The whole spec is admitted once, before any table is built: its shape,
+    then its order, then every factor's rule.  So a product whose second
+    factor breaks its rule builds neither factor.
+    """
+    return _build(admit(spec, rule=True))
+
+
+def _build(spec: GroupFamilySpec) -> FiniteGroup:
+    """The group of a spec that :func:`admit` passed with its rule; admits nothing again."""
     if spec.family == "direct-product":
-        return direct_product(*map(make_group, spec.factors))
-    return BASE_FAMILIES[spec.family].make(*spec.params)
+        return _pair(*map(_build, spec.factors), spec)
+    return _finish(*BASE_FAMILIES[spec.family].build(*spec.params), spec)
 
 
 # ---------------------------------------------------------------------------

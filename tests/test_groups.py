@@ -300,7 +300,7 @@ def assert_same_rows(table, rows) -> None:
 @pytest.mark.parametrize("m", range(1, 65))
 def test_dihedral_type_rows_match_the_oracle(m: int):
     for t in range(m):
-        table = groups._dihedral_type(m, t, "b", None).table
+        table, _labels = groups._dihedral_type(m, t, "b")
         assert_same_rows(table, dihedral_type_rows_oracle(m, t))
 
 
@@ -331,6 +331,35 @@ def test_direct_product_rows_match_the_oracle(g: FiniteGroup):
 )
 def test_elementary_abelian_rows_match_the_oracle(p: int, n: int):
     assert_same_rows(make_elementary_abelian(p, n).table, elementary_abelian_rows_oracle(p, n))
+
+
+PRIME_POWERS = [
+    (p, n) for p in range(2, MAX_ORDER + 1) if is_prime(p) for n in range(1, 12) if p**n <= MAX_ORDER
+]
+
+
+def test_elementary_abelian_labels_are_base_p_digits_least_significant_first():
+    assert (2, 11) in PRIME_POWERS and (2039, 1) in PRIME_POWERS
+    for p, n in PRIME_POWERS:
+        digits = [
+            "(" + ",".join(str(i // p**k % p) for k in range(n)) + ")" for i in range(p**n)
+        ]
+        assert list(make_elementary_abelian(p, n).labels) == digits, (p, n)
+    for p, n in [(2, 9), (3, 6)]:  # orders 512 and 729, above the pinned layouts
+        assert_same_rows(make_elementary_abelian(p, n).table, elementary_abelian_rows_oracle(p, n))
+
+
+def test_make_group_checks_every_rule_before_building_a_table(monkeypatch):
+    spec = _product(_el(2, 9), _el(4, 1))
+    with pytest.raises(InvalidFamilyParameters) as want:
+        admit(spec, rule=True)
+    calls = []
+    product_rows = groups._product_rows
+    monkeypatch.setattr(groups, "_product_rows", lambda *a: calls.append(a) or product_rows(*a))
+    with pytest.raises(InvalidFamilyParameters) as got:
+        make_group(spec)
+    assert str(got.value) == str(want.value)
+    assert calls == []
 
 
 def test_direct_product_with_trivial_factor():
@@ -440,7 +469,14 @@ def test_describe_names_every_malformed_spec(spec, name):
     assert spec.describe() == name
 
 
-# Each base family with parameters that name a group.
+# Each base family's public constructor, and parameters that name a group.
+CONSTRUCTORS = {
+    "cyclic": make_cyclic,
+    "elementary-abelian": make_elementary_abelian,
+    "dihedral": make_dihedral,
+    "dicyclic": make_dicyclic,
+    "gpq": make_gpq,
+}
 GOOD_PARAMS = {
     "cyclic": (4,),
     "elementary-abelian": (2, 2),
@@ -452,12 +488,12 @@ GOOD_PARAMS = {
 
 @pytest.mark.parametrize("bad", [True, False, 4.0, "4", None], ids=repr)
 def test_constructors_refuse_non_int_parameters(bad):
-    assert set(GOOD_PARAMS) == set(groups.BASE_FAMILIES)
+    assert set(GOOD_PARAMS) == set(CONSTRUCTORS) == set(groups.BASE_FAMILIES)
     for name, good in GOOD_PARAMS.items():
         for i in range(len(good)):
             params = (*good[:i], bad, *good[i + 1 :])
             with pytest.raises(InvalidFamilyParameters, match="int parameter"):
-                groups.BASE_FAMILIES[name].make(*params)
+                CONSTRUCTORS[name](*params)
             with pytest.raises(InvalidFamilyParameters, match="int parameter"):
                 make_group(GroupFamilySpec(name, params))
 
@@ -469,7 +505,7 @@ def test_each_constructor_builds_exactly_what_its_rule_admits(name):
         spec = GroupFamilySpec(name, values)
         admitted = family.holds(*values) and groups.bounded_order(spec) <= MAX_ORDER
         try:
-            built = family.make(*values).spec == spec
+            built = CONSTRUCTORS[name](*values).spec == spec
         except InvalidFamilyParameters:
             built = False
         assert built == admitted, spec
@@ -791,7 +827,7 @@ def test_a_product_above_the_cap_builds_neither_factor(monkeypatch):
     def refuse(*args):
         raise AssertionError("a factor was built")
 
-    cyclic = dataclasses.replace(groups.BASE_FAMILIES["cyclic"], make=refuse)
+    cyclic = dataclasses.replace(groups.BASE_FAMILIES["cyclic"], build=refuse)
     monkeypatch.setitem(groups.BASE_FAMILIES, "cyclic", cyclic)
     spec = GroupFamilySpec(
         "direct-product", (), (GroupFamilySpec("cyclic", (64,)), GroupFamilySpec("cyclic", (64,)))
