@@ -15,7 +15,7 @@ from itertools import accumulate, chain, combinations, pairwise, product
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import DisconnectedGraph, HypothesisViolated, SizeMismatch
-from .groups import FiniteGroup, cyclic_subgroups, element_subgroups
+from .groups import FiniteGroup, element_subgroups, maximal_cyclic_subgroups
 from .linalg import IntMatrix
 
 
@@ -157,15 +157,24 @@ def power_graph(g: FiniteGroup) -> Graph:
 def enhanced_power_graph(g: FiniteGroup) -> Graph:
     """Distinct elements are adjacent when some cyclic subgroup contains both.
 
-    Each element of each cyclic subgroup of the group takes in the whole
-    subgroup; the elementwise three-way membership scan is kept as an
-    independent test oracle, not used here.
+    Two elements share a cyclic subgroup exactly when they share a maximal
+    one, so the neighbor set of ``v`` is the union of the maximal cyclic
+    subgroups containing ``v``, less ``v``, and is frozen as it is made.  The
+    elements of a subgroup share one mutable set of it: ``v`` is taken out
+    for the copy and put back.  The elementwise three-way membership scan is
+    kept as an independent test oracle, not used here.
     """
-    adj: list[set[int]] = [set() for _ in range(g.order)]
-    for sub in cyclic_subgroups(g):
+    adj: list = [[] for _ in range(g.order)]
+    for sub in maximal_cyclic_subgroups(g):
+        shared = set(sub)
         for u in sub:
-            adj[u].update(sub)
-    return _without_loops(adj)
+            adj[u].append(shared)
+    for v, subs in enumerate(adj):
+        s = subs[0] if len(subs) == 1 else subs[0].union(*subs[1:])
+        s.discard(v)
+        adj[v] = frozenset(s)
+        s.add(v)
+    return Graph(tuple(adj))
 
 
 def proper_power_graph(g: FiniteGroup) -> Graph:

@@ -11,6 +11,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from operator import index, itemgetter
 from typing import Callable, ClassVar, Iterable, Mapping, NoReturn, Sequence
@@ -124,10 +125,14 @@ def _finish(
 
 # The largest order built or loaded: four times the benchmark's largest (512).
 # Peak resident memory at this order, Python 3.11, 18 MB of it the interpreter:
-# the cyclic table near 48 MB; its JSON round trip near 218 MB, most of that the
-# separate int objects ``json.loads`` makes for the table's entries; and the
-# table with its enhanced power graph, 2048 neighbor sets of 2047, near 305 MB.
+# the cyclic table near 48 MB; its JSON round trip near 106 MB, the text and a
+# second table of the same shared element ints; and the table with its enhanced
+# power graph, 2048 neighbor sets of 2047, near 177 MB.
 MAX_ORDER = 2048
+
+# The element ints every table is cut from, so that every table in the process
+# shares one int object per element value, and so does every table read back.
+_ELEMENTS = tuple(range(MAX_ORDER + 1))
 
 
 def _check_order(order: int, what: Callable[[], str]) -> None:
@@ -194,14 +199,13 @@ def admit(spec: GroupFamilySpec, rule: bool = False) -> GroupFamilySpec:
 # Table kernels
 # ---------------------------------------------------------------------------
 #
-# Rows are cut from shared tuples by slicing, picking and chaining, so no
-# entry is computed on its own and every table of order n shares one int
-# object per element.
+# Rows are cut from slices of ``_ELEMENTS`` by slicing, picking and chaining,
+# so no entry is computed on its own and no table makes an int of its own.
 
 
 def _cyclic_rows(n: int) -> list[tuple[int, ...]]:
     """The table of Z_n: row ``i`` is ``(i + j) % n`` for ``j < n``."""
-    up = tuple(range(n)) * 2
+    up = _ELEMENTS[:n] * 2
     return [up[i : i + n] for i in range(n)]
 
 
@@ -214,7 +218,7 @@ def _product_rows(
     row ``a`` of G in turn; the shifted rows are made once each.
     """
     hn = len(ht)
-    ids = tuple(range(len(gt) * hn))
+    ids = _ELEMENTS[: len(gt) * hn]
     blocks = [ids[x : x + hn] for x in range(0, len(ids), hn)]
     shifted = [[tuple(map(block.__getitem__, hb)) for block in blocks] for hb in ht]
     return [tuple(chain.from_iterable(map(sb.__getitem__, ga))) for ga in gt for sb in shifted]
@@ -276,7 +280,7 @@ def _dihedral_type(m: int, t: int, letter: str) -> Built:
     ``(i + j) % m``), ``down`` (``down[k + j]`` is ``(-1 - k - j) % m``),
     ``down`` turned ``t`` places, or the copies of these on the ``b`` half.
     """
-    ids = tuple(range(2 * m))
+    ids = _ELEMENTS[: 2 * m]
     up, up_b = ids[:m] * 2, ids[m:] * 2
     down, down_b = up[::-1], up_b[::-1]
     turned = down[m - t :] + down[: m - t]  # turned[k + j] is (t - 1 - k - j) % m
@@ -321,7 +325,7 @@ def _gpq(p: int, q: int) -> Built:
     # (a^i b^j)(a^k b^l) = a^(i + r^j * k) b^(j + l).  blocks[j][c] is the
     # run a^c b^(j + l) for l < p, listed twice so that blocks[j][i : i + q]
     # starts at a^i; steps[j] picks its runs c = r^j * k mod q for k < q.
-    ids = tuple(range(p * q))
+    ids = _ELEMENTS[: p * q]
     blocks = [
         [ids[s + j : s + p] + ids[s : s + j] for s in range(0, p * q, p)] * 2 for j in range(p)
     ]
@@ -483,11 +487,14 @@ def maximal_cyclic_subgroups(g: FiniteGroup) -> tuple[tuple[int, ...], ...]:
     """The cyclic subgroups that lie in no other, in lexicographic order.
 
     A cyclic subgroup lies in a larger one exactly when it is generated by
-    an element of the larger one that does not generate it.
+    an element of the larger one that does not generate it.  Each subgroup is
+    one tuple shared by its generators, so it is told apart by identity
+    rather than hashed and compared entry by entry.
     """
     gen = element_subgroups(g)
-    inside = {gen[y] for sub in set(gen) for y in sub if gen[y] != sub}
-    return tuple(sorted(set(gen) - inside))
+    distinct = {id(sub): sub for sub in gen}
+    inside = {id(gen[y]) for sub in distinct.values() for y in sub if gen[y] is not sub}
+    return tuple(sorted(sub for key, sub in distinct.items() if key not in inside))
 
 
 def order_census(g: FiniteGroup) -> dict[int, int]:
@@ -518,6 +525,20 @@ def _refuse_number(token: str) -> NoReturn:
     raise ValueError(f"{token} is not an integer")
 
 
+class _ElementTokens(dict):
+    """The decimal text of each int in ``0..MAX_ORDER`` mapped to that int of
+    ``_ELEMENTS``; looking up any other token raises ``ValueError``."""
+
+    def __missing__(self, token: str) -> NoReturn:
+        raise ValueError(f"{token:.40} is not an int in 0..MAX_ORDER = {MAX_ORDER}")
+
+
+@cache
+def _parse_element() -> Callable[[str], int]:
+    """The ``parse_int`` of :func:`group_from_json`, built on its first call."""
+    return _ElementTokens({str(x): x for x in _ELEMENTS}).__getitem__
+
+
 def _is_int_permutation(row: tuple, elements: list[int]) -> bool:
     """Whether ``row`` holds each int of ``elements`` (``0..n-1``) once; one pass over it."""
     line = sorted(set(row))
@@ -527,17 +548,23 @@ def _is_int_permutation(row: tuple, elements: list[int]) -> bool:
 def group_from_json(text: str) -> FiniteGroup:
     """The group :func:`group_to_json` wrote; :class:`InvalidFamilyParameters` otherwise.
 
-    A float, ``NaN`` or ``Infinity`` is refused while parsing.  Each row is read
-    once: its distinct entries, sorted, must be ``0..order-1`` under ``==``.
-    The only JSON value equal to an int without being one is a bool, equal to
-    0 or 1, the first two of those sorted entries, so only they are checked for
-    type.  Every entry is then an int element, and a column needs only
-    ``order`` distinct entries.
+    A float, ``NaN``, ``Infinity`` or an int literal outside ``0..MAX_ORDER``
+    is refused while parsing, and every int parsed is the shared int of
+    ``_ELEMENTS``, so the table read back holds one int object per element
+    value, as a built one does.  Each row is read once: its distinct entries,
+    sorted, must be ``0..order-1`` under ``==``.  The only JSON value equal to
+    an int without being one is a bool, equal to 0 or 1, the first two of
+    those sorted entries, so only they are checked for type.  Every entry is
+    then an int element, and a column needs only ``order`` distinct entries.
     """
     try:
-        obj = json.loads(text, parse_float=_refuse_number, parse_constant=_refuse_number)
+        obj = json.loads(
+            text,
+            parse_int=_parse_element(),
+            parse_float=_refuse_number,
+            parse_constant=_refuse_number,
+        )
         order, identity = obj["order"], obj["identity"]
-        _check_order(order, lambda: "the serialized group")
         table = obj["table"]
         if type(table) is not list:
             raise TypeError(f"the table is no list: {table!r:.40}")
@@ -555,10 +582,10 @@ def group_from_json(text: str) -> FiniteGroup:
     # A Latin square whose row 0 and column 0 are the identity map: right
     # multiplication by any x is then a permutation sending 0 to x, so every
     # power loop returns to the identity within ``order`` steps.
-    elements = list(range(order))
+    elements = list(_ELEMENTS[:order])
     try:
         latin = all(_is_int_permutation(row, elements) for row in table) and (
-            table[:1] == [tuple(elements)]
+            table[:1] == [_ELEMENTS[:order]]
             and [row[0] for row in table] == elements
             and all(len(set(column)) == order for column in zip(*table))
         )

@@ -311,6 +311,11 @@ def elab_product_BC(p: int, n: int, q: int, m: int, matrix_kind: str) -> tuple[I
     repeated factors of the refined quotient's factorization."""
     _check_hypothesis("elab-product", p=p, n=n, q=q, m=m)
     _require(matrix_kind in MATRIX_KINDS, f"unknown matrix kind {matrix_kind!r}")
+    return _elab_product_BC(p, n, q, m, matrix_kind)
+
+
+def _elab_product_BC(p: int, n: int, q: int, m: int, matrix_kind: str) -> tuple[IntMatrix, IntMatrix]:
+    """:func:`elab_product_BC` of parameters and a matrix kind already checked."""
     pn, qm = p**n, q**m
     if matrix_kind == "adjacency":
         b = IntMatrix.from_rows([[p - 2, (p - 1) * (qm - 1)], [p - 1, (p - 1) * (q - 1) - 1]])
@@ -338,7 +343,7 @@ def cf_elab_product(
     alpha = (pn - 1) // (p - 1)
     beta = (qm - 1) // (q - 1)
     phi_t1 = dense_char_poly(_product_t1(p, n, q, m, graph_kind, matrix_kind))
-    b, c = elab_product_BC(p, n, q, m, matrix_kind)
+    b, c = _elab_product_BC(p, n, q, m, matrix_kind)
     if matrix_kind == "adjacency":
         middle = x_plus(-(p * q - p - q))  # x - (pq - p - q)
     else:

@@ -690,6 +690,28 @@ def test_group_json_rejects_nonzero_identity():
         group_from_json(json.dumps(obj))
 
 
+@pytest.mark.parametrize(
+    "g",
+    [make_dihedral(256), direct_product(make_elementary_abelian(2, 3), make_cyclic(63))],
+    ids=["D512", "El(2^3)xZ63"],
+)
+def test_group_json_reads_back_the_built_ints(g: FiniteGroup):
+    """Entries above 256 are ints CPython does not cache: the reader hands back
+    the shared ones, never an int object of its own."""
+    back = group_from_json(group_to_json(g))
+    assert all(x is y for row, built in zip(back.table, g.table) for x, y in zip(row, built))
+    assert len({id(x) for row in back.table for x in row}) == g.order
+
+
+@pytest.mark.parametrize("literal", ["-1", "-0", str(MAX_ORDER + 1), str(2**70)])
+@pytest.mark.parametrize("where", ["order", "identity", "entry"])
+def test_group_json_refuses_int_literals_outside_the_elements(literal: str, where: str):
+    fields = {"order": "2", "identity": "0", "entry": "0", where: literal}
+    text = '{{"order": {order}, "identity": {identity}, "table": [[0, 1], [1, {entry}]]}}'
+    with pytest.raises(InvalidFamilyParameters, match=f"MAX_ORDER = {MAX_ORDER}"):
+        group_from_json(text.format(**fields))
+
+
 _D6 = json.loads(group_to_json(make_dihedral(3)))
 
 

@@ -258,6 +258,26 @@ def test_elab_product_rejects_bad_parameters():
         cf_elab_product(2, 1, 3, 1, "power", "weird")
 
 
+def test_elab_product_checks_its_hypothesis_once_and_first(monkeypatch):
+    calls = []
+    check = theorems._check_hypothesis
+    monkeypatch.setattr(
+        theorems, "_check_hypothesis", lambda *a, **kw: calls.append((a, kw)) or check(*a, **kw)
+    )
+    for graph_kind, matrix_kind in itertools.product(("power", "enhanced"), MATRIX_KINDS):
+        calls.clear()
+        cf_elab_product(2, 2, 3, 1, graph_kind, matrix_kind)
+        assert calls == [(("elab-product",), {"p": 2, "n": 2, "q": 3, "m": 1})]
+    # a bad group and a bad kind at once: the hypothesis is named, not the kind
+    with pytest.raises(HypothesisViolated, match="elab-product needs"):
+        cf_elab_product(2, 1, 2, 1, "weird", "weird")
+    # the public builder still checks its own arguments
+    with pytest.raises(HypothesisViolated):
+        elab_product_BC(2, 1, 2, 1, "distance")
+    with pytest.raises(HypothesisViolated, match="unknown matrix kind"):
+        elab_product_BC(2, 1, 3, 1, "weird")
+
+
 def test_coarse_quotient_matrix_values():
     t1, _ = build_T1_T2(2, 2, 3, 2, "power", "adjacency")
     assert t1.to_rows() == [
